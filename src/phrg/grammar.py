@@ -450,16 +450,6 @@ def direct_derivations(
     return tuple(out)
 
 
-def _rule_options(h: Hypergraph, table: Table) -> list[list[Rule]]:
-    options = []
-    for e in h.edges:
-        rs = table.by_label.get(e.label)
-        if not rs:
-            raise GrammarError(f"no rules for label {e.label!r} in table")
-        options.append(list(rs))
-    return options
-
-
 def parallel_budgeted(
     h: Hypergraph,
     table: Table,
@@ -526,10 +516,11 @@ def parallel_budgeted(
 def parallel_successors(h: Hypergraph, table: Table) -> tuple[Hypergraph, ...]:
     """All parallel successors of ``h`` under ``table``, canonicalized."""
     count = 1
-    for opts in _rule_options(h, table):
-        count *= len(opts)
-        if count > _PRODUCT_GUARD:
-            raise GrammarError("parallel successor set too large")
+    for e in h.edges:
+        # a missing label makes the count 0; parallel_budgeted reports it
+        count *= len(table.by_label.get(e.label, ()))
+    if count > _PRODUCT_GUARD:
+        raise GrammarError("parallel successor set too large")
     found, _, _ = parallel_budgeted(h, table)
     return tuple(found[k] for k in sorted(found))
 

@@ -53,21 +53,13 @@ class TransformError(ValueError):
 # ---------------------------------------------------------------- naming
 
 
-def _fresh(used: set[str], base: str) -> str:
-    name = f"@{base}"
+def _fresh(used: set[str], marked: str) -> str:
+    """The marked name (``@name`` or ``~name``), suffixed ``.2``, ``.3``, ...
+    until it is unused; the result joins ``used``."""
+    name = marked
     k = 2
     while name in used:
-        name = f"@{base}.{k}"
-        k += 1
-    used.add(name)
-    return name
-
-
-def _fresh_bar(used: set[str], base: str) -> str:
-    name = f"~{base}"
-    k = 2
-    while name in used:
-        name = f"~{base}.{k}"
+        name = f"{marked}.{k}"
         k += 1
     used.add(name)
     return name
@@ -174,13 +166,13 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
     ]
 
     used = set(g.alphabet)
-    start2 = _fresh(used, "start")
-    dead = _fresh(used, "dead")
+    start2 = _fresh(used, "@start")
+    dead = _fresh(used, "@dead")
     sym: dict[tuple[str, frozenset[str]], str] = {}
     for x in g.alphabet:
         for e_set in subsets:
             tag = "+".join(sorted(e_set)) if e_set else "-"
-            sym[(x, e_set)] = _fresh(used, f"{x}|{tag}")
+            sym[(x, e_set)] = _fresh(used, f"@{x}|{tag}")
     alphabet2 = tuple(
         sorted({start2, dead, *g.terminals, *sym.values()})
     )
@@ -308,7 +300,7 @@ def regular_to_phr(m: ControlAutomaton) -> PHRGrammar:
         )
     d = m.determinize_complete()
     used = set(m.alphabet)
-    nsym = {q: _fresh(used, f"q{i}") for i, q in enumerate(d.states)}
+    nsym = {q: _fresh(used, f"@q{i}") for i, q in enumerate(d.states)}
     finals = set(d.finals)
     rules: list[Rule] = []
     for q in d.states:
@@ -346,11 +338,11 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
     d = cg.control.determinize_complete()
     terminals = set(g.terminals)
     used = set(g.signature.labels)
-    state_sym = {q: _fresh(used, f"q{i}") for i, q in enumerate(d.states)}
-    bar = {a: _fresh_bar(used, a) for a in sorted(terminals)}
-    start2 = _fresh(used, "start")
+    state_sym = {q: _fresh(used, f"@q{i}") for i, q in enumerate(d.states)}
+    bar = {a: _fresh(used, f"~{a}") for a in sorted(terminals)}
+    start2 = _fresh(used, "@start")
     k = g.order
-    dead = {j: _fresh(used, f"dead{j}") for j in range(k + 1)}
+    dead = {j: _fresh(used, f"@dead{j}") for j in range(k + 1)}
 
     arities = {l: g.signature.arity(l) for l in g.signature.labels}
     arities.update({s: 0 for s in state_sym.values()})
@@ -442,7 +434,7 @@ def _start_hygienic(g: PHRGrammar, used: set[str]) -> PHRGrammar:
     used.update(g.signature.labels)
     if not occurs and g.start not in set(g.terminals):
         return g
-    start2 = _fresh(used, "start")
+    start2 = _fresh(used, "@start")
     arity = g.signature.arity(g.start)
     sig = g.signature.merged(Signature.of({start2: arity}))
     # A terminal start means the bare start handle is itself a 0-step
@@ -527,7 +519,7 @@ def _substitution_build(
         if clash:
             tmp = set(used) | set(img.signature.labels)
             img = relabel_grammar(
-                img, {l: _fresh(tmp, l) for l in clash}
+                img, {l: _fresh(tmp, f"@{l}") for l in clash}
             )
             used |= tmp
         img = _start_hygienic(img, used)
@@ -539,16 +531,16 @@ def _substitution_build(
 
     used.update(g.signature.labels)
     gmap = {
-        l: _fresh(used, l) for l in g.signature.labels if l in set(target)
+        l: _fresh(used, f"@{l}") for l in g.signature.labels if l in set(target)
     }
     host = relabel_grammar(g, gmap) if gmap else g
 
     bars = {
-        a: {x: _fresh_bar(used, f"{a}.{x}") for x in images[a].signature.labels}
+        a: {x: _fresh(used, f"~{a}.{x}") for x in images[a].signature.labels}
         for a in letters
     }
     k = max([g.order, 2] + [images[a].order for a in letters])
-    dead = {j: _fresh(used, f"dead{j}") for j in range(k + 1)}
+    dead = {j: _fresh(used, f"@dead{j}") for j in range(k + 1)}
 
     arities = {l: host.signature.arity(l) for l in host.signature.labels}
     for b in target:
@@ -644,28 +636,10 @@ def iterate_substitution(g: PHRGrammar, spec) -> PHRGrammar:
 # ------------------------------------------------------- rational closure
 
 
-def _word_grammar(word: Word) -> PHRGrammar:
-    """The grammar of the singleton language {word}."""
-    letters = sorted(set(word))
-    used = set(letters)
-    start = _fresh(used, "start")
-    sig = Signature.of({start: 2, **{a: 2 for a in letters}})
-    rules = (Rule(start, string_graph(word)),) + tuple(
-        Rule(a, handle(a, 2)) for a in letters
-    )
-    return PHRGrammar(
-        signature=sig,
-        terminals=tuple(letters),
-        start=start,
-        tables=(("1", Table(rules=rules, scope=sig.labels)),),
-        order=2,
-    )
-
-
 def _k_host(words: Sequence[Word], letters: Sequence[str]) -> PHRGrammar:
     """A host grammar with language ``set(words)`` over ``letters``."""
     used = set(letters)
-    start = _fresh(used, "start")
+    start = _fresh(used, "@start")
     sig = Signature.of({start: 2, **{x: 2 for x in letters}})
     rules = tuple(Rule(start, string_graph(w)) for w in words) + tuple(
         Rule(x, handle(x, 2)) for x in letters
@@ -691,7 +665,7 @@ def rational_concat(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
 
 def rational_plus(g: PHRGrammar) -> PHRGrammar:
     used = {"X"}
-    start = _fresh(used, "start")
+    start = _fresh(used, "@start")
     sig = Signature.of({start: 2, "X": 2})
     rules = (
         Rule(start, string_graph(("X",))),
@@ -749,18 +723,19 @@ def apply_hom(g: PHRGrammar, hom, mode: str = "rf") -> PHRGrammar:
         raise TransformError(f"unknown mode {mode!r}")
     if mode == "rf" and any(not w for w in mapping.values()):
         raise TransformError('erasing homomorphism needs mode="general"')
-    return substitute(g, {a: _word_grammar(w) for a, w in mapping.items()})
+    return substitute(
+        g, {a: _k_host([w], sorted(set(w))) for a, w in mapping.items()}
+    )
 
 
 def _block_product(g: PHRGrammar, mapping: Mapping[str, Word]) -> PHRGrammar:
     """Words over the mapping's letters whose spelled images lie in L(g).
 
-    Product of g with the nondeterministic block automaton that reads an
-    image word and guesses where each preimage letter's block ends.
-    Node annotations carry single automaton states, so adjacent edges
-    must agree on one run; a letter edge inside a block decodes by
+    The annotated product of g with the nondeterministic block automaton,
+    which reads an image word from the hub state and guesses where each
+    preimage letter's block ends: a letter edge inside a block decodes by
     merging its endpoints, and the edge finishing a block decodes to the
-    block's preimage letter.
+    block's preimage letter.  Runs start and end at the hub.
     """
     if g.signature.arity(g.start) != 2:
         raise TransformError("preimage needs a string grammar (type-2 start)")
@@ -780,119 +755,9 @@ def _block_product(g: PHRGrammar, mapping: Mapping[str, Word]) -> PHRGrammar:
             rel.setdefault((prev, a), set()).add((nxt, None))
             prev = nxt
         rel.setdefault((prev, word[-1]), set()).add((hub, b))
-    useful = tuple(block_states)
-
-    active: set[str] = set()
-    for _, t in g.tables:
-        active |= t.active_labels
-    inert = {
-        a
-        for a in gterm
-        if g.signature.arity(a) == 2 and a not in active and a != g.start
-    }
-
-    used = set(g.signature.labels) | set(letters)
-    enc: dict[tuple[str, tuple[str, ...]], str] = {}
-    total = 0
-    for x in g.signature.labels:
-        ar = g.signature.arity(x)
-        total += len(useful) ** ar
-        if total > _STATE_GUARD:
-            raise TransformError("state-annotation blowup in preimage")
-        for assignment in itertools.product(useful, repeat=ar):
-            if x in inert:
-                targets = rel.get((assignment[0], x), ())
-                if not any(q == assignment[1] for q, _ in targets):
-                    continue
-            enc[(x, assignment)] = _fresh(used, f"{x}({'|'.join(assignment)})")
-
-    arities = {enc[(x, s)]: g.signature.arity(x) for (x, s) in enc}
-    arities[g.start] = 2
-    for b in letters:
-        if b in arities and arities[b] != 2:
-            raise TransformError(f"preimage letter {b!r} collides with a label")
-        arities[b] = 2
-    sig = Signature.of(arities)
-    base = identity_table(sig)
-
-    def annotate(rule: Rule) -> list[Rule]:
-        ar = g.signature.arity(rule.lhs)
-        rhs = rule.rhs
-        internal = [v for v in rhs.nodes if v not in set(rhs.ext)]
-        if len(useful) ** len(internal) > _STATE_GUARD:
-            raise TransformError("state-annotation blowup in preimage")
-        out = []
-        for boundary in itertools.product(useful, repeat=ar):
-            node_state: dict[str, str] = {}
-            consistent = True
-            for node, q in zip(rhs.ext, boundary):
-                if node_state.setdefault(node, q) != q:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            if (rule.lhs, boundary) not in enc:
-                continue
-            for inner in itertools.product(useful, repeat=len(internal)):
-                assign = {**node_state, **dict(zip(internal, inner))}
-                labs = []
-                for e in rhs.edges:
-                    key = (e.label, tuple(assign[v] for v in e.att))
-                    if key not in enc:
-                        break
-                    labs.append(enc[key])
-                else:
-                    image = Hypergraph(
-                        nodes=rhs.nodes,
-                        edges=tuple(
-                            Hyperedge(e.id, lab, e.att)
-                            for e, lab in zip(rhs.edges, labs)
-                        ),
-                        ext=rhs.ext,
-                    )
-                    out.append(Rule(enc[(rule.lhs, boundary)], image))
-        return out
-
-    tables: list[tuple[str, Table]] = []
-    decode = []
-    for (q, a), targets in sorted(rel.items()):
-        for nq, out in sorted(targets, key=lambda t: (t[0], t[1] or "")):
-            if (a, (q, nq)) not in enc:
-                continue
-            rhs = string_graph(()) if out is None else handle(out, 2)
-            decode.append(Rule(enc[(a, (q, nq))], rhs))
-    tables.append(("0", override_table(base, decode)))
-    seeds = (
-        [Rule(g.start, handle(enc[(g.start, (hub, hub))], 2))]
-        if (g.start, (hub, hub)) in enc
-        else []
+    return remove_control(
+        _annotated_product(g, block_states, hub, (hub,), rel, letters)
     )
-    for j, (index, t) in enumerate(g.tables, start=1):
-        overlay: list[Rule] = list(seeds)
-        for rule in t.rules:
-            overlay += annotate(rule)
-        tables.append((str(j), override_table(base, overlay)))
-
-    indices = [i for i, _ in tables]
-    control = ControlAutomaton(
-        states=("c0", "c1", "c2"),
-        alphabet=tuple(indices),
-        transitions=tuple(
-            [("c0", i, "c1") for i in indices if i != "0"]
-            + [("c1", i, "c1") for i in indices if i != "0"]
-            + [("c1", "0", "c2")]
-        ),
-        initial="c0",
-        finals=("c2",),
-    )
-    grammar = PHRGrammar(
-        signature=sig,
-        terminals=tuple(letters),
-        start=g.start,
-        tables=tuple(tables),
-        order=max(g.order, 2),
-    )
-    return remove_control(ControlledPHRGrammar(grammar=grammar, control=control))
 
 
 def inverse_hom(g: PHRGrammar, hom) -> PHRGrammar:
@@ -907,7 +772,7 @@ def inverse_hom(g: PHRGrammar, hom) -> PHRGrammar:
     erasers = tuple(sorted(b for b, w in mapping.items() if not w))
     if not carriers:
         used = set(mapping)
-        start = _fresh(used, "start")
+        start = _fresh(used, "@start")
         sig = Signature.of({start: 2, **{b: 2 for b in sorted(mapping)}})
         return PHRGrammar(
             signature=sig,
@@ -935,9 +800,157 @@ def inverse_hom(g: PHRGrammar, hom) -> PHRGrammar:
     return substitute(carried, images)
 
 
-# ----------------------------------------------------------- intersection
+# ------------------------------------------------------ annotated product
 
 _STATE_GUARD = 10**6
+
+
+def _annotated_product(
+    g: PHRGrammar,
+    states: Sequence[str],
+    initial: str,
+    finals: Sequence[str],
+    rel: Mapping[tuple[str, str], set[tuple[str, str | None]]],
+    letters: Sequence[str],
+) -> ControlledPHRGrammar:
+    """Filter and decode the string language of g through a letter relation.
+
+    ``rel`` maps (state, letter) to pairs (next state, output).  Every
+    label of g is annotated with one state per tentacle, and each rule
+    gets one instance per state assignment to its right-hand side's nodes
+    under which every edge has an annotated label.  The start seeds an
+    annotation from ``initial`` to one of ``finals``.  Table "0" decodes
+    an annotated letter edge from q to q' to each output o with (q', o)
+    in rel[(q, letter)]: to the letter o, or, when o is None, by merging
+    its endpoints.  The control insists on at least one simulation step
+    and exactly one final decoding step; ``letters`` are the terminals.
+
+    A terminal of g that no table rewrites keeps only the annotations
+    ``rel`` allows, since no other one could ever decode.  An annotated
+    label left without any rule instance in some table, although g must
+    rewrite it there, is routed in that table to a fresh dead label that
+    never becomes terminal; it must not idle through that table.  The
+    dead labels exist only when some label is left so.
+    """
+    active: set[str] = set()
+    for _, t in g.tables:
+        active |= t.active_labels
+    inert = {
+        a
+        for a in g.terminals
+        if g.signature.arity(a) == 2 and a not in active and a != g.start
+    }
+
+    used = set(g.signature.labels) | set(letters)
+    enc: dict[tuple[str, tuple[str, ...]], str] = {}
+    total = 0
+    for x in g.signature.labels:
+        ar = g.signature.arity(x)
+        total += len(states) ** ar
+        if total > _STATE_GUARD:
+            raise TransformError("state-annotation blowup")
+        for assignment in itertools.product(states, repeat=ar):
+            if x in inert and not any(
+                q == assignment[1] for q, _ in rel.get((assignment[0], x), ())
+            ):
+                continue
+            enc[(x, assignment)] = _fresh(used, f"@{x}({'|'.join(assignment)})")
+
+    def annotate(rule: Rule) -> list[Rule]:
+        ar = g.signature.arity(rule.lhs)
+        rhs = rule.rhs
+        internal = [v for v in rhs.nodes if v not in set(rhs.ext)]
+        if len(states) ** len(internal) > _STATE_GUARD:
+            raise TransformError("state-annotation blowup")
+        out = []
+        for boundary in itertools.product(states, repeat=ar):
+            node_state: dict[str, str] = {}
+            consistent = True
+            for node, q in zip(rhs.ext, boundary):
+                if node_state.setdefault(node, q) != q:
+                    consistent = False
+                    break
+            if not consistent:
+                continue
+            if (rule.lhs, boundary) not in enc:
+                continue
+            for inner in itertools.product(states, repeat=len(internal)):
+                assign = {**node_state, **dict(zip(internal, inner))}
+                labels = []
+                for e in rhs.edges:
+                    key = (e.label, tuple(assign[v] for v in e.att))
+                    if key not in enc:
+                        break
+                    labels.append(enc[key])
+                else:
+                    image = Hypergraph(
+                        nodes=rhs.nodes,
+                        edges=tuple(
+                            Hyperedge(e.id, lab, e.att)
+                            for e, lab in zip(rhs.edges, labels)
+                        ),
+                        ext=rhs.ext,
+                    )
+                    out.append(Rule(enc[(rule.lhs, boundary)], image))
+        return out
+
+    seeds = [
+        Rule(g.start, handle(enc[(g.start, (initial, qf))], 2))
+        for qf in finals
+        if (g.start, (initial, qf)) in enc
+    ]
+    overlays = []
+    for _, t in g.tables:
+        overlay = list(seeds)
+        for rule in t.rules:
+            overlay += annotate(rule)
+        overlays.append(overlay)
+    arities = {name: len(s) for (_, s), name in enc.items()}
+    stranded = [sorted(set(arities) - {r.lhs for r in o}) for o in overlays]
+    dead = {
+        ar: _fresh(used, f"@dead{ar}")
+        for ar in sorted({arities[l] for lost in stranded for l in lost})
+    }
+    arities[g.start] = 2
+    arities.update({name: ar for ar, name in dead.items()})
+    arities.update(dict.fromkeys(letters, 2))
+    sig = Signature.of(arities)
+    base = identity_table(sig)
+
+    decode = [
+        Rule(enc[(a, (q, nq))], string_graph(()) if out is None else handle(out, 2))
+        for (q, a), targets in rel.items()
+        for nq, out in targets
+        if (a, (q, nq)) in enc
+    ]
+    tables = [("0", override_table(base, decode))]
+    for j, (overlay, lost) in enumerate(zip(overlays, stranded), start=1):
+        overlay += [Rule(l, handle(dead[arities[l]], arities[l])) for l in lost]
+        tables.append((str(j), override_table(base, overlay)))
+
+    indices = [i for i, _ in tables]
+    control = ControlAutomaton(
+        states=("c0", "c1", "c2"),
+        alphabet=tuple(indices),
+        transitions=tuple(
+            [("c0", i, "c1") for i in indices if i != "0"]
+            + [("c1", i, "c1") for i in indices if i != "0"]
+            + [("c1", "0", "c2")]
+        ),
+        initial="c0",
+        finals=("c2",),
+    )
+    grammar = PHRGrammar(
+        signature=sig,
+        terminals=tuple(letters),
+        start=g.start,
+        tables=tuple(tables),
+        order=max(g.order, 2),
+    )
+    return ControlledPHRGrammar(grammar=grammar, control=control)
+
+
+# ----------------------------------------------------------- intersection
 
 
 def rational_intersect_controlled(
@@ -945,16 +958,11 @@ def rational_intersect_controlled(
 ) -> ControlledPHRGrammar:
     """Controlled grammar for L(g) with only words accepted by ``m``.
 
-    Every label is annotated with one automaton state per tentacle; a
-    rule instance exists for each consistent state assignment to the
-    right-hand side's nodes, and an annotated terminal decodes exactly
-    when it matches a transition.  The control insists on at least one
-    simulation step and exactly one final decoding step.
-
-    Assignments are drawn only from states on some accepting path, and
-    letters that no table rewrites are pinned to the transition their
-    endpoints spell.  Both restrictions drop annotation variants that
-    could never take part in an accepted derivation.
+    The annotated product of g with the determinized automaton, whose
+    relation steps each letter deterministically and decodes it to
+    itself.  States are drawn only from those on some accepting path, so
+    no annotation variant that could never take part in an accepted
+    derivation is built.
     """
     if g.signature.arity(g.start) != 2:
         raise TransformError("intersection needs a string grammar (type-2 start)")
@@ -983,113 +991,13 @@ def rational_intersect_controlled(
                 stack.append(p)
     useful = tuple(sorted(fwd & back))
 
-    active: set[str] = set()
-    for _, t in g.tables:
-        active |= t.active_labels
-    inert = {
-        a
-        for a in both
-        if g.signature.arity(a) == 2 and a not in active and a != g.start
-    }
-
-    used = set(g.signature.labels) | set(both)
-    enc: dict[tuple[str, tuple[str, ...]], str] = {}
-    total = 0
-    for x in g.signature.labels:
-        ar = g.signature.arity(x)
-        total += len(useful) ** ar
-        if total > _STATE_GUARD:
-            raise TransformError("state-annotation blowup in intersection")
-        for assignment in itertools.product(useful, repeat=ar):
-            if x in inert and d.step(assignment[0], x) != assignment[1]:
-                continue
-            enc[(x, assignment)] = _fresh(used, f"{x}({'|'.join(assignment)})")
-
-    arities = {enc[(x, s)]: g.signature.arity(x) for (x, s) in enc}
-    arities[g.start] = 2
-    for a in both:
-        arities.setdefault(a, g.signature.arity(a))
-    sig = Signature.of(arities)
-    base = identity_table(sig)
-
-    def annotate(rule: Rule) -> list[Rule]:
-        ar = g.signature.arity(rule.lhs)
-        rhs = rule.rhs
-        internal = [v for v in rhs.nodes if v not in set(rhs.ext)]
-        if len(useful) ** len(internal) > _STATE_GUARD:
-            raise TransformError("state-annotation blowup in intersection")
-        out = []
-        for boundary in itertools.product(useful, repeat=ar):
-            node_state: dict[str, str] = {}
-            consistent = True
-            for node, q in zip(rhs.ext, boundary):
-                if node_state.setdefault(node, q) != q:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            if (rule.lhs, boundary) not in enc:
-                continue
-            for inner in itertools.product(useful, repeat=len(internal)):
-                assign = {**node_state, **dict(zip(internal, inner))}
-                labels = []
-                for e in rhs.edges:
-                    key = (e.label, tuple(assign[v] for v in e.att))
-                    if key not in enc:
-                        break
-                    labels.append(enc[key])
-                else:
-                    image = Hypergraph(
-                        nodes=rhs.nodes,
-                        edges=tuple(
-                            Hyperedge(e.id, lab, e.att)
-                            for e, lab in zip(rhs.edges, labels)
-                        ),
-                        ext=rhs.ext,
-                    )
-                    out.append(Rule(enc[(rule.lhs, boundary)], image))
-        return out
-
-    tables: list[tuple[str, Table]] = []
-    decode = [
-        Rule(enc[(a, (q, d.step(q, a)))], handle(a, 2))
+    rel = {
+        (q, a): {(d.step(q, a), a)}
+        for q in useful
         for a in both
         if g.signature.arity(a) == 2
-        for q in useful
-        if (a, (q, d.step(q, a))) in enc
-    ]
-    tables.append(("0", override_table(base, decode)))
-    seeds = [
-        Rule(g.start, handle(enc[(g.start, (d.initial, qf))], 2))
-        for qf in d.finals
-        if (g.start, (d.initial, qf)) in enc
-    ]
-    for j, (index, t) in enumerate(g.tables, start=1):
-        overlay: list[Rule] = list(seeds)
-        for rule in t.rules:
-            overlay += annotate(rule)
-        tables.append((str(j), override_table(base, overlay)))
-
-    indices = [i for i, _ in tables]
-    control = ControlAutomaton(
-        states=("c0", "c1", "c2"),
-        alphabet=tuple(indices),
-        transitions=tuple(
-            [("c0", i, "c1") for i in indices if i != "0"]
-            + [("c1", i, "c1") for i in indices if i != "0"]
-            + [("c1", "0", "c2")]
-        ),
-        initial="c0",
-        finals=("c2",),
-    )
-    grammar = PHRGrammar(
-        signature=sig,
-        terminals=tuple(both),
-        start=g.start,
-        tables=tuple(tables),
-        order=max(g.order, 2),
-    )
-    return ControlledPHRGrammar(grammar=grammar, control=control)
+    }
+    return _annotated_product(g, useful, d.initial, d.finals, rel, both)
 
 
 def rational_intersect(g: PHRGrammar, m: ControlAutomaton) -> PHRGrammar:
@@ -1123,7 +1031,7 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
             raise TransformError("factors must be string grammars (type-2 start)")
 
     used = set(g1.signature.labels) | set(g2.signature.labels)
-    start = _fresh(used, "start")
+    start = _fresh(used, "@start")
 
     def apart(g: PHRGrammar, which: str) -> PHRGrammar:
         mapping = {}
@@ -1131,7 +1039,7 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
             if x in g.terminals:
                 mapping[x] = x
             else:
-                mapping[x] = _fresh(used, f"{which}.{x}")
+                mapping[x] = _fresh(used, f"@{which}.{x}")
         return relabel_grammar(g, mapping)
 
     h1 = apart(g1, "1")

@@ -28,6 +28,7 @@ from phrg import (
     is_isomorphic,
     iterate_substitution,
     member_string,
+    override_table,
     rational_concat,
     rational_intersect,
     rational_plus,
@@ -482,6 +483,65 @@ class TestInverseHom:
         )
         assert got == want
         assert ("c", "d", "e") in want
+
+
+def forced_rewrite_grammar():
+    """A grammar whose tables force labels to rewrite; L = {ba}.
+
+    Table 1 gives S -> XY, table 2 X -> b with Y -> Z, table 3 Z -> a and
+    table 4 X -> a with Y -> D; every other label idles.  Only the trace
+    1 2 3 ends in a word: X can turn into a only while Y turns into the
+    dead end D.
+    """
+    sig = Signature.of({l: 2 for l in ("S", "X", "Y", "Z", "D", "a", "b")})
+    tables = {
+        "1": {"S": ("X", "Y")},
+        "2": {"X": ("b",), "Y": ("Z",)},
+        "3": {"Z": ("a",)},
+        "4": {"X": ("a",), "Y": ("D",)},
+    }
+    return PHRGrammar(
+        signature=sig,
+        terminals=("a", "b"),
+        start="S",
+        tables=tuple(
+            (
+                index,
+                override_table(
+                    identity_table(sig),
+                    [Rule(l, string_graph(w)) for l, w in rules.items()],
+                ),
+            )
+            for index, rules in tables.items()
+        ),
+        order=2,
+    )
+
+
+class TestForcedRewriting:
+    """An annotated label whose every rule instance is pruned in a table
+    that must rewrite it dies there; it may not idle through it."""
+
+    def words(self, g):
+        lim = Limits(max_steps=40, max_nodes=60, max_edges=8, max_results=500_000)
+        res = enumerate_strings(g, lim)
+        assert res.saturated
+        return set(res.words)
+
+    def test_source_language(self):
+        assert self.words(forced_rewrite_grammar()) == {("b", "a")}
+
+    def test_intersection(self):
+        g = forced_rewrite_grammar()
+        a_star = fsa(("p",), ("a", "b"), (("p", "a", "p"),), "p", ("p",))
+        assert self.words(rational_intersect(g, a_star)) == set()
+        all_ab = fsa(("p",), ("a", "b"), (("p", "a", "p"), ("p", "b", "p")), "p", ("p",))
+        assert self.words(rational_intersect(g, all_ab)) == {("b", "a")}
+
+    def test_preimage(self):
+        g = forced_rewrite_grammar()
+        assert self.words(inverse_hom(g, {"x": ("a",)})) == set()
+        assert self.words(inverse_hom(g, {"x": ("b",), "y": ("a",)})) == {("x", "y")}
 
 
 class TestRegularToPhr:
