@@ -15,7 +15,6 @@ counts only if the sequence of applied table indices is accepted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -25,8 +24,10 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     Signature,
+    extract_string,
     handle,
     replace,
+    string_graph,
     validate,
 )
 
@@ -75,17 +76,10 @@ class Table:
 
     def __post_init__(self) -> None:
         scope = tuple(sorted(set(self.scope)))
-        keyed = sorted(
-            self.rules, key=lambda r: (r.lhs, canonical_key(r.rhs))
-        )
-        deduped: list[Rule] = []
-        last = None
-        for r in keyed:
-            k = (r.lhs, canonical_key(r.rhs))
-            if k != last:
-                deduped.append(r)
-                last = k
-        object.__setattr__(self, "rules", tuple(deduped))
+        first: dict[tuple[str, bytes], Rule] = {}
+        for r in self.rules:
+            first.setdefault((r.lhs, canonical_key(r.rhs)), r)
+        object.__setattr__(self, "rules", tuple(first[k] for k in sorted(first)))
         object.__setattr__(self, "scope", scope)
         lhs_set = {r.lhs for r in self.rules}
         stray = lhs_set - set(scope)
@@ -459,14 +453,14 @@ def parallel_budgeted(
     """All parallel successors of ``h`` under ``table`` within budgets.
 
     Returns (successors keyed by canonical key, node bound hit, edge
-    bound hit).  An edge-less graph is its own sole successor.  The edge
+    bound hit); an edge-less graph is its own sole successor.  The edge
     budget prunes option subtrees via exact result edge counts; the node
     budget uses a per-edge lower bound during the product and the exact
-    count at the leaves.
+    count at the leaves.  With neither budget nothing prunes, so more
+    than ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
-    if not h.edges:
-        return {canonical_key(h): canonical_graph(h)}, False, False
     options = []
+    count = 1
     for e in h.edges:
         rs = table.by_label.get(e.label)
         if rs is None:
@@ -476,13 +470,15 @@ def parallel_budgeted(
             key=lambda t: (t[0], t[1]),
         )
         options.append(opts)
+        count *= len(opts)
+    if max_nodes is None and max_edges is None and count > _PRODUCT_GUARD:
+        raise GrammarError("parallel successor set too large")
     m = len(options)
     suffix_edges = [0] * (m + 1)
     suffix_nodes = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_edges[i] = suffix_edges[i + 1] + min(de for de, _, _ in options[i])
         suffix_nodes[i] = suffix_nodes[i + 1] + min(dn for _, dn, _ in options[i])
-    base_nodes = len(h.nodes)
 
     found: dict[bytes, Hypergraph] = {}
     hit_nodes = False
@@ -509,18 +505,12 @@ def parallel_budgeted(
             go(i + 1, edges_so_far + de, node_bound + dn)
             chosen.pop()
 
-    go(0, 0, base_nodes)
+    go(0, 0, len(h.nodes))
     return found, hit_nodes, hit_edges
 
 
 def parallel_successors(h: Hypergraph, table: Table) -> tuple[Hypergraph, ...]:
     """All parallel successors of ``h`` under ``table``, canonicalized."""
-    count = 1
-    for e in h.edges:
-        # a missing label makes the count 0; parallel_budgeted reports it
-        count *= len(table.by_label.get(e.label, ()))
-    if count > _PRODUCT_GUARD:
-        raise GrammarError("parallel successor set too large")
     found, _, _ = parallel_budgeted(h, table)
     return tuple(found[k] for k in sorted(found))
 
@@ -539,26 +529,17 @@ def trace_successors(
         table = grammar.table(index)
         nxt: dict[bytes, Hypergraph] = {}
         for key in sorted(current):
-            for s in parallel_successors(current[key], table):
-                nxt[canonical_key(s)] = s
+            nxt.update(parallel_budgeted(current[key], table)[0])
         current = nxt
     return tuple(current[k] for k in sorted(current))
 
 
 def et0l_step(table: WordTable, word: Word) -> set[Word]:
-    """All parallel rewrites of ``word`` by the word table."""
-    word = tuple(word)
-    option_lists = []
-    count = 1
-    for a in word:
-        ws = table.by_symbol.get(a)
-        if not ws:
-            raise GrammarError(f"no word rules for symbol {a!r}")
-        option_lists.append(ws)
-        count *= len(ws)
-        if count > _PRODUCT_GUARD:
-            raise GrammarError("word successor set too large")
-    out: set[Word] = set()
-    for combo in itertools.product(*option_lists):
-        out.add(tuple(itertools.chain.from_iterable(combo)))
-    return out
+    """All parallel rewrites of ``word`` by the word table.
+
+    A parallel step on the word's string graph under the rules' string
+    graphs is exactly the tabled word step.
+    """
+    rules = tuple(Rule(l, string_graph(w)) for l, w in table.rules)
+    found, _, _ = parallel_budgeted(string_graph(word), Table(rules, table.scope))
+    return {extract_string(s) for s in found.values()}

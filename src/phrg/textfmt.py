@@ -578,13 +578,19 @@ def serialize_document(doc: GrammarDocument) -> str:
         out.append(f"table {index}")
         out += [f"{r.lhs} -> {_graph_literal(r.rhs, labels)}" for r in t.rules]
     if doc.control is not None:
-        m = doc.control
         out.append("control")
-        out += [f"state {q}" for q in m.states]
-        out.append(f"init {m.initial}")
-        out += [f"final {q}" for q in m.finals]
-        out += [f"trans {q} {a} {p}" for q, a, p in m.transitions]
+        out += _automaton_lines(doc.control)
     return "\n".join(out) + "\n"
+
+
+def _automaton_lines(m: ControlAutomaton) -> list[str]:
+    """The state, init, final and trans lines, shared by both formats."""
+    return (
+        [f"state {q}" for q in m.states]
+        + [f"init {m.initial}"]
+        + [f"final {q}" for q in m.finals]
+        + [f"trans {q} {a} {p}" for q, a, p in m.transitions]
+    )
 
 
 def parse_fsa(text: str) -> ControlAutomaton:
@@ -634,9 +640,5 @@ def parse_fsa(text: str) -> ControlAutomaton:
 
 
 def serialize_fsa(m: ControlAutomaton) -> str:
-    out = [("alphabet " + " ".join(m.alphabet)).rstrip()]
-    out += [f"state {q}" for q in m.states]
-    out.append(f"init {m.initial}")
-    out += [f"final {q}" for q in m.finals]
-    out += [f"trans {q} {a} {p}" for q, a, p in m.transitions]
+    out = [("alphabet " + " ".join(m.alphabet)).rstrip()] + _automaton_lines(m)
     return "\n".join(out) + "\n"

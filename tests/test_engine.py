@@ -2,6 +2,9 @@
 
 import itertools
 
+import phrg.engine
+import phrg.grammar
+
 from phrg import (
     ControlAutomaton,
     ControlledPHRGrammar,
@@ -163,6 +166,52 @@ class TestMemberString:
         reached = trace_successors(g, handle("S", 2), verdict.trace)
         target = canonical_key(string_graph("aabb"))
         assert target in {canonical_key(h) for h in reached}
+
+
+class TestResultBudget:
+    LIMITS = Limits(max_steps=8, max_edges=6, max_results=3)
+
+    def test_enumeration_reports_the_cut(self):
+        out = enumerate_language(fixture("dyck_phr").phr(), self.LIMITS)
+        assert out.hit_result_budget
+        assert not out.exhaustive
+        assert not out.saturated
+
+    def test_member_answers_unknown(self):
+        g = fixture("dyck_phr").phr()
+        assert member_string(g, "aabb", self.LIMITS).verdict == "unknown"
+        uncapped = Limits(max_steps=8, max_edges=6)
+        assert member_string(g, "aabb", uncapped).verdict == "yes"
+
+
+class TestLayerHooks:
+    """The benchmark harness in perfbench/ times and calibrates a search by
+    replacing these module globals; a search must look each of them up."""
+
+    HOOKS = (
+        (phrg.engine, "parallel_budgeted"),
+        (phrg.engine, "canonical_key"),
+        (phrg.grammar, "replace"),
+        (phrg.grammar, "canonical_key"),
+        (phrg.grammar, "canonical_graph"),
+    )
+
+    def test_search_goes_through_every_hook(self, monkeypatch):
+        g = fixture("dyck_phr").phr()
+        calls = {}
+        for module, name in self.HOOKS:
+            inner = getattr(module, name)
+            hook = f"{module.__name__}.{name}"
+            calls[hook] = 0
+
+            def counting(*args, _inner=inner, _hook=hook, **kwargs):
+                calls[_hook] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        out = enumerate_strings(g, Limits(max_steps=3, max_edges=4))
+        assert ("a", "b") in out.words
+        assert not [hook for hook, n in calls.items() if n == 0]
 
 
 class TestControlledEnumeration:

@@ -1,6 +1,7 @@
 """Rules, tables, grammars, derivation steps, and control automata."""
 
 import itertools
+import time
 
 import pytest
 
@@ -294,6 +295,47 @@ class TestEt0lStep:
     def test_left_totality_enforced(self):
         with pytest.raises(GrammarError):
             WordTable(rules=(("a", ("a",)),), scope=("a", "b"))
+
+    def test_erasing_rules(self):
+        t = WordTable(
+            rules=(("a", ()), ("a", ("b",)), ("b", ("b", "b"))), scope=("a", "b")
+        )
+        expected = {("b", "b"), ("b", "b", "b"), ("b", "b", "b", "b")}
+        assert et0l_step(t, ("a", "b", "a")) == expected
+        assert () in et0l_step(t, ("a", "a"))
+
+
+class TestProductGuard:
+    """Without budgets, 2^20 > 10^6 rule choices raise before any is tried."""
+
+    WORD = ("a",) * 20
+    RULES = (Rule("a", string_graph("a")), Rule("a", string_graph("aa")))
+
+    def raises_at_once(self, step):
+        t0 = time.perf_counter()
+        with pytest.raises(GrammarError, match="too large"):
+            step()
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_parallel_successors(self):
+        table = Table(rules=self.RULES, scope=("a",))
+        self.raises_at_once(lambda: parallel_successors(string_graph(self.WORD), table))
+
+    def test_trace_successors(self):
+        table = Table(
+            rules=self.RULES + (Rule("S", handle("S", 2)), Rule("b", handle("b", 2))),
+            scope=SIG.labels,
+        )
+        g = PHRGrammar(
+            signature=SIG, terminals=("a", "b"), start="S", tables=(("1", table),), order=2
+        )
+        self.raises_at_once(
+            lambda: trace_successors(g, string_graph(self.WORD), ("1",))
+        )
+
+    def test_et0l_step(self):
+        t = WordTable(rules=(("a", ("a",)), ("a", ("a", "a"))), scope=("a",))
+        self.raises_at_once(lambda: et0l_step(t, self.WORD))
 
 
 class TestDeterminize:
