@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .dot import export_dot
 from .engine import Limits, enumerate_language, enumerate_strings, member_string
-from .engine import remove_unreachable as _remove_unreachable
 from .fixtures import fixture, fixture_description, fixture_names
 from .grammar import (
     ControlledPHRGrammar,
@@ -33,6 +32,7 @@ from .hypergraph import HypergraphError, from_json, to_json_obj, validate
 from .textfmt import (
     GrammarDocument,
     ParseError,
+    _parse_word,
     parse_document,
     parse_fsa,
     serialize_document,
@@ -99,24 +99,10 @@ def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-results", type=int, default=defaults.max_results)
 
 
-def _parse_letters(text: str) -> tuple[str, ...]:
-    if text == "":
-        return ()
+def _parse_word_arg(text: str, labels: set[str]) -> tuple[str, ...]:
     if "," in text:
         return tuple(t for t in text.split(",") if t)
-    if any(c.isspace() for c in text):
-        return tuple(text.split())
-    return tuple(text)
-
-
-def _parse_word_arg(text: str, labels: set[str]) -> tuple[str, ...]:
-    if text == "":
-        return ()
-    if "," in text or any(c.isspace() for c in text):
-        return _parse_letters(text)
-    if text in labels:
-        return (text,)
-    return tuple(text)
+    return _parse_word(text, labels)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -240,7 +226,7 @@ def _hom_map(pairs: Sequence[str]) -> dict[str, tuple[str, ...]]:
         if "=" not in pair:
             raise CliError(f"--map needs letter=word, got {pair!r}")
         letter, text = pair.split("=", 1)
-        out[letter] = _parse_letters(text)
+        out[letter] = _parse_word_arg(text, set())
     return out
 
 
@@ -271,7 +257,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             raise CliError("remove-control needs a document with a control block")
         result = transforms.remove_control(g)
     elif name == "remove-unreachable":
-        result = _remove_unreachable(_load_plain_phr(args.file))
+        result = transforms.remove_unreachable(_load_plain_phr(args.file))
     elif name == "regular-to-phr":
         if not args.fsa:
             raise CliError("regular-to-phr needs --fsa")

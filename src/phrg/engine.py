@@ -23,16 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .canonical import canonical_key
-from .grammar import (
-    AnyPHR,
-    ControlledPHRGrammar,
-    PHRGrammar,
-    Table,
-    Word,
-    parallel_budgeted,
-    split_control,
-)
-from .hypergraph import Hypergraph, Signature, extract_string, string_graph
+from .grammar import AnyPHR, PHRGrammar, Word, parallel_budgeted, split_control
+from .hypergraph import Hypergraph, extract_string, string_graph
 
 
 @dataclass(frozen=True)
@@ -251,45 +243,3 @@ def member_string(
     if search.hit_edges and not grammar.edge_monotone:
         return MemberVerdict("unknown")
     return MemberVerdict("no-within-limits")
-
-
-def remove_unreachable(g: AnyPHR) -> AnyPHR:
-    """Drop labels no derivation from the start handle can ever touch.
-
-    Reachability is over rule structure only (control cannot make an
-    unreachable label reachable), so the derived language is unchanged.
-    """
-    grammar, _ = split_control(g)
-    reachable = {grammar.start}
-    changed = True
-    while changed:
-        changed = False
-        for _, table in grammar.tables:
-            for rule in table.rules:
-                if rule.lhs in reachable:
-                    for e in rule.rhs.edges:
-                        if e.label not in reachable:
-                            reachable.add(e.label)
-                            changed = True
-    keep = tuple(sorted(reachable))
-    sig = Signature.of({l: grammar.signature.arity(l) for l in keep})
-    tables = tuple(
-        (
-            index,
-            Table(
-                rules=tuple(r for r in table.rules if r.lhs in reachable),
-                scope=keep,
-            ),
-        )
-        for index, table in grammar.tables
-    )
-    trimmed = PHRGrammar(
-        signature=sig,
-        terminals=tuple(a for a in grammar.terminals if a in reachable),
-        start=grammar.start,
-        tables=tables,
-        order=grammar.order,
-    )
-    if isinstance(g, ControlledPHRGrammar):
-        return ControlledPHRGrammar(grammar=trimmed, control=g.control)
-    return trimmed

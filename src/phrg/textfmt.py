@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .grammar import (
@@ -108,7 +108,7 @@ _KEYWORDS = {
 }
 
 
-def _parse_word(text: str, labels: set[str], line: int, col: int) -> Word:
+def _parse_word(text: str, labels: set[str]) -> Word:
     if text == "":
         return ()
     if any(c.isspace() for c in text):
@@ -156,7 +156,7 @@ def _graph_literal(h: Hypergraph, labels: set[str]) -> str:
 def _parse_graph_literal(text: str, labels: set[str], line: int, col: int) -> Hypergraph:
     m = _STR_RE.match(text)
     if m:
-        word = _parse_word(m.group(1), labels, line, col)
+        word = _parse_word(m.group(1), labels)
         return string_graph(word)
     m = _EMPTY_RE.match(text)
     if m:
@@ -179,6 +179,46 @@ class _Line:
     text: str
 
 
+@dataclass
+class _AutomatonLines:
+    """The state, init, final and trans lines of an automaton, as read."""
+
+    states: list[str] = field(default_factory=list)
+    init: Optional[str] = None
+    finals: list[str] = field(default_factory=list)
+    trans: list[tuple[str, str, str]] = field(default_factory=list)
+
+    def read(self, tokens: list[str], line: int) -> None:
+        head = tokens[0]
+        if head == "state":
+            self.states += tokens[1:]
+        elif head == "init":
+            if self.init is not None:
+                raise ParseError("duplicate init", line)
+            if len(tokens) != 2:
+                raise ParseError("'init' takes exactly one token", line)
+            self.init = tokens[1]
+        elif head == "final":
+            self.finals += tokens[1:]
+        else:
+            if len(tokens) != 4:
+                raise ParseError("trans takes exactly three tokens", line)
+            self.trans.append((tokens[1], tokens[2], tokens[3]))
+
+    def build(self, alphabet: list[str], line: int) -> ControlAutomaton:
+        assert self.init is not None
+        try:
+            return ControlAutomaton(
+                states=tuple(self.states),
+                alphabet=tuple(alphabet),
+                transitions=tuple(self.trans),
+                initial=self.init,
+                finals=tuple(self.finals),
+            )
+        except GrammarError as exc:
+            raise ParseError(str(exc), line) from None
+
+
 class _DocParser:
     def __init__(self, text: str) -> None:
         self.lines = [
@@ -197,7 +237,8 @@ class _DocParser:
         self.start: Optional[tuple[str, int]] = None
         self.tables: list[tuple[str, int, list[tuple[int, str, str]]]] = []
         self.hr_rules: Optional[tuple[int, list[tuple[int, str, str]]]] = None
-        self.control: Optional[dict] = None
+        self.control: Optional[_AutomatonLines] = None
+        self.control_line = 0
         self.end_line = (self.lines[-1].no + 1) if self.lines else 1
 
     def fail(self, message: str, line: int, col: int = 1) -> ParseError:
@@ -209,6 +250,10 @@ class _DocParser:
             stripped = ln.text.strip()
             tokens = stripped.split()
             head = tokens[0]
+            # a rule line may start with any label, keywords included
+            if block in ("table", "rules") and tokens[1:2] == ["->"]:
+                self._rule_line(stripped, ln.no, block)
+                continue
             if head not in _KEYWORDS:
                 if block == "signature":
                     self._sig_line(stripped, ln.no)
@@ -220,7 +265,8 @@ class _DocParser:
             if head in ("state", "init", "final", "trans"):
                 if block != "control":
                     raise self.fail(f"{head!r} outside a control block", ln.no)
-                self._control_line(tokens, ln.no)
+                assert self.control is not None
+                self.control.read(tokens, ln.no)
                 continue
             block = None
             if head == "kind":
@@ -282,13 +328,8 @@ class _DocParser:
                     raise self.fail("control takes no tokens on its own line", ln.no)
                 if self.control is not None:
                     raise self.fail("duplicate control block", ln.no)
-                self.control = {
-                    "states": [],
-                    "init": None,
-                    "finals": [],
-                    "trans": [],
-                    "line": ln.no,
-                }
+                self.control = _AutomatonLines()
+                self.control_line = ln.no
                 block = "control"
         return self._assemble()
 
@@ -333,22 +374,6 @@ class _DocParser:
         else:
             assert self.hr_rules is not None
             self.hr_rules[1].append((line, lhs, rhs))
-
-    def _control_line(self, tokens: list[str], line: int) -> None:
-        assert self.control is not None
-        head = tokens[0]
-        if head == "state":
-            self.control["states"] += tokens[1:]
-        elif head == "init":
-            if self.control["init"] is not None:
-                raise self.fail("duplicate init", line)
-            self.control["init"] = self._one(tokens, line)
-        elif head == "final":
-            self.control["finals"] += tokens[1:]
-        elif head == "trans":
-            if len(tokens) != 4:
-                raise self.fail("trans takes exactly three tokens", line)
-            self.control["trans"].append((tokens[1], tokens[2], tokens[3]))
 
     # ------------------------------------------------------------ assembly
 
@@ -395,22 +420,6 @@ class _DocParser:
             )
         return Rule(lhs, rhs)
 
-    def _build_control(self, indices: set[str]) -> ControlAutomaton:
-        assert self.control is not None
-        line = self.control["line"]
-        if self.control["init"] is None:
-            raise self.fail("control block missing init", line)
-        try:
-            return ControlAutomaton(
-                states=tuple(self.control["states"]),
-                alphabet=tuple(sorted(indices)),
-                transitions=tuple(self.control["trans"]),
-                initial=self.control["init"],
-                finals=tuple(self.control["finals"]),
-            )
-        except GrammarError as exc:
-            raise self.fail(str(exc), line) from None
-
     def _assemble(self) -> GrammarDocument:
         kind = self.kind or "phr"
         if kind == "phr":
@@ -452,11 +461,14 @@ class _DocParser:
             raise self.fail(str(exc), start_line) from None
         control = None
         if self.control is not None:
-            control = self._build_control({i for i, _ in grammar.tables})
+            if self.control.init is None:
+                raise self.fail("control block missing init", self.control_line)
+            indices = sorted(grammar.table_indices)
+            control = self.control.build(indices, self.control_line)
             try:
                 ControlledPHRGrammar(grammar=grammar, control=control)
             except GrammarError as exc:
-                raise self.fail(str(exc), self.control["line"]) from None
+                raise self.fail(str(exc), self.control_line) from None
         return GrammarDocument(
             kind="phr", grammar=grammar, control=control, name=self.name, ref=self.ref
         )
@@ -468,7 +480,7 @@ class _DocParser:
         if self.tables:
             raise self.fail("an hr document uses a rules block, not tables", self.tables[0][1])
         if self.control is not None:
-            raise self.fail("control applies to phr documents only", self.control["line"])
+            raise self.fail("control applies to phr documents only", self.control_line)
         rules_line, entries = self._need(self.hr_rules, "rules block")
         rules = tuple(
             self._resolve_rule(sig, set(nonterminals), line, lhs, rhs)
@@ -494,7 +506,7 @@ class _DocParser:
                 "an et0l document uses alphabet, not signature", self.sig_pairs[0][2]
             )
         if self.control is not None:
-            raise self.fail("control applies to phr documents only", self.control["line"])
+            raise self.fail("control applies to phr documents only", self.control_line)
         alphabet, _ = self._need(self.alphabet, "alphabet")
         terminals, _ = self._need(self.terminals, "terminals")
         start, start_line = self._need(self.start, "start")
@@ -513,7 +525,7 @@ class _DocParser:
                         f"et0l right-hand sides must be str literals, got {rhs_text!r}",
                         line,
                     )
-                word = _parse_word(m.group(1), symbols, line, 1)
+                word = _parse_word(m.group(1), symbols)
                 bad = [a for a in word if a not in symbols]
                 if bad:
                     raise self.fail(f"unknown symbols {bad} in word", line)
@@ -539,12 +551,22 @@ def parse_document(text: str) -> GrammarDocument:
 
 
 def serialize_document(doc: GrammarDocument) -> str:
+    g = doc.grammar
+    names = g.alphabet if isinstance(g, ET0LGrammar) else g.signature.labels
+    # empty, a line's leading "#", a signature entry's "/" or a token's
+    # whitespace would change what the line says
+    unfit = [
+        l
+        for l in names
+        if l == "" or l.startswith("#") or "/" in l or any(c.isspace() for c in l)
+    ]
+    if unfit:
+        raise ValueError(f"labels {unfit!r} cannot be written in the text format")
     out: list[str] = [f"kind {doc.kind}"]
     if doc.name is not None:
         out.append(f"name {doc.name}")
     if doc.ref is not None:
         out.append(f"ref {doc.ref}")
-    g = doc.grammar
     if isinstance(g, ET0LGrammar):
         symbols = set(g.alphabet)
         out.append(("alphabet " + " ".join(g.alphabet)).rstrip())
@@ -594,11 +616,8 @@ def _automaton_lines(m: ControlAutomaton) -> list[str]:
 
 
 def parse_fsa(text: str) -> ControlAutomaton:
-    states: list[str] = []
     alphabet: list[str] = []
-    initial: Optional[str] = None
-    finals: list[str] = []
-    trans: list[tuple[str, str, str]] = []
+    m = _AutomatonLines()
     last = 1
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -609,34 +628,13 @@ def parse_fsa(text: str) -> ControlAutomaton:
         head = tokens[0]
         if head == "alphabet":
             alphabet += tokens[1:]
-        elif head == "state":
-            states += tokens[1:]
-        elif head == "init":
-            if initial is not None:
-                raise ParseError("duplicate init", no)
-            if len(tokens) != 2:
-                raise ParseError("init takes exactly one token", no)
-            initial = tokens[1]
-        elif head == "final":
-            finals += tokens[1:]
-        elif head == "trans":
-            if len(tokens) != 4:
-                raise ParseError("trans takes exactly three tokens", no)
-            trans.append((tokens[1], tokens[2], tokens[3]))
+        elif head in ("state", "init", "final", "trans"):
+            m.read(tokens, no)
         else:
             raise ParseError(f"unknown keyword {head!r}", no)
-    if initial is None:
+    if m.init is None:
         raise ParseError("missing init", last + 1)
-    try:
-        return ControlAutomaton(
-            states=tuple(states),
-            alphabet=tuple(alphabet),
-            transitions=tuple(trans),
-            initial=initial,
-            finals=tuple(finals),
-        )
-    except GrammarError as exc:
-        raise ParseError(str(exc), last + 1) from None
+    return m.build(alphabet, last + 1)
 
 
 def serialize_fsa(m: ControlAutomaton) -> str:

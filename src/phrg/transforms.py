@@ -17,12 +17,13 @@ labels never collide with construction labels.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .engine import remove_unreachable
 from .grammar import (
+    AnyPHR,
     ControlAutomaton,
     ControlledPHRGrammar,
     ET0LGrammar,
@@ -65,6 +66,68 @@ def _fresh(used: set[str], marked: str) -> str:
     return name
 
 
+# ------------------------------------------------------------- assembly
+
+
+def _reachable(
+    seeds: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> set[str]:
+    """The seeds and everything reachable from them along ``successors``."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for y in successors(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _rebuild(
+    g: PHRGrammar,
+    sig: Signature,
+    rules_of: Callable[[Table], Iterable[Rule]],
+    **fields,
+) -> PHRGrammar:
+    """g over ``sig``, each table's rules given by ``rules_of``."""
+    tables = tuple(
+        (index, Table(rules=tuple(rules_of(t)), scope=sig.labels))
+        for index, t in g.tables
+    )
+    return dataclasses.replace(g, signature=sig, tables=tables, **fields)
+
+
+def _one_table(
+    sig: Signature,
+    terminals: Sequence[str],
+    start: str,
+    rules: Iterable[Rule],
+    order: int = 2,
+) -> PHRGrammar:
+    """The grammar whose only table, ``"1"``, holds ``rules``."""
+    table = Table(rules=tuple(rules), scope=sig.labels)
+    return PHRGrammar(
+        signature=sig,
+        terminals=tuple(terminals),
+        start=start,
+        tables=(("1", table),),
+        order=order,
+    )
+
+
+def _failure(sig: Signature, dead: Mapping[int, str]) -> Table:
+    """The table sending every label to the dead label of its arity."""
+    return Table(
+        rules=tuple(
+            Rule(l, handle(dead[sig.arity(l)], sig.arity(l))) for l in sig.labels
+        ),
+        scope=sig.labels,
+    )
+
+
+# ---------------------------------------------------- relabel and trim
+
+
 def relabel_graph(h: Hypergraph, mapping: Mapping[str, str]) -> Hypergraph:
     return Hypergraph(
         nodes=h.nodes,
@@ -84,26 +147,45 @@ def relabel_grammar(g: PHRGrammar, mapping: Mapping[str, str]) -> PHRGrammar:
     sig = Signature.of(
         {mapping.get(l, l): g.signature.arity(l) for l in old}
     )
-    tables = tuple(
-        (
-            index,
-            Table(
-                rules=tuple(
-                    Rule(mapping.get(r.lhs, r.lhs), relabel_graph(r.rhs, mapping))
-                    for r in t.rules
-                ),
-                scope=sig.labels,
-            ),
-        )
-        for index, t in g.tables
-    )
-    return PHRGrammar(
-        signature=sig,
+    return _rebuild(
+        g,
+        sig,
+        lambda t: (
+            Rule(mapping.get(r.lhs, r.lhs), relabel_graph(r.rhs, mapping))
+            for r in t.rules
+        ),
         terminals=tuple(mapping.get(a, a) for a in g.terminals),
         start=mapping.get(g.start, g.start),
-        tables=tables,
-        order=g.order,
     )
+
+
+def remove_unreachable(g: AnyPHR) -> AnyPHR:
+    """Drop labels no derivation from the start handle can ever touch.
+
+    Reachability is over rule structure only (control cannot make an
+    unreachable label reachable), so the derived language is unchanged.
+    A controlled grammar keeps its control automaton as it is.
+    """
+    grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
+    reachable = _reachable(
+        [grammar.start],
+        lambda l: (
+            e.label
+            for _, t in grammar.tables
+            for r in t.by_label[l]
+            for e in r.rhs.edges
+        ),
+    )
+    sig = Signature.of({l: grammar.signature.arity(l) for l in reachable})
+    trimmed = _rebuild(
+        grammar,
+        sig,
+        lambda t: (r for r in t.rules if r.lhs in reachable),
+        terminals=tuple(a for a in grammar.terminals if a in reachable),
+    )
+    if isinstance(g, ControlledPHRGrammar):
+        return dataclasses.replace(g, grammar=trimmed)
+    return trimmed
 
 
 # ------------------------------------------------------------ embeddings
@@ -115,16 +197,12 @@ def hr_to_phr(g: HRGrammar) -> PHRGrammar:
     Identity rules let every edge idle, so each parallel step rewrites an
     arbitrary subset of edges; the derived language is unchanged.
     """
-    table = Table(
-        rules=g.rules + identity_table(g.signature).rules,
-        scope=g.signature.labels,
-    )
-    return PHRGrammar(
-        signature=g.signature,
-        terminals=g.terminals,
-        start=g.start,
-        tables=(("1", table),),
-        order=g.order,
+    return _one_table(
+        g.signature,
+        g.terminals,
+        g.start,
+        g.rules + identity_table(g.signature).rules,
+        g.order,
     )
 
 
@@ -234,17 +312,10 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
 
 
 def _trim_et0l(g: ET0LGrammar) -> ET0LGrammar:
-    reachable = {g.axiom}
-    changed = True
-    while changed:
-        changed = False
-        for _, t in g.tables:
-            for l, w in t.rules:
-                if l in reachable:
-                    for a in w:
-                        if a not in reachable:
-                            reachable.add(a)
-                            changed = True
+    reachable = _reachable(
+        [g.axiom],
+        lambda x: (a for _, t in g.tables for w in t.by_symbol[x] for a in w),
+    )
     keep = tuple(sorted(reachable))
     tables = tuple(
         (
@@ -294,10 +365,7 @@ def regular_to_phr(m: ControlAutomaton) -> PHRGrammar:
     """
     if not m.alphabet:
         sig = Signature.of({"@start": 2})
-        table = Table(rules=(Rule("@start", handle("@start", 2)),), scope=sig.labels)
-        return PHRGrammar(
-            signature=sig, terminals=(), start="@start", tables=(("1", table),), order=2
-        )
+        return _one_table(sig, (), "@start", [Rule("@start", handle("@start", 2))])
     d = m.determinize_complete()
     used = set(m.alphabet)
     nsym = {q: _fresh(used, f"@q{i}") for i, q in enumerate(d.states)}
@@ -311,14 +379,7 @@ def regular_to_phr(m: ControlAutomaton) -> PHRGrammar:
                 rules.append(Rule(nsym[q], string_graph((a,))))
     sig = Signature.of({**{a: 2 for a in d.alphabet}, **{n: 2 for n in nsym.values()}})
     rules += [Rule(a, handle(a, 2)) for a in d.alphabet]
-    table = Table(rules=tuple(rules), scope=sig.labels)
-    return PHRGrammar(
-        signature=sig,
-        terminals=d.alphabet,
-        start=nsym[d.initial],
-        tables=(("1", table),),
-        order=2,
-    )
+    return _one_table(sig, d.alphabet, nsym[d.initial], rules)
 
 
 # -------------------------------------------------------- control removal
@@ -354,9 +415,6 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
     def barred(h: Hypergraph) -> Hypergraph:
         return relabel_graph(h, bar)
 
-    def to_dead(label: str) -> Rule:
-        return Rule(label, handle(dead[arities[label]], arities[label]))
-
     empty = Hypergraph((), (), ())
     finals = set(d.finals)
     t0_rules = [
@@ -370,29 +428,21 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
     ]
     t0_rules += [Rule(state_sym[q], empty) for q in sorted(finals)]
     t0_rules += [Rule(bar[a], handle(a, g.signature)) for a in sorted(terminals)]
-    t0_rules += [to_dead(state_sym[q]) for q in sorted(set(d.states) - finals)]
-    t0_rules += [to_dead(l) for l in g.signature.labels]
-    t0_rules += [to_dead(dead[j]) for j in dead]
-    t0 = Table(rules=tuple(t0_rules), scope=sig.labels)
+    t0 = override_table(_failure(sig, dead), t0_rules)
 
     index0 = "0"
     taken = {i for i, _ in g.tables}
     while index0 in taken:
         index0 = "." + index0
+    base = identity_table(sig)
     tables: list[tuple[str, Table]] = [(index0, t0)]
     for index, t in g.tables:
-        rules: list[Rule] = []
-        for r in t.rules:
-            lhs = bar[r.lhs] if r.lhs in terminals else r.lhs
-            rules.append(Rule(lhs, barred(r.rhs)))
+        rules = [Rule(bar.get(r.lhs, r.lhs), barred(r.rhs)) for r in t.rules]
         rules += [
             Rule(state_sym[q], handle(state_sym[d.step(q, index)], 0))
             for q in d.states
         ]
-        rules.append(Rule(start2, handle(start2, sig)))
-        rules += [Rule(a, handle(a, sig)) for a in sorted(terminals)]
-        rules += [Rule(dead[j], handle(dead[j], sig)) for j in dead]
-        tables.append((index, Table(rules=tuple(rules), scope=sig.labels)))
+        tables.append((index, override_table(base, rules)))
 
     return PHRGrammar(
         signature=sig,
@@ -445,24 +495,14 @@ def _start_hygienic(g: PHRGrammar, used: set[str]) -> PHRGrammar:
         if g.start in set(g.terminals)
         else ()
     )
-    tables = tuple(
-        (
-            index,
-            Table(
-                rules=t.rules
-                + tuple(Rule(start2, r.rhs) for r in t.rules if r.lhs == g.start)
-                + unit,
-                scope=sig.labels,
-            ),
-        )
-        for index, t in g.tables
-    )
-    return PHRGrammar(
-        signature=sig,
-        terminals=g.terminals,
+    return _rebuild(
+        g,
+        sig,
+        lambda t: t.rules
+        + tuple(Rule(start2, r.rhs) for r in t.rules if r.lhs == g.start)
+        + unit,
         start=start2,
-        tables=tables,
-        order=max(g.order, sig.arity(start2)),
+        order=max(g.order, arity),
     )
 
 
@@ -475,22 +515,11 @@ def _pad_terminals(g: PHRGrammar, target: Sequence[str]) -> PHRGrammar:
         if b in g.signature and g.signature.arity(b) != 2:
             raise TransformError(f"letter {b!r} has arity {g.signature.arity(b)}")
     sig = g.signature.merged(Signature.of({b: 2 for b in extra}))
-    tables = tuple(
-        (
-            index,
-            Table(
-                rules=t.rules + tuple(Rule(b, handle(b, 2)) for b in extra),
-                scope=sig.labels,
-            ),
-        )
-        for index, t in g.tables
-    )
-    return PHRGrammar(
-        signature=sig,
+    return _rebuild(
+        g,
+        sig,
+        lambda t: t.rules + tuple(Rule(b, handle(b, 2)) for b in extra),
         terminals=tuple(sorted(target)),
-        start=g.start,
-        tables=tables,
-        order=g.order,
     )
 
 
@@ -556,12 +585,7 @@ def _substitution_build(
     sig = Signature.of(arities)
 
     base = identity_table(sig)
-    failure = Table(
-        rules=tuple(
-            Rule(l, handle(dead[sig.arity(l)], sig.arity(l))) for l in sig.labels
-        ),
-        scope=sig.labels,
-    )
+    failure = _failure(sig, dead)
 
     tables: list[tuple[str, Table]] = []
     for gi, (index, t) in enumerate(host.tables):
@@ -641,16 +665,9 @@ def _k_host(words: Sequence[Word], letters: Sequence[str]) -> PHRGrammar:
     used = set(letters)
     start = _fresh(used, "@start")
     sig = Signature.of({start: 2, **{x: 2 for x in letters}})
-    rules = tuple(Rule(start, string_graph(w)) for w in words) + tuple(
-        Rule(x, handle(x, 2)) for x in letters
-    )
-    return PHRGrammar(
-        signature=sig,
-        terminals=tuple(letters),
-        start=start,
-        tables=(("1", Table(rules=rules, scope=sig.labels)),),
-        order=2,
-    )
+    rules = [Rule(start, string_graph(w)) for w in words]
+    rules += [Rule(x, handle(x, 2)) for x in letters]
+    return _one_table(sig, letters, start, rules)
 
 
 def rational_union(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
@@ -672,14 +689,7 @@ def rational_plus(g: PHRGrammar) -> PHRGrammar:
         Rule(start, string_graph(("X", start))),
         Rule("X", handle("X", 2)),
     )
-    host = PHRGrammar(
-        signature=sig,
-        terminals=("X",),
-        start=start,
-        tables=(("1", Table(rules=rules, scope=sig.labels)),),
-        order=2,
-    )
-    return substitute(host, {"X": g})
+    return substitute(_one_table(sig, ("X",), start, rules), {"X": g})
 
 
 # ---------------------------------------------------------- homomorphisms
@@ -774,13 +784,7 @@ def inverse_hom(g: PHRGrammar, hom) -> PHRGrammar:
         used = set(mapping)
         start = _fresh(used, "@start")
         sig = Signature.of({start: 2, **{b: 2 for b in sorted(mapping)}})
-        return PHRGrammar(
-            signature=sig,
-            terminals=tuple(sorted(mapping)),
-            start=start,
-            tables=(("1", identity_table(sig)),),
-            order=2,
-        )
+        return _one_table(sig, sorted(mapping), start, identity_table(sig).rules)
     carried = _block_product(g, {b: mapping[b] for b in carriers})
     if not erasers:
         return carried
@@ -969,26 +973,11 @@ def rational_intersect_controlled(
     d = m.determinize_complete()
     both = sorted(set(g.terminals) & set(m.alphabet))
 
-    fwd = {d.initial}
-    stack = [d.initial]
-    while stack:
-        q = stack.pop()
-        for a in d.alphabet:
-            nq = d.step(q, a)
-            if nq not in fwd:
-                fwd.add(nq)
-                stack.append(nq)
+    fwd = _reachable([d.initial], lambda q: (d.step(q, a) for a in d.alphabet))
     rev: dict[str, set[str]] = {q: set() for q in d.states}
     for q, _, nq in d.transitions:
         rev[nq].add(q)
-    back = set(d.finals)
-    stack = list(d.finals)
-    while stack:
-        q = stack.pop()
-        for p in rev[q]:
-            if p not in back:
-                back.add(p)
-                stack.append(p)
+    back = _reachable(d.finals, lambda q: rev[q])
     useful = tuple(sorted(fwd & back))
 
     rel = {

@@ -285,6 +285,35 @@ class TestRemoveUnreachable:
         assert "Z" not in out.signature
         assert "S" in out.signature and "a" in out.signature
 
+    def test_controlled_keeps_its_control(self):
+        sig = Signature.of({"S": 2, "a": 2, "Z": 2})
+        ids = (Rule("a", handle("a", 2)), Rule("Z", handle("Z", 2)))
+        grow = Table(rules=(Rule("S", string_graph("aS")),) + ids, scope=sig.labels)
+        stop = Table(rules=(Rule("S", string_graph("a")),) + ids, scope=sig.labels)
+        control = ControlAutomaton(
+            states=("p", "f"),
+            alphabet=("1", "2"),
+            transitions=(("p", "1", "p"), ("p", "1", "f"), ("p", "2", "f")),
+            initial="p",
+            finals=("f",),
+        )
+        assert not control.is_deterministic_complete
+        g = ControlledPHRGrammar(
+            grammar=PHRGrammar(
+                signature=sig,
+                terminals=("a",),
+                start="S",
+                tables=(("1", grow), ("2", stop)),
+                order=2,
+            ),
+            control=control,
+        )
+        out = remove_unreachable(g)
+        assert out.grammar.signature.labels == ("S", "a")
+        assert out.control is control
+        lim = Limits(max_steps=5, max_nodes=10, max_edges=5)
+        assert enumerate_strings(out, lim) == enumerate_strings(g, lim)
+
     def test_fully_reachable_unchanged(self):
         g = fixture("dyck_phr").phr()
         out = remove_unreachable(g)

@@ -1,6 +1,8 @@
 """Text formats, JSON graphs, DOT export, and the command line."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,12 +17,15 @@ from phrg import (
     fixture_names,
     handle,
     hypergraph,
+    relabel_grammar,
     string_graph,
 )
 from phrg.cli import main
 from phrg.dot import export_dot
 from phrg.hypergraph import from_json, to_json
 from phrg.textfmt import (
+    _KEYWORDS,
+    GrammarDocument,
     parse_document,
     parse_fsa,
     serialize_document,
@@ -53,6 +58,21 @@ class TestDocumentRoundTrip:
         want = doc.control.determinize_complete()
         for trace in (("1", "0"), ("0",), ("1", "2", "0"), ()):
             assert got.accepts(trace) == want.accepts(trace)
+
+    @pytest.mark.parametrize("name", ["dyck_phr", "ctl_plus0"])
+    @pytest.mark.parametrize("keyword", sorted(_KEYWORDS))
+    def test_keyword_label_round_trips(self, name, keyword):
+        doc = fixture(name)
+        g = relabel_grammar(doc.grammar, {doc.grammar.start: keyword})
+        parsed = parse_document(serialize_document(dataclasses.replace(doc, grammar=g)))
+        assert parsed.grammar == g
+        assert parsed.control == doc.control
+
+    @pytest.mark.parametrize("label", ["", "#S", "S/x", "S x", "S\tx"])
+    def test_unspellable_label_rejected(self, label):
+        g = relabel_grammar(fixture("dyck_phr").grammar, {"S": label})
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            serialize_document(GrammarDocument(kind="phr", grammar=g))
 
 
 class TestParseDiagnostics:
@@ -119,6 +139,27 @@ class TestFsaFormat:
     def test_golden_bytes(self):
         m = parse_fsa((GOLDEN / "astar_bstar.fsa").read_text())
         assert serialize_fsa(m) == (GOLDEN / "astar_bstar.fsa").read_text()
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("state p\ninit p\ninit p\n", 3, "duplicate init"),
+            ("state p\ninit p\ntrans p a\n", 3, "trans takes exactly three tokens"),
+            ("state p\nfoo p\ninit p\n", 2, "unknown keyword 'foo'"),
+            ("state p\n\nfinal p\n", 4, "missing init"),
+            (
+                "alphabet a\nstate p\ninit p\ntrans p a q\n",
+                5,
+                "transition ('p','a','q') uses unknown state",
+            ),
+            ("state p\ninit p q\n", 2, "takes exactly one token"),
+        ],
+    )
+    def test_diagnostics_name_the_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_fsa(text)
+        assert err.value.line == line
+        assert message in err.value.message
 
 
 class TestHypergraphJson:
@@ -307,6 +348,24 @@ class TestCli:
         assert code == 0
         words = {tuple(w) for w in obj["words"]}
         assert words == {("a", "b"), ("a", "a", "b", "b"), ("a", "b", "a", "b")}
+
+    def test_transform_remove_unreachable(self, capsys, tmp_path):
+        head = ["kind phr", "order 2", "signature", "S/2"]
+        src = tmp_path / "orphan.phrg"
+        src.write_text(
+            "\n".join(
+                head
+                + ["Z/2", "a/2", "terminals a", "start S", "table 1"]
+                + ['S -> str("aa")', "Z -> handle(Z)", "a -> handle(a)", ""]
+            )
+        )
+        code, out, _ = run_cli(capsys, "transform", "remove-unreachable", str(src))
+        assert code == 0
+        assert out == "\n".join(
+            head
+            + ["a/2", "terminals a", "start S", "table 1"]
+            + ['S -> str("aa")', "a -> handle(a)", ""]
+        )
 
     def test_transform_intersect_with_fsa_file(self, capsys, tmp_path):
         fsa = tmp_path / "astar_bstar.fsa"

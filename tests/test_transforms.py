@@ -144,6 +144,31 @@ class TestEt0lPropagating:
         )
         assert got == want
 
+    def test_alphabet_is_what_the_axiom_reaches(self):
+        t = WordTable(
+            rules=(
+                ("S", ("a", "E")),
+                ("S", ("E",)),
+                ("a", ("a",)),
+                ("E", ()),
+                ("E", ("b",)),
+                ("b", ("b",)),
+            ),
+            scope=("S", "a", "E", "b"),
+        )
+        g = ET0LGrammar(
+            alphabet=("S", "a", "E", "b"),
+            terminals=("a", "b"),
+            axiom="S",
+            tables=(("1", t),),
+        )
+        # S is erasable but occurs in no right-hand side, so only the
+        # axiom's own copy @S|- is reached; @S|E, @S|S and @S|E+S are not.
+        want = {"@start", "@dead", "@S|-", "a", "b"} | {
+            f"@{x}|{e}" for x in "abE" for e in ("-", "E", "S", "E+S")
+        }
+        assert set(et0l_propagating(g).alphabet) == want
+
     def test_everything_erases_keeps_only_the_axiom(self):
         t = WordTable(rules=(("a", ()),), scope=("a",))
         g = ET0LGrammar(
