@@ -2,7 +2,9 @@
 
 Each case builds one grammar and compares the sha256 digest of its
 serialized document with ``golden/constructions.json``, so a refactor of
-a construction cannot change its output unnoticed.  The cases cross the
+a construction cannot change its output unnoticed.  Each document must
+also parse back to the grammar that was built and serialize to the same
+text, so a refactor of the text format cannot change it either.  The cases cross the
 string-grammar fixtures with a few automata and homomorphisms, and add
 the constructions of the benchmark's ``closure`` workload with plain
 state names.
@@ -34,7 +36,7 @@ from phrg import (
     string_graph,
     substitute,
 )
-from phrg.textfmt import GrammarDocument, serialize_document
+from phrg.textfmt import GrammarDocument, parse_document, serialize_document
 
 GOLDEN = Path(__file__).parent / "golden" / "constructions.json"
 
@@ -162,10 +164,11 @@ def _closure_cases() -> dict:
 CASES = {**_fixture_cases(), **_closure_cases()}
 
 
-def digest(name: str) -> str:
+def built(name: str) -> tuple[PHRGrammar, str]:
+    """The case's grammar and its serialized document."""
     build, args, kwargs = CASES[name]
-    doc = GrammarDocument(kind="phr", grammar=build(*args, **kwargs))
-    return hashlib.sha256(serialize_document(doc).encode()).hexdigest()
+    grammar = build(*args, **kwargs)
+    return grammar, serialize_document(GrammarDocument(kind="phr", grammar=grammar))
 
 
 def golden() -> dict[str, str]:
@@ -178,4 +181,13 @@ def test_every_case_has_a_digest():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_construction_output_unchanged(name):
-    assert digest(name) == golden()[name]
+    _, text = built(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_construction_output_round_trips(name):
+    grammar, text = built(name)
+    parsed = parse_document(text)
+    assert parsed.grammar == grammar
+    assert serialize_document(parsed) == text

@@ -75,6 +75,299 @@ class TestDocumentRoundTrip:
             serialize_document(GrammarDocument(kind="phr", grammar=g))
 
 
+# Small valid documents; each diagnostic case below breaks one line of one.
+PHR = ["kind phr", "order 2", "signature", "S/2", "a/2", "terminals a", "start S",
+       "table 1", 'S -> str("a")', "a -> handle(a)"]
+HR = ["kind hr", "order 2", "signature", "S/2", "a/2", "nonterminals S", "start S",
+      "rules", 'S -> str("a")']
+ET0L = ["kind et0l", "alphabet S a", "terminals a", "start S", "table 1",
+        'S -> str("a")', 'a -> str("a")']
+CONTROL = ["control", "state p", "init p", "final p", "trans p 1 p"]
+
+
+def doc(base, at=None, *insert, drop=0):
+    """``base`` with ``drop`` lines removed at line ``at`` (1-based; None
+    appends) and ``insert`` put in their place."""
+    lines = list(base)
+    if at is None:
+        at = len(lines) + 1
+    lines[at - 1 : at - 1 + drop] = insert
+    return "\n".join(lines) + "\n"
+
+
+JSON_RHS = (
+    '{"format_version":1,"nodes":["u","v"],'
+    '"edges":[{"id":"e","label":%s,"att":%s}],"ext":["u","v"]}'
+)
+
+# name: (document, line of the diagnostic, its message)
+DIAGNOSTICS = {
+    "unknown keyword": (
+        doc(PHR, 2, "frobnicate yes"),
+        2,
+        "unknown keyword 'frobnicate'",
+    ),
+    "state outside control": (
+        doc(PHR, 2, "state p"),
+        2,
+        "'state' outside a control block",
+    ),
+    "duplicate init": (doc(PHR + CONTROL, 13, "init p"), 14, "duplicate init"),
+    "long init": (
+        doc(PHR + CONTROL, 13, "init p q", drop=1),
+        13,
+        "'init' takes exactly one token",
+    ),
+    "short trans": (
+        doc(PHR + CONTROL, 15, "trans p 1", drop=1),
+        15,
+        "trans takes exactly three tokens",
+    ),
+    "long kind": (
+        doc(PHR, 1, "kind phr hr", drop=1),
+        1,
+        "'kind' takes exactly one token",
+    ),
+    "duplicate kind": (doc(PHR, 2, "kind phr"), 2, "duplicate kind"),
+    "unknown kind": (
+        doc(PHR, 1, "kind sandwich", drop=1),
+        1,
+        "unknown kind 'sandwich'",
+    ),
+    "duplicate name": (doc(PHR, 2, "name x", "name y"), 3, "duplicate name"),
+    "duplicate ref": (doc(PHR, 2, "ref x", "ref y"), 3, "duplicate ref"),
+    "long order": (
+        doc(PHR, 2, "order 2 3", drop=1),
+        2,
+        "'order' takes exactly one token",
+    ),
+    "duplicate order": (doc(PHR, 3, "order 2"), 3, "duplicate order"),
+    "order not integer": (
+        doc(PHR, 2, "order two", drop=1),
+        2,
+        "order must be an integer, got 'two'",
+    ),
+    "signature with tokens": (
+        doc(PHR, 3, "signature x", drop=1),
+        3,
+        "signature takes no tokens on its own line",
+    ),
+    "duplicate signature": (
+        doc(PHR, 6, "signature", "b/2"),
+        6,
+        "duplicate signature block",
+    ),
+    "duplicate alphabet": (doc(ET0L, 3, "alphabet S a"), 3, "duplicate alphabet"),
+    "slash in alphabet": (
+        doc(ET0L, 2, "alphabet S a/b", drop=1),
+        2,
+        "label 'a/b' must not contain '/'",
+    ),
+    "duplicate terminals": (doc(PHR, 7, "terminals a"), 7, "duplicate terminals"),
+    "slash in terminals": (
+        doc(PHR, 6, "terminals a/b", drop=1),
+        6,
+        "label 'a/b' must not contain '/'",
+    ),
+    "duplicate nonterminals": (
+        doc(HR, 7, "nonterminals S"),
+        7,
+        "duplicate nonterminals",
+    ),
+    "slash in nonterminals": (
+        doc(HR, 6, "nonterminals S/x", drop=1),
+        6,
+        "label 'S/x' must not contain '/'",
+    ),
+    "duplicate start": (doc(PHR, 8, "start S"), 8, "duplicate start"),
+    "long start": (
+        doc(PHR, 7, "start S a", drop=1),
+        7,
+        "'start' takes exactly one token",
+    ),
+    "long table": (
+        doc(PHR, 8, "table 1 2", drop=1),
+        8,
+        "'table' takes exactly one token",
+    ),
+    "duplicate table": (
+        doc(PHR, None, "table 1", 'S -> str("a")', "a -> handle(a)"),
+        11,
+        "duplicate table index '1'",
+    ),
+    "rules with tokens": (
+        doc(HR, 8, "rules x", drop=1),
+        8,
+        "rules takes no tokens on its own line",
+    ),
+    "duplicate rules": (doc(HR, None, "rules"), 10, "duplicate rules block"),
+    "control with tokens": (
+        doc(PHR + CONTROL, 11, "control x", drop=1),
+        11,
+        "control takes no tokens on its own line",
+    ),
+    "duplicate control": (
+        doc(PHR + CONTROL, None, "control"),
+        16,
+        "duplicate control block",
+    ),
+    "signature entry": (
+        doc(PHR, 5, "b 2"),
+        5,
+        "signature entry must be label/arity, got 'b 2'",
+    ),
+    "empty signature label": (doc(PHR, 5, "/2"), 5, "empty label in signature"),
+    "arity not integer": (doc(PHR, 5, "b/x"), 5, "arity must be an integer, got 'x'"),
+    "negative arity": (doc(PHR, 5, "b/-1"), 5, "arity must be nonnegative"),
+    "duplicate signature label": (
+        doc(PHR, 5, "S/2"),
+        5,
+        "duplicate signature label 'S'",
+    ),
+    "rule without arrow": (
+        doc(PHR, 10, "a handle(a)", drop=1),
+        10,
+        "rule line needs ' -> ', got 'a handle(a)'",
+    ),
+    "two-token lhs": (
+        doc(PHR, 10, "a S -> handle(a)", drop=1),
+        10,
+        "rule left-hand side must be one label, got 'a S'",
+    ),
+    "missing terminals": (doc(PHR, 6, drop=1), 10, "missing terminals"),
+    "missing start": (doc(PHR, 7, drop=1), 10, "missing start"),
+    "missing alphabet": (doc(ET0L, 2, drop=1), 7, "missing alphabet"),
+    "missing nonterminals": (doc(HR, 6, drop=1), 9, "missing nonterminals"),
+    "missing rules": (doc(HR, 8, drop=2), 8, "missing rules block"),
+    "missing signature": (doc(PHR, 3, drop=3), 8, "missing signature block"),
+    "unknown lhs": (doc(PHR, 10, 'Z -> str("a")'), 10, "unknown label 'Z'"),
+    "terminal lhs": (
+        doc(HR, 10, 'a -> str("a")'),
+        10,
+        "label 'a' cannot head a rule here",
+    ),
+    "unknown handle": (
+        doc(PHR, 10, "S -> handle(Z)", drop=1),
+        10,
+        "unknown label 'Z' in handle()",
+    ),
+    "unknown rhs label": (
+        doc(PHR, 9, "S -> " + JSON_RHS % ('"Z"', '["u","v"]'), drop=1),
+        9,
+        "unknown label 'Z' in right-hand side",
+    ),
+    "rhs arity": (
+        doc(PHR, 9, "S -> " + JSON_RHS % ('"a"', '["u"]'), drop=1),
+        9,
+        "label 'a' has arity 2, edge has 1 tentacles",
+    ),
+    "rhs type": (
+        doc(PHR, 9, "S -> empty(3)", drop=1),
+        9,
+        "right-hand side has type 3, label 'S' has arity 2",
+    ),
+    "invalid json": (
+        doc(PHR, 9, "S -> {oops", drop=1),
+        9,
+        "invalid JSON literal: Expecting property name enclosed in double quotes",
+    ),
+    "bad graph json": (
+        doc(PHR, 9, 'S -> {"format_version":1,"nodes":"oops"}', drop=1),
+        9,
+        "hypergraph JSON key 'nodes' must be a list",
+    ),
+    "unrecognized rhs": (
+        doc(PHR, 9, "S -> frob(a)", drop=1),
+        9,
+        "unrecognized right-hand side 'frob(a)'",
+    ),
+    "phr with rules": (
+        doc(PHR, None, "rules"),
+        11,
+        "a phr document uses table blocks, not rules",
+    ),
+    "missing table": (doc(PHR, 8, drop=3), 8, "missing table block"),
+    "table not total": (
+        doc(PHR, 10, drop=1),
+        8,
+        "table not left-total, no rules for: ['a']",
+    ),
+    "unknown start": (
+        doc(PHR, 7, "start Z", drop=1),
+        7,
+        "start label 'Z' not in signature",
+    ),
+    "unknown terminal": (
+        doc(PHR, 6, "terminals b", drop=1),
+        7,
+        "terminal 'b' not in signature",
+    ),
+    "low order": (
+        doc(PHR, 2, "order 1", drop=1),
+        7,
+        "order 1 below maximal label arity 2",
+    ),
+    "control without init": (
+        doc(PHR + CONTROL, 13, drop=1),
+        11,
+        "control block missing init",
+    ),
+    "unknown control state": (
+        doc(PHR + CONTROL, 15, "trans p 1 q", drop=1),
+        11,
+        "transition ('p','1','q') uses unknown state",
+    ),
+    "unknown control symbol": (
+        doc(PHR + CONTROL, 15, "trans p 2 p", drop=1),
+        11,
+        "transition on unknown symbol '2'",
+    ),
+    "hr with table": (
+        doc(HR, None, "table 1"),
+        10,
+        "an hr document uses a rules block, not tables",
+    ),
+    "hr with control": (doc(HR + CONTROL), 10, "control applies to phr documents only"),
+    "hr start terminal": (
+        doc(HR, 7, "start a", drop=1),
+        7,
+        "start label 'a' not a nonterminal",
+    ),
+    "et0l with signature": (
+        doc(ET0L, 2, "signature", "S/2"),
+        3,
+        "an et0l document uses alphabet, not signature",
+    ),
+    "et0l with control": (
+        doc(ET0L + CONTROL),
+        8,
+        "control applies to phr documents only",
+    ),
+    "et0l unknown lhs": (doc(ET0L, 7, 'b -> str("a")'), 7, "unknown symbol 'b'"),
+    "et0l handle": (
+        doc(ET0L, 7, "a -> handle(a)", drop=1),
+        7,
+        "et0l right-hand sides must be str literals, got 'handle(a)'",
+    ),
+    "et0l unknown letter": (
+        doc(ET0L, 7, 'a -> str("ab")', drop=1),
+        7,
+        "unknown symbols ['b'] in word",
+    ),
+    "et0l table not total": (
+        doc(ET0L, 7, drop=1),
+        5,
+        "word table not left-total, no rules for: ['a']",
+    ),
+    "et0l unknown axiom": (
+        doc(ET0L, 4, "start b", drop=1),
+        4,
+        "axiom 'b' not in alphabet",
+    ),
+    "et0l missing table": (doc(ET0L, 5, drop=3), 5, "missing table block"),
+}
+
+
 class TestParseDiagnostics:
     def test_missing_rule_names_the_label(self):
         text = "\n".join(
@@ -122,6 +415,13 @@ class TestParseDiagnostics:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParseError):
             parse_document("kind sandwich\n")
+
+    @pytest.mark.parametrize("case", DIAGNOSTICS)
+    def test_diagnostic_names_line_and_fault(self, case):
+        text, line, message = DIAGNOSTICS[case]
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.line, err.value.message) == (line, message)
 
 
 class TestFsaFormat:
