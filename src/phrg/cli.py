@@ -230,83 +230,67 @@ def _hom_map(pairs: Sequence[str]) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def _typed(args: argparse.Namespace, cls: type, kind: str):
+    """The grammar of the input document, which must be of ``kind``."""
+    doc = _load_document(args.file)
+    if not isinstance(doc.grammar, cls):
+        raise CliError(f"{args.name} needs a kind {kind} document")
+    return doc.grammar
+
+
+def _controlled(args: argparse.Namespace) -> ControlledPHRGrammar:
+    g = _load_phr(args.file)
+    if not isinstance(g, ControlledPHRGrammar):
+        raise CliError(f"{args.name} needs a document with a control block")
+    return g
+
+
+def _first(args: argparse.Namespace) -> PHRGrammar:
+    return _load_plain_phr(args.file)
+
+
+def _second(args: argparse.Namespace) -> PHRGrammar:
+    if not args.file2:
+        raise CliError(f"{args.name} takes two grammar files")
+    return _load_plain_phr(args.file2)
+
+
+def _fsa_arg(args: argparse.Namespace):
+    if not args.fsa:
+        raise CliError(f"{args.name} needs --fsa")
+    return _load_fsa(args.fsa)
+
+
+# CLI name -> the construction applied to the parsed arguments
+_TRANSFORMS = {
+    "hr-to-phr": lambda a: transforms.hr_to_phr(_typed(a, HRGrammar, "hr")),
+    "et0l-to-phr": lambda a: transforms.et0l_to_phr(_typed(a, ET0LGrammar, "et0l")),
+    "et0l-propagating": lambda a: transforms.et0l_propagating(
+        _typed(a, ET0LGrammar, "et0l")
+    ),
+    "remove-control": lambda a: transforms.remove_control(_controlled(a)),
+    "remove-unreachable": lambda a: transforms.remove_unreachable(_first(a)),
+    "regular-to-phr": lambda a: transforms.regular_to_phr(_fsa_arg(a)),
+    "substitute": lambda a: transforms.substitute(_first(a), _image_map(a.image or ())),
+    "iterate-substitution": lambda a: transforms.iterate_substitution(
+        _first(a), _image_map(a.image or ())
+    ),
+    "union": lambda a: transforms.rational_union(_first(a), _second(a)),
+    "concat": lambda a: transforms.rational_concat(_first(a), _second(a)),
+    "plus": lambda a: transforms.rational_plus(_first(a)),
+    "intersect": lambda a: transforms.rational_intersect(_first(a), _fsa_arg(a)),
+    "apply-hom": lambda a: transforms.apply_hom(
+        _first(a), _hom_map(a.map or ()), mode=a.mode
+    ),
+    "inverse-hom": lambda a: transforms.inverse_hom(_first(a), _hom_map(a.map or ())),
+    "free-product": lambda a: transforms.free_product_wp(_first(a), _second(a)),
+}
+
+
 def _cmd_transform(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "hr-to-phr":
-        doc = _load_document(args.file)
-        if not isinstance(doc.grammar, HRGrammar):
-            raise CliError("hr-to-phr needs a kind hr document")
-        result = transforms.hr_to_phr(doc.grammar)
-    elif name == "et0l-to-phr":
-        doc = _load_document(args.file)
-        if not isinstance(doc.grammar, ET0LGrammar):
-            raise CliError("et0l-to-phr needs a kind et0l document")
-        result = transforms.et0l_to_phr(doc.grammar)
-    elif name == "et0l-propagating":
-        doc = _load_document(args.file)
-        if not isinstance(doc.grammar, ET0LGrammar):
-            raise CliError("et0l-propagating needs a kind et0l document")
-        out = transforms.et0l_propagating(doc.grammar)
-        _emit(
-            serialize_document(GrammarDocument(kind="et0l", grammar=out)), args.output
-        )
-        return 0
-    elif name == "remove-control":
-        g = _load_phr(args.file)
-        if not isinstance(g, ControlledPHRGrammar):
-            raise CliError("remove-control needs a document with a control block")
-        result = transforms.remove_control(g)
-    elif name == "remove-unreachable":
-        result = transforms.remove_unreachable(_load_plain_phr(args.file))
-    elif name == "regular-to-phr":
-        if not args.fsa:
-            raise CliError("regular-to-phr needs --fsa")
-        result = transforms.regular_to_phr(_load_fsa(args.fsa))
-    elif name == "substitute":
-        result = transforms.substitute(
-            _load_plain_phr(args.file), _image_map(args.image or ())
-        )
-    elif name == "iterate-substitution":
-        result = transforms.iterate_substitution(
-            _load_plain_phr(args.file), _image_map(args.image or ())
-        )
-    elif name == "union":
-        if not args.file2:
-            raise CliError("union takes two grammar files")
-        result = transforms.rational_union(
-            _load_plain_phr(args.file), _load_plain_phr(args.file2)
-        )
-    elif name == "concat":
-        if not args.file2:
-            raise CliError("concat takes two grammar files")
-        result = transforms.rational_concat(
-            _load_plain_phr(args.file), _load_plain_phr(args.file2)
-        )
-    elif name == "plus":
-        result = transforms.rational_plus(_load_plain_phr(args.file))
-    elif name == "intersect":
-        if not args.fsa:
-            raise CliError("intersect needs --fsa")
-        result = transforms.rational_intersect(
-            _load_plain_phr(args.file), _load_fsa(args.fsa)
-        )
-    elif name == "apply-hom":
-        result = transforms.apply_hom(
-            _load_plain_phr(args.file), _hom_map(args.map or ()), mode=args.mode
-        )
-    elif name == "inverse-hom":
-        result = transforms.inverse_hom(
-            _load_plain_phr(args.file), _hom_map(args.map or ())
-        )
-    elif name == "free-product":
-        if not args.file2:
-            raise CliError("free-product takes two grammar files")
-        result = transforms.free_product_wp(
-            _load_plain_phr(args.file), _load_plain_phr(args.file2)
-        )
-    else:
-        raise CliError(f"unknown transform {name!r}")
-    _emit(serialize_document(GrammarDocument(kind="phr", grammar=result)), args.output)
+    result = _TRANSFORMS[args.name](args)
+    kind = "et0l" if isinstance(result, ET0LGrammar) else "phr"
+    _emit(serialize_document(GrammarDocument(kind=kind, grammar=result)), args.output)
     return 0
 
 
@@ -382,26 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_limit_flags(s)
 
     s = sub("transform", help="apply a grammar construction")
-    s.add_argument(
-        "name",
-        choices=[
-            "hr-to-phr",
-            "et0l-to-phr",
-            "et0l-propagating",
-            "remove-control",
-            "remove-unreachable",
-            "regular-to-phr",
-            "substitute",
-            "iterate-substitution",
-            "union",
-            "concat",
-            "plus",
-            "intersect",
-            "apply-hom",
-            "inverse-hom",
-            "free-product",
-        ],
-    )
+    s.add_argument("name", choices=_TRANSFORMS)
     s.add_argument("file", nargs="?", help="input grammar document")
     s.add_argument("file2", nargs="?", help="second grammar document")
     s.add_argument("--fsa", help="automaton file for regular-to-phr / intersect")

@@ -523,7 +523,7 @@ def trace_successors(
     Control automata are not consulted here; use ``ControlAutomaton.accepts``
     to decide whether a trace counts.
     """
-    grammar, _ = split_control(g)
+    grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
     current = {canonical_key(h): canonical_graph(h)}
     for index in trace:
         table = grammar.table(index)

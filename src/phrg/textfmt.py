@@ -5,7 +5,8 @@ optionally a control automaton (parallel grammars only) and optional
 ``name``/``ref`` metadata lines.  The format is strict: unknown keywords,
 unknown labels, arity mismatches and tables that are not left-total are
 reported with line and column.  Serialization is canonical, so
-parse(serialize(parse(text))) == parse(text).
+parse(serialize(parse(text))) == parse(text), and it refuses any token
+the format cannot spell (see ``_fault``).
 
 Rule right-hand sides are written as literals::
 
@@ -24,7 +25,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Container, Iterator, Optional
 
 from .grammar import (
     AnyPHR,
@@ -38,6 +40,7 @@ from .grammar import (
     Table,
     Word,
     WordTable,
+    _check_rules,
 )
 from .hypergraph import (
     Hypergraph,
@@ -88,27 +91,77 @@ _STR_RE = re.compile(r'^str\("([^"]*)"\)$')
 _HANDLE_RE = re.compile(r"^handle\(([^()\s]+)\)$")
 _EMPTY_RE = re.compile(r"^empty\((\d+)\)$")
 
-_KEYWORDS = {
-    "kind",
-    "name",
-    "ref",
-    "order",
-    "signature",
-    "alphabet",
-    "terminals",
-    "nonterminals",
-    "start",
-    "table",
-    "rules",
-    "control",
-    "state",
-    "init",
-    "final",
-    "trans",
+# What a keyword line holds after its keyword: one token, the rest of the
+# line, a list of labels, or nothing (the line opens a block).
+_TAKES = {
+    "kind": "one",
+    "order": "one",
+    "start": "one",
+    "table": "one",
+    "name": "text",
+    "ref": "text",
+    "alphabet": "labels",
+    "terminals": "labels",
+    "nonterminals": "labels",
+    "signature": "nothing",
+    "rules": "nothing",
+    "control": "nothing",
 }
+_AUTOMATON = ("state", "init", "final", "trans")
+_KEYWORDS = set(_TAKES) | set(_AUTOMATON)
 
 
-def _parse_word(text: str, labels: set[str]) -> Word:
+def _fault(kind: str, token: str) -> Optional[str]:
+    """Why the format cannot write ``token`` as a ``kind``, or None.
+
+    A label is nonempty and has no whitespace, no '/' and no leading '#'.
+    A table index, a state or an automaton symbol is nonempty and has no
+    whitespace.  A name or ref has no line break and no leading or
+    trailing whitespace.  Parsing accepts every token these rules admit.
+    """
+    if kind in ("name", "ref"):
+        if token != token.strip():
+            return "must not start or end with whitespace"
+        if len(token.splitlines()) > 1:
+            return "must not contain a line break"
+        return None
+    if not token:
+        return "must not be empty"
+    if any(c.isspace() for c in token):
+        return "must not contain whitespace"
+    if kind == "label" and "/" in token:
+        return "must not contain '/'"
+    if kind == "label" and token.startswith("#"):
+        return "must not start with '#'"
+    return None
+
+
+def _spelled(kind: str, token: str) -> str:
+    """``token``, or ValueError naming it if the format cannot write it."""
+    fault = _fault(kind, token)
+    if fault is not None:
+        raise ValueError(f"{kind} {token!r} {fault}")
+    return token
+
+
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped text, tokens) of each line that is neither
+    blank nor a comment."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield no, stripped, stripped.split()
+
+
+def _at(line: int, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, reporting a GrammarError at ``line``."""
+    try:
+        return build(*args, **kwargs)
+    except GrammarError as exc:
+        raise ParseError(str(exc), line) from None
+
+
+def _parse_word(text: str, labels: Container[str]) -> Word:
     if text == "":
         return ()
     if any(c.isspace() for c in text):
@@ -116,14 +169,6 @@ def _parse_word(text: str, labels: set[str]) -> Word:
     if text in labels:
         return (text,)
     return tuple(text)
-
-
-def _check_label(token: str, line: int, col: int) -> str:
-    if "/" in token:
-        raise ParseError(f"label {token!r} must not contain '/'", line, col)
-    if '"' in token:
-        raise ParseError(f"label {token!r} must not contain '\"'", line, col)
-    return token
 
 
 def _word_text(word: Word, labels: set[str]) -> Optional[str]:
@@ -153,11 +198,15 @@ def _graph_literal(h: Hypergraph, labels: set[str]) -> str:
     return json.dumps(to_json_obj(h), separators=(",", ":"), sort_keys=True)
 
 
-def _parse_graph_literal(text: str, labels: set[str], line: int, col: int) -> Hypergraph:
+def _parse_graph_literal(text: str, sig: Signature, line: int) -> Hypergraph:
     m = _STR_RE.match(text)
     if m:
-        word = _parse_word(m.group(1), labels)
-        return string_graph(word)
+        return string_graph(_parse_word(m.group(1), sig))
+    m = _HANDLE_RE.match(text)
+    if m:
+        if m.group(1) not in sig:
+            raise ParseError(f"unknown label {m.group(1)!r} in handle()", line)
+        return handle(m.group(1), sig)
     m = _EMPTY_RE.match(text)
     if m:
         return discrete_graph(int(m.group(1)))
@@ -165,18 +214,41 @@ def _parse_graph_literal(text: str, labels: set[str], line: int, col: int) -> Hy
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON literal: {exc.msg}", line, col) from None
+            raise ParseError(f"invalid JSON literal: {exc.msg}", line) from None
         try:
             return from_json_obj(obj)
         except HypergraphError as exc:
-            raise ParseError(str(exc), line, col) from None
-    raise ParseError(f"unrecognized right-hand side {text!r}", line, col)
+            raise ParseError(str(exc), line) from None
+    raise ParseError(f"unrecognized right-hand side {text!r}", line)
 
 
-@dataclass
-class _Line:
-    no: int
-    text: str
+def _rule_line(no: int, text: str) -> tuple[int, str, str]:
+    """(line, left-hand side, right-hand side literal) of a rule line."""
+    if " -> " not in text:
+        raise ParseError(f"rule line needs ' -> ', got {text!r}", no)
+    lhs, rhs = (part.strip() for part in text.split(" -> ", 1))
+    if " " in lhs:
+        raise ParseError(f"rule left-hand side must be one label, got {lhs!r}", no)
+    return no, lhs, rhs
+
+
+def _rule(sig: Signature, domain: set[str], no: int, lhs: str, rhs: str) -> Rule:
+    rule = Rule(lhs, _parse_graph_literal(rhs, sig, no))
+    _at(no, _check_rules, (rule,), sig, domain)
+    return rule
+
+
+def _word_rule(symbols: set[str], no: int, lhs: str, rhs: str) -> tuple[str, Word]:
+    if lhs not in symbols:
+        raise ParseError(f"unknown symbol {lhs!r}", no)
+    m = _STR_RE.match(rhs)
+    if not m:
+        raise ParseError(f"et0l right-hand sides must be str literals, got {rhs!r}", no)
+    word = _parse_word(m.group(1), symbols)
+    bad = [a for a in word if a not in symbols]
+    if bad:
+        raise ParseError(f"unknown symbols {bad} in word", no)
+    return lhs, word
 
 
 @dataclass
@@ -206,344 +278,192 @@ class _AutomatonLines:
             self.trans.append((tokens[1], tokens[2], tokens[3]))
 
     def build(self, alphabet: list[str], line: int) -> ControlAutomaton:
-        assert self.init is not None
-        try:
-            return ControlAutomaton(
-                states=tuple(self.states),
-                alphabet=tuple(alphabet),
-                transitions=tuple(self.trans),
-                initial=self.init,
-                finals=tuple(self.finals),
-            )
-        except GrammarError as exc:
-            raise ParseError(str(exc), line) from None
+        if self.init is None:
+            raise ParseError("missing init", line)
+        return _at(
+            line,
+            ControlAutomaton,
+            states=tuple(self.states),
+            alphabet=tuple(alphabet),
+            transitions=tuple(self.trans),
+            initial=self.init,
+            finals=tuple(self.finals),
+        )
 
 
 class _DocParser:
-    def __init__(self, text: str) -> None:
-        self.lines = [
-            _Line(i + 1, raw)
-            for i, raw in enumerate(text.splitlines())
-            if raw.strip() and not raw.lstrip().startswith("#")
-        ]
-        self.kind: Optional[str] = None
-        self.name: Optional[str] = None
-        self.ref: Optional[str] = None
-        self.order: Optional[tuple[int, int]] = None  # (value, line)
-        self.sig_pairs: list[tuple[str, int, int]] = []  # label, arity, line
-        self.alphabet: Optional[tuple[list[str], int]] = None
-        self.terminals: Optional[tuple[list[str], int]] = None
-        self.nonterminals: Optional[tuple[list[str], int]] = None
-        self.start: Optional[tuple[str, int]] = None
-        self.tables: list[tuple[str, int, list[tuple[int, str, str]]]] = []
-        self.hr_rules: Optional[tuple[int, list[tuple[int, str, str]]]] = None
-        self.control: Optional[_AutomatonLines] = None
-        self.control_line = 0
-        self.end_line = (self.lines[-1].no + 1) if self.lines else 1
+    """Reads a grammar document's lines in one pass, then assembles it."""
 
-    def fail(self, message: str, line: int, col: int = 1) -> ParseError:
-        return ParseError(message, line, col)
+    def __init__(self, text: str) -> None:
+        self.lines = list(_lines(text))
+        self.end = self.lines[-1][0] + 1 if self.lines else 1
+        self.header: dict[str, tuple] = {}  # keyword -> (value, line)
+        self.sig: dict[str, tuple[int, int]] = {}  # label -> (arity, line)
+        self.tables: dict[str, tuple[int, list]] = {}  # index -> (line, rules)
+        self.rules: Optional[tuple[int, list]] = None  # hr: (line, rules)
+        self.control: Optional[tuple[int, _AutomatonLines]] = None
 
     def parse(self) -> GrammarDocument:
-        block: Optional[str] = None
-        for ln in self.lines:
-            stripped = ln.text.strip()
-            tokens = stripped.split()
+        body = None  # where the open block's lines go; self.sig for signature
+        for no, text, tokens in self.lines:
             head = tokens[0]
             # a rule line may start with any label, keywords included
-            if block in ("table", "rules") and tokens[1:2] == ["->"]:
-                self._rule_line(stripped, ln.no, block)
-                continue
-            if head not in _KEYWORDS:
-                if block == "signature":
-                    self._sig_line(stripped, ln.no)
-                    continue
-                if block in ("table", "rules"):
-                    self._rule_line(stripped, ln.no, block)
-                    continue
-                raise self.fail(f"unknown keyword {head!r}", ln.no)
-            if head in ("state", "init", "final", "trans"):
-                if block != "control":
-                    raise self.fail(f"{head!r} outside a control block", ln.no)
-                assert self.control is not None
-                self.control.read(tokens, ln.no)
-                continue
-            block = None
-            if head == "kind":
-                self._set_single("kind", self._one(tokens, ln.no), ln.no)
-                if self.kind not in ("phr", "hr", "et0l"):
-                    raise self.fail(f"unknown kind {self.kind!r}", ln.no, 6)
-            elif head == "name":
-                self._set_single("name", stripped[len("name") :].strip(), ln.no)
-            elif head == "ref":
-                self._set_single("ref", stripped[len("ref") :].strip(), ln.no)
-            elif head == "order":
-                value = self._one(tokens, ln.no)
-                if self.order is not None:
-                    raise self.fail("duplicate order", ln.no)
-                try:
-                    self.order = (int(value), ln.no)
-                except ValueError:
-                    raise self.fail(f"order must be an integer, got {value!r}", ln.no)
-            elif head == "signature":
-                if tokens[1:]:
-                    raise self.fail("signature takes no tokens on its own line", ln.no)
-                if self.sig_pairs:
-                    raise self.fail("duplicate signature block", ln.no)
-                block = "signature"
-            elif head == "alphabet":
-                if self.alphabet is not None:
-                    raise self.fail("duplicate alphabet", ln.no)
-                self.alphabet = ([_check_label(t, ln.no, 1) for t in tokens[1:]], ln.no)
-            elif head == "terminals":
-                if self.terminals is not None:
-                    raise self.fail("duplicate terminals", ln.no)
-                self.terminals = ([_check_label(t, ln.no, 1) for t in tokens[1:]], ln.no)
-            elif head == "nonterminals":
-                if self.nonterminals is not None:
-                    raise self.fail("duplicate nonterminals", ln.no)
-                self.nonterminals = (
-                    [_check_label(t, ln.no, 1) for t in tokens[1:]],
-                    ln.no,
-                )
-            elif head == "start":
-                if self.start is not None:
-                    raise self.fail("duplicate start", ln.no)
-                self.start = (self._one(tokens, ln.no), ln.no)
-            elif head == "table":
-                index = self._one(tokens, ln.no)
-                if index in {i for i, _, _ in self.tables}:
-                    raise self.fail(f"duplicate table index {index!r}", ln.no)
-                self.tables.append((index, ln.no, []))
-                block = "table"
-            elif head == "rules":
-                if tokens[1:]:
-                    raise self.fail("rules takes no tokens on its own line", ln.no)
-                if self.hr_rules is not None:
-                    raise self.fail("duplicate rules block", ln.no)
-                self.hr_rules = (ln.no, [])
-                block = "rules"
-            elif head == "control":
-                if tokens[1:]:
-                    raise self.fail("control takes no tokens on its own line", ln.no)
-                if self.control is not None:
-                    raise self.fail("duplicate control block", ln.no)
-                self.control = _AutomatonLines()
-                self.control_line = ln.no
-                block = "control"
+            if isinstance(body, list) and (
+                head not in _KEYWORDS or len(tokens) > 2 and tokens[1] == "->"
+            ):
+                body.append(_rule_line(no, text))
+            elif body is self.sig and head not in _KEYWORDS:
+                self._sig_line(no, text)
+            elif head in _AUTOMATON:
+                if not isinstance(body, _AutomatonLines):
+                    raise ParseError(f"{head!r} outside a control block", no)
+                body.read(tokens, no)
+            elif head in _TAKES:
+                body = self._keyword_line(no, text, tokens)
+            else:
+                raise ParseError(f"unknown keyword {head!r}", no)
         return self._assemble()
 
-    def _one(self, tokens: list[str], line: int) -> str:
-        if len(tokens) != 2:
-            raise self.fail(f"{tokens[0]!r} takes exactly one token", line)
-        return tokens[1]
+    def _keyword_line(self, no: int, text: str, tokens: list[str]):
+        """Reads one keyword line; returns the body of the block it opens."""
+        head, takes = tokens[0], _TAKES[tokens[0]]
+        if takes == "one" and len(tokens) != 2:
+            raise ParseError(f"{head!r} takes exactly one token", no)
+        if takes == "nothing" and len(tokens) > 1:
+            raise ParseError(f"{head} takes no tokens on its own line", no)
+        if head == "signature":
+            if self.sig:
+                raise ParseError("duplicate signature block", no)
+            return self.sig
+        if head == "table":
+            if tokens[1] in self.tables:
+                raise ParseError(f"duplicate table index {tokens[1]!r}", no)
+            self.tables[tokens[1]] = (no, [])
+            return self.tables[tokens[1]][1]
+        if head == "rules":
+            if self.rules is not None:
+                raise ParseError("duplicate rules block", no)
+            self.rules = (no, [])
+            return self.rules[1]
+        if head == "control":
+            if self.control is not None:
+                raise ParseError("duplicate control block", no)
+            self.control = (no, _AutomatonLines())
+            return self.control[1]
+        if head in self.header:
+            raise ParseError(f"duplicate {head}", no)
+        if takes == "one":
+            value = tokens[1]
+        elif takes == "text":
+            value = text[len(head) :].strip()
+        else:
+            value = tokens[1:]
+            for label in value:
+                if "/" in label:
+                    raise ParseError(f"label {label!r} must not contain '/'", no)
+        if head == "kind" and value not in ("phr", "hr", "et0l"):
+            raise ParseError(f"unknown kind {value!r}", no, 6)
+        if head == "order":
+            try:
+                value = int(value)
+            except ValueError:
+                message = f"order must be an integer, got {value!r}"
+                raise ParseError(message, no) from None
+        self.header[head] = (value, no)
+        return None
 
-    def _set_single(self, attr: str, value: str, line: int) -> None:
-        if getattr(self, attr) is not None:
-            raise self.fail(f"duplicate {attr}", line)
-        setattr(self, attr, value)
-
-    def _sig_line(self, text: str, line: int) -> None:
+    def _sig_line(self, no: int, text: str) -> None:
         if text.count("/") != 1 or " " in text:
-            raise self.fail(
-                f"signature entry must be label/arity, got {text!r}", line
-            )
+            raise ParseError(f"signature entry must be label/arity, got {text!r}", no)
         label, arity_text = text.split("/")
         if not label:
-            raise self.fail("empty label in signature", line)
+            raise ParseError("empty label in signature", no)
         try:
             arity = int(arity_text)
         except ValueError:
-            raise self.fail(f"arity must be an integer, got {arity_text!r}", line)
+            message = f"arity must be an integer, got {arity_text!r}"
+            raise ParseError(message, no) from None
         if arity < 0:
-            raise self.fail("arity must be nonnegative", line)
-        if label in {l for l, _, _ in self.sig_pairs}:
-            raise self.fail(f"duplicate signature label {label!r}", line)
-        self.sig_pairs.append((label, arity, line))
-
-    def _rule_line(self, text: str, line: int, block: str) -> None:
-        if " -> " not in text:
-            raise self.fail(f"rule line needs ' -> ', got {text!r}", line)
-        lhs, rhs = text.split(" -> ", 1)
-        lhs = lhs.strip()
-        rhs = rhs.strip()
-        if not lhs or " " in lhs:
-            raise self.fail(f"rule left-hand side must be one label, got {lhs!r}", line)
-        if block == "table":
-            self.tables[-1][2].append((line, lhs, rhs))
-        else:
-            assert self.hr_rules is not None
-            self.hr_rules[1].append((line, lhs, rhs))
+            raise ParseError("arity must be nonnegative", no)
+        if label in self.sig:
+            raise ParseError(f"duplicate signature label {label!r}", no)
+        self.sig[label] = (arity, no)
 
     # ------------------------------------------------------------ assembly
 
-    def _need(self, value, what: str):
-        if value is None:
-            raise self.fail(f"missing {what}", self.end_line)
-        return value
-
-    def _build_signature(self) -> Signature:
-        if not self.sig_pairs:
-            raise self.fail("missing signature block", self.end_line)
-        return Signature.of({l: a for l, a, _ in self.sig_pairs})
-
-    def _resolve_rule(
-        self, sig: Signature, lhs_domain: set[str], line: int, lhs: str, rhs_text: str
-    ) -> Rule:
-        labels = set(sig.labels)
-        if lhs not in labels:
-            raise self.fail(f"unknown label {lhs!r}", line)
-        if lhs not in lhs_domain:
-            raise self.fail(f"label {lhs!r} cannot head a rule here", line)
-        m = _HANDLE_RE.match(rhs_text)
-        if m:
-            label = m.group(1)
-            if label not in labels:
-                raise self.fail(f"unknown label {label!r} in handle()", line)
-            rhs = handle(label, sig)
-        else:
-            rhs = _parse_graph_literal(rhs_text, labels, line, 1)
-        for e in rhs.edges:
-            if e.label not in labels:
-                raise self.fail(f"unknown label {e.label!r} in right-hand side", line)
-            if len(e.att) != sig.arity(e.label):
-                raise self.fail(
-                    f"label {e.label!r} has arity {sig.arity(e.label)}, "
-                    f"edge has {len(e.att)} tentacles",
-                    line,
-                )
-        if len(rhs.ext) != sig.arity(lhs):
-            raise self.fail(
-                f"right-hand side has type {len(rhs.ext)}, "
-                f"label {lhs!r} has arity {sig.arity(lhs)}",
-                line,
-            )
-        return Rule(lhs, rhs)
+    def _need(self, keyword: str) -> tuple:
+        if keyword not in self.header:
+            raise ParseError(f"missing {keyword}", self.end)
+        return self.header[keyword]
 
     def _assemble(self) -> GrammarDocument:
-        kind = self.kind or "phr"
-        if kind == "phr":
-            return self._assemble_phr()
-        if kind == "hr":
-            return self._assemble_hr()
-        return self._assemble_et0l()
-
-    def _assemble_phr(self) -> GrammarDocument:
-        sig = self._build_signature()
-        terminals, _ = self._need(self.terminals, "terminals")
-        start, start_line = self._need(self.start, "start")
-        if self.hr_rules is not None:
-            raise self.fail("a phr document uses table blocks, not rules", self.hr_rules[0])
-        if not self.tables:
-            raise self.fail("missing table block", self.end_line)
-        labels = set(sig.labels)
-        tables = []
-        for index, header_line, entries in self.tables:
-            rules = tuple(
-                self._resolve_rule(sig, labels, line, lhs, rhs)
-                for line, lhs, rhs in entries
-            )
-            try:
-                tables.append((index, Table(rules=rules, scope=sig.labels)))
-            except GrammarError as exc:
-                raise self.fail(str(exc), header_line) from None
-        max_arity = max((sig.arity(l) for l in sig.labels), default=0)
-        order = self.order[0] if self.order else max_arity
-        try:
-            grammar = PHRGrammar(
-                signature=sig,
-                terminals=tuple(terminals),
-                start=start,
-                tables=tuple(tables),
-                order=order,
-            )
-        except GrammarError as exc:
-            raise self.fail(str(exc), start_line) from None
-        control = None
-        if self.control is not None:
-            if self.control.init is None:
-                raise self.fail("control block missing init", self.control_line)
-            indices = sorted(grammar.table_indices)
-            control = self.control.build(indices, self.control_line)
-            try:
-                ControlledPHRGrammar(grammar=grammar, control=control)
-            except GrammarError as exc:
-                raise self.fail(str(exc), self.control_line) from None
+        kind = self.header.get("kind", ("phr",))[0]
+        if kind != "phr" and self.control is not None:
+            raise ParseError("control applies to phr documents only", self.control[0])
+        if kind == "et0l":
+            grammar, control = self._et0l(), None
+        else:
+            grammar, control = self._graph_grammar(kind)
         return GrammarDocument(
-            kind="phr", grammar=grammar, control=control, name=self.name, ref=self.ref
+            kind=kind,
+            grammar=grammar,
+            control=control,
+            name=self.header.get("name", (None,))[0],
+            ref=self.header.get("ref", (None,))[0],
         )
 
-    def _assemble_hr(self) -> GrammarDocument:
-        sig = self._build_signature()
-        nonterminals, _ = self._need(self.nonterminals, "nonterminals")
-        start, start_line = self._need(self.start, "start")
-        if self.tables:
-            raise self.fail("an hr document uses a rules block, not tables", self.tables[0][1])
-        if self.control is not None:
-            raise self.fail("control applies to phr documents only", self.control_line)
-        rules_line, entries = self._need(self.hr_rules, "rules block")
-        rules = tuple(
-            self._resolve_rule(sig, set(nonterminals), line, lhs, rhs)
-            for line, lhs, rhs in entries
-        )
-        max_arity = max((sig.arity(l) for l in sig.labels), default=0)
-        order = self.order[0] if self.order else max_arity
-        try:
-            grammar = HRGrammar(
-                signature=sig,
-                nonterminals=tuple(nonterminals),
-                start=start,
-                rules=rules,
-                order=order,
-            )
-        except GrammarError as exc:
-            raise self.fail(str(exc), start_line) from None
-        return GrammarDocument(kind="hr", grammar=grammar, name=self.name, ref=self.ref)
+    def _graph_grammar(
+        self, kind: str
+    ) -> tuple[PHRGrammar | HRGrammar, Optional[ControlAutomaton]]:
+        """The phr or hr grammar and the control automaton, if any."""
+        if not self.sig:
+            raise ParseError("missing signature block", self.end)
+        sig = Signature.of({label: arity for label, (arity, _) in self.sig.items()})
+        labels, _ = self._need("terminals" if kind == "phr" else "nonterminals")
+        start, start_line = self._need("start")
+        max_arity = max((arity for _, arity in sig.arities), default=0)
+        order = self.header.get("order", (max_arity,))[0]
+        fields = dict(signature=sig, start=start, order=order)
+        if kind == "hr":
+            if self.tables:
+                line = next(iter(self.tables.values()))[0]
+                raise ParseError("an hr document uses a rules block, not tables", line)
+            if self.rules is None:
+                raise ParseError("missing rules block", self.end)
+            # a nonterminal outside the signature is reported at the start line
+            domain = {label for label in labels if label in sig}
+            rules = tuple(_rule(sig, domain, *r) for r in self.rules[1])
+            grammar = _at(start_line, HRGrammar, nonterminals=labels, rules=rules, **fields)
+            return grammar, None
+        if self.rules is not None:
+            line = self.rules[0]
+            raise ParseError("a phr document uses table blocks, not rules", line)
+        tables = self._tables(Table, partial(_rule, sig, set(sig.labels)), sig.labels)
+        grammar = _at(start_line, PHRGrammar, terminals=labels, tables=tables, **fields)
+        if self.control is None:
+            return grammar, None
+        line, automaton = self.control
+        return grammar, automaton.build(sorted(grammar.table_indices), line)
 
-    def _assemble_et0l(self) -> GrammarDocument:
-        if self.sig_pairs:
-            raise self.fail(
-                "an et0l document uses alphabet, not signature", self.sig_pairs[0][2]
-            )
-        if self.control is not None:
-            raise self.fail("control applies to phr documents only", self.control_line)
-        alphabet, _ = self._need(self.alphabet, "alphabet")
-        terminals, _ = self._need(self.terminals, "terminals")
-        start, start_line = self._need(self.start, "start")
+    def _et0l(self) -> ET0LGrammar:
+        if self.sig:
+            line = next(iter(self.sig.values()))[1]
+            raise ParseError("an et0l document uses alphabet, not signature", line)
+        alphabet, _ = self._need("alphabet")
+        terminals, _ = self._need("terminals")
+        start, start_line = self._need("start")
+        tables = self._tables(WordTable, partial(_word_rule, set(alphabet)), alphabet)
+        return _at(start_line, ET0LGrammar, alphabet, terminals, start, tables)
+
+    def _tables(self, cls, resolve, scope) -> list:
+        """Each table block as a ``cls`` over ``scope``, its rule lines
+        resolved by ``resolve``."""
         if not self.tables:
-            raise self.fail("missing table block", self.end_line)
-        symbols = set(alphabet)
-        tables = []
-        for index, header_line, entries in self.tables:
-            rules = []
-            for line, lhs, rhs_text in entries:
-                if lhs not in symbols:
-                    raise self.fail(f"unknown symbol {lhs!r}", line)
-                m = _STR_RE.match(rhs_text)
-                if not m:
-                    raise self.fail(
-                        f"et0l right-hand sides must be str literals, got {rhs_text!r}",
-                        line,
-                    )
-                word = _parse_word(m.group(1), symbols)
-                bad = [a for a in word if a not in symbols]
-                if bad:
-                    raise self.fail(f"unknown symbols {bad} in word", line)
-                rules.append((lhs, word))
-            try:
-                tables.append((index, WordTable(rules=tuple(rules), scope=tuple(symbols))))
-            except GrammarError as exc:
-                raise self.fail(str(exc), header_line) from None
-        try:
-            grammar = ET0LGrammar(
-                alphabet=tuple(alphabet),
-                terminals=tuple(terminals),
-                axiom=start,
-                tables=tuple(tables),
-            )
-        except GrammarError as exc:
-            raise self.fail(str(exc), start_line) from None
-        return GrammarDocument(kind="et0l", grammar=grammar, name=self.name, ref=self.ref)
+            raise ParseError("missing table block", self.end)
+        return [
+            (index, _at(line, cls, tuple(resolve(*r) for r in entries), scope))
+            for index, (line, entries) in self.tables.items()
+        ]
 
 
 def parse_document(text: str) -> GrammarDocument:
@@ -552,28 +472,18 @@ def parse_document(text: str) -> GrammarDocument:
 
 def serialize_document(doc: GrammarDocument) -> str:
     g = doc.grammar
-    names = g.alphabet if isinstance(g, ET0LGrammar) else g.signature.labels
-    # empty, a line's leading "#", a signature entry's "/" or a token's
-    # whitespace would change what the line says
-    unfit = [
-        l
-        for l in names
-        if l == "" or l.startswith("#") or "/" in l or any(c.isspace() for c in l)
-    ]
-    if unfit:
-        raise ValueError(f"labels {unfit!r} cannot be written in the text format")
-    out: list[str] = [f"kind {doc.kind}"]
-    if doc.name is not None:
-        out.append(f"name {doc.name}")
-    if doc.ref is not None:
-        out.append(f"ref {doc.ref}")
+    for label in g.alphabet if isinstance(g, ET0LGrammar) else g.signature.labels:
+        _spelled("label", label)
+    out = [f"kind {doc.kind}"]
+    for key, value in (("name", doc.name), ("ref", doc.ref)):
+        if value is not None:
+            out.append(f"{key} {_spelled(key, value)}")
     if isinstance(g, ET0LGrammar):
         symbols = set(g.alphabet)
-        out.append(("alphabet " + " ".join(g.alphabet)).rstrip())
-        out.append(("terminals " + " ".join(g.terminals)).rstrip())
-        out.append(f"start {g.axiom}")
+        out.append(" ".join(("alphabet", *g.alphabet)))
+        out += [" ".join(("terminals", *g.terminals)), f"start {g.axiom}"]
         for index, t in g.tables:
-            out.append(f"table {index}")
+            out.append(f"table {_spelled('table index', index)}")
             for lhs, word in t.rules:
                 text = _word_text(word, symbols)
                 if text is None:
@@ -583,30 +493,29 @@ def serialize_document(doc: GrammarDocument) -> str:
 
     sig = g.signature
     labels = set(sig.labels)
-    out.append(f"order {g.order}")
-    out.append("signature")
-    out += [f"{l}/{a}" for l, a in sig.arities]
+    out += [f"order {g.order}", "signature"] + [f"{l}/{a}" for l, a in sig.arities]
     if isinstance(g, HRGrammar):
-        out.append(("nonterminals " + " ".join(g.nonterminals)).rstrip())
-        out.append(f"start {g.start}")
-        out.append("rules")
+        out.append(" ".join(("nonterminals", *g.nonterminals)))
+        out += [f"start {g.start}", "rules"]
         out += [f"{r.lhs} -> {_graph_literal(r.rhs, labels)}" for r in g.rules]
         return "\n".join(out) + "\n"
 
     assert isinstance(g, PHRGrammar)
-    out.append(("terminals " + " ".join(g.terminals)).rstrip())
-    out.append(f"start {g.start}")
+    out += [" ".join(("terminals", *g.terminals)), f"start {g.start}"]
     for index, t in g.tables:
-        out.append(f"table {index}")
+        out.append(f"table {_spelled('table index', index)}")
         out += [f"{r.lhs} -> {_graph_literal(r.rhs, labels)}" for r in t.rules]
     if doc.control is not None:
-        out.append("control")
-        out += _automaton_lines(doc.control)
+        out += ["control"] + _automaton_lines(doc.control)
     return "\n".join(out) + "\n"
 
 
 def _automaton_lines(m: ControlAutomaton) -> list[str]:
     """The state, init, final and trans lines, shared by both formats."""
+    for q in m.states:
+        _spelled("state", q)
+    for a in m.alphabet:
+        _spelled("automaton symbol", a)
     return (
         [f"state {q}" for q in m.states]
         + [f"init {m.initial}"]
@@ -618,25 +527,18 @@ def _automaton_lines(m: ControlAutomaton) -> list[str]:
 def parse_fsa(text: str) -> ControlAutomaton:
     alphabet: list[str] = []
     m = _AutomatonLines()
-    last = 1
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        last = no
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        head = tokens[0]
-        if head == "alphabet":
+    end = 1
+    for no, _, tokens in _lines(text):
+        end = no + 1
+        if tokens[0] == "alphabet":
             alphabet += tokens[1:]
-        elif head in ("state", "init", "final", "trans"):
+        elif tokens[0] in _AUTOMATON:
             m.read(tokens, no)
         else:
-            raise ParseError(f"unknown keyword {head!r}", no)
-    if m.init is None:
-        raise ParseError("missing init", last + 1)
-    return m.build(alphabet, last + 1)
+            raise ParseError(f"unknown keyword {tokens[0]!r}", no)
+    return m.build(alphabet, end)
 
 
 def serialize_fsa(m: ControlAutomaton) -> str:
-    out = [("alphabet " + " ".join(m.alphabet)).rstrip()] + _automaton_lines(m)
-    return "\n".join(out) + "\n"
+    lines = _automaton_lines(m)
+    return "\n".join([" ".join(("alphabet", *m.alphabet))] + lines) + "\n"

@@ -276,6 +276,17 @@ class TestTraceDerive:
                 }
                 assert {canonical_key(x) for x in direct} == staged
 
+    def test_control_is_not_determinized(self, monkeypatch):
+        g = fixture("ctl_plus0").phr()
+        trace = ("1", "2", "0")
+        want = trace_successors(g, g.grammar.start_graph(), trace)
+
+        def refuse(self):
+            raise AssertionError("determinize_complete called")
+
+        monkeypatch.setattr(ControlAutomaton, "determinize_complete", refuse)
+        assert trace_successors(g, g.grammar.start_graph(), trace) == want
+
 
 class TestEt0lStep:
     def test_doubling(self):

@@ -20,7 +20,8 @@ from phrg import (
     relabel_grammar,
     string_graph,
 )
-from phrg.cli import main
+from phrg import transforms as tf
+from phrg.cli import _TRANSFORMS, main
 from phrg.dot import export_dot
 from phrg.hypergraph import from_json, to_json
 from phrg.textfmt import (
@@ -73,6 +74,48 @@ class TestDocumentRoundTrip:
         g = relabel_grammar(fixture("dyck_phr").grammar, {"S": label})
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             serialize_document(GrammarDocument(kind="phr", grammar=g))
+
+    def test_arrow_table_index_round_trips(self):
+        g = fixture("dyck_phr").grammar
+        g = dataclasses.replace(g, tables=g.tables + (("->", g.tables[0][1]),))
+        doc = GrammarDocument(kind="phr", grammar=g)
+        assert parse_document(serialize_document(doc)) == doc
+
+    def test_quote_in_label_round_trips(self):
+        g = relabel_grammar(fixture("dyck_phr").grammar, {"a": 'a"b'})
+        text = serialize_document(GrammarDocument(kind="phr", grammar=g))
+        assert parse_document(text).grammar == g
+
+    @pytest.mark.parametrize(
+        "token", ["table index 'x y'", "state 'p q'", "automaton symbol 'a b'", "name 'a\\nb'"]
+    )
+    def test_unspellable_token_rejected(self, token):
+        dyck = fixture("dyck_phr")
+
+        def fsa(state, symbol):
+            return ControlAutomaton(
+                states=(state,),
+                alphabet=(symbol,),
+                transitions=((state, symbol, state),),
+                initial=state,
+                finals=(state,),
+            )
+
+        table = dyck.grammar.tables[0][1]
+        write = {
+            "table index 'x y'": lambda: serialize_document(
+                dataclasses.replace(
+                    dyck, grammar=dataclasses.replace(dyck.grammar, tables=(("x y", table),))
+                )
+            ),
+            "state 'p q'": lambda: serialize_document(
+                dataclasses.replace(dyck, control=fsa("p q", "1"))
+            ),
+            "automaton symbol 'a b'": lambda: serialize_fsa(fsa("p", "a b")),
+            "name 'a\\nb'": lambda: serialize_document(dataclasses.replace(dyck, name="a\nb")),
+        }[token]
+        with pytest.raises(ValueError, match=re.escape(token)):
+            write()
 
 
 # Small valid documents; each diagnostic case below breaks one line of one.
@@ -240,11 +283,11 @@ DIAGNOSTICS = {
     "missing nonterminals": (doc(HR, 6, drop=1), 9, "missing nonterminals"),
     "missing rules": (doc(HR, 8, drop=2), 8, "missing rules block"),
     "missing signature": (doc(PHR, 3, drop=3), 8, "missing signature block"),
-    "unknown lhs": (doc(PHR, 10, 'Z -> str("a")'), 10, "unknown label 'Z'"),
+    "unknown lhs": (doc(PHR, 10, 'Z -> str("a")'), 10, "rule for label 'Z' outside its domain"),
     "terminal lhs": (
         doc(HR, 10, 'a -> str("a")'),
         10,
-        "label 'a' cannot head a rule here",
+        "rule for label 'a' outside its domain",
     ),
     "unknown handle": (
         doc(PHR, 10, "S -> handle(Z)", drop=1),
@@ -254,17 +297,19 @@ DIAGNOSTICS = {
     "unknown rhs label": (
         doc(PHR, 9, "S -> " + JSON_RHS % ('"Z"', '["u","v"]'), drop=1),
         9,
-        "unknown label 'Z' in right-hand side",
+        "rule for 'S': invalid right-hand side: "
+        "unknown-label(e): label 'Z' not in signature",
     ),
     "rhs arity": (
         doc(PHR, 9, "S -> " + JSON_RHS % ('"a"', '["u"]'), drop=1),
         9,
-        "label 'a' has arity 2, edge has 1 tentacles",
+        "rule for 'S': invalid right-hand side: "
+        "arity-mismatch(e): label 'a' has arity 2, attachment has length 1",
     ),
     "rhs type": (
         doc(PHR, 9, "S -> empty(3)", drop=1),
         9,
-        "right-hand side has type 3, label 'S' has arity 2",
+        "rule for 'S': right-hand side has type 3, label has arity 2",
     ),
     "invalid json": (
         doc(PHR, 9, "S -> {oops", drop=1),
@@ -310,7 +355,7 @@ DIAGNOSTICS = {
     "control without init": (
         doc(PHR + CONTROL, 13, drop=1),
         11,
-        "control block missing init",
+        "missing init",
     ),
     "unknown control state": (
         doc(PHR + CONTROL, 15, "trans p 1 q", drop=1),
@@ -666,6 +711,68 @@ class TestCli:
             + ["a/2", "terminals a", "start S", "table 1"]
             + ['S -> str("aa")', "a -> handle(a)", ""]
         )
+
+    @pytest.mark.parametrize("name", sorted(_TRANSFORMS))
+    def test_transform_matches_library(self, capsys, tmp_path, name):
+        def phr(n):
+            return fixture(n).phr()
+
+        fsa_path = str(GOLDEN / "astar_bstar.fsa")
+        fsa = parse_fsa((GOLDEN / "astar_bstar.fsa").read_text())
+        et0l = fixture("a_pow2_et0l").grammar
+        zb = relabel_grammar(phr("z_wp"), {"a": "b", "A": "B"})
+        zb_path = tmp_path / "zb.phrg"
+        zb_path.write_text(serialize_document(GrammarDocument(kind="phr", grammar=zb)))
+        pow2 = "a=fixtures/a_pow2"
+        cases = {
+            "hr-to-phr": (["fixtures/dyck_hr"], lambda: tf.hr_to_phr(fixture("dyck_hr").grammar)),
+            "et0l-to-phr": (["fixtures/a_pow2_et0l"], lambda: tf.et0l_to_phr(et0l)),
+            "et0l-propagating": (["fixtures/a_pow2_et0l"], lambda: tf.et0l_propagating(et0l)),
+            "remove-control": (["fixtures/ctl_plus0"], lambda: tf.remove_control(phr("ctl_plus0"))),
+            "remove-unreachable": (
+                ["fixtures/dyck_phr"],
+                lambda: tf.remove_unreachable(phr("dyck_phr")),
+            ),
+            "regular-to-phr": (["--fsa", fsa_path], lambda: tf.regular_to_phr(fsa)),
+            "substitute": (
+                ["fixtures/dyck_phr", "--image", pow2, "--image", "b=fixtures/a_pow2"],
+                lambda: tf.substitute(phr("dyck_phr"), {"a": phr("a_pow2"), "b": phr("a_pow2")}),
+            ),
+            "iterate-substitution": (
+                ["fixtures/a_pow2", "--image", pow2],
+                lambda: tf.iterate_substitution(phr("a_pow2"), {"a": phr("a_pow2")}),
+            ),
+            "union": (
+                ["fixtures/dyck_phr", "fixtures/a_pow2"],
+                lambda: tf.rational_union(phr("dyck_phr"), phr("a_pow2")),
+            ),
+            "concat": (
+                ["fixtures/dyck_phr", "fixtures/a_pow2"],
+                lambda: tf.rational_concat(phr("dyck_phr"), phr("a_pow2")),
+            ),
+            "plus": (["fixtures/dyck_phr"], lambda: tf.rational_plus(phr("dyck_phr"))),
+            "intersect": (
+                ["fixtures/dyck_phr", "--fsa", fsa_path],
+                lambda: tf.rational_intersect(phr("dyck_phr"), fsa),
+            ),
+            "apply-hom": (
+                ["fixtures/dyck_phr", "--map", "a=bb", "--map", "b=", "--mode", "general"],
+                lambda: tf.apply_hom(phr("dyck_phr"), {"a": ("b", "b"), "b": ()}, mode="general"),
+            ),
+            "inverse-hom": (
+                ["fixtures/dyck_phr", "--map", "x=ab", "--map", "y="],
+                lambda: tf.inverse_hom(phr("dyck_phr"), {"x": ("a", "b"), "y": ()}),
+            ),
+            "free-product": (
+                ["fixtures/z_wp", str(zb_path)],
+                lambda: tf.free_product_wp(phr("z_wp"), zb),
+            ),
+        }
+        argv, build = cases[name]
+        kind = "et0l" if name == "et0l-propagating" else "phr"
+        want = serialize_document(GrammarDocument(kind=kind, grammar=build()))
+        code, out, _ = run_cli(capsys, "transform", name, *argv)
+        assert (code, out) == (0, want)
 
     def test_transform_intersect_with_fsa_file(self, capsys, tmp_path):
         fsa = tmp_path / "astar_bstar.fsa"
