@@ -7,7 +7,8 @@ also parse back to the grammar that was built and serialize to the same
 text, so a refactor of the text format cannot change it either.  The cases cross the
 string-grammar fixtures with a few automata and homomorphisms, and add
 the constructions of the benchmark's ``closure`` workload with plain
-state names.
+state names.  The built-in fixtures are pinned the same way, in
+``golden/fixtures.json``.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from phrg import (
     Table,
     apply_hom,
     fixture,
+    fixture_names,
     handle,
     hr_to_phr,
     inverse_hom,
@@ -39,6 +41,7 @@ from phrg import (
 from phrg.textfmt import GrammarDocument, parse_document, serialize_document
 
 GOLDEN = Path(__file__).parent / "golden" / "constructions.json"
+FIXTURES = Path(__file__).parent / "golden" / "fixtures.json"
 
 STRING_FIXTURES = ("dyck_phr", "dyck_hr", "z_wp", "f2_wp", "dihedral_wp", "copy_dyck_K")
 
@@ -183,6 +186,14 @@ def test_every_case_has_a_digest():
 def test_construction_output_unchanged(name):
     _, text = built(name)
     assert hashlib.sha256(text.encode()).hexdigest() == golden()[name]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_output_unchanged(name):
+    text = serialize_document(fixture(name))
+    digests = json.loads(FIXTURES.read_text())
+    assert sorted(digests) == sorted(fixture_names())
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -8,7 +8,9 @@ import pytest
 from phrg import (
     ControlAutomaton,
     ControlledPHRGrammar,
+    ET0LGrammar,
     GrammarError,
+    HRGrammar,
     PHRGrammar,
     Rule,
     Signature,
@@ -167,6 +169,63 @@ class TestGrammarValidation:
                 tables=(("1", t), ("1", t)),
                 order=2,
             )
+
+    # The checks the three grammar kinds share, each with its exact message.
+    SHARED = {
+        "table stray": (
+            lambda: Table(rules=(Rule("Z", handle("Z", 2)),) + IDS, scope=("a", "b")),
+            "rules for labels outside scope: ['Z']",
+        ),
+        "table not total": (
+            lambda: Table(rules=IDS, scope=SIG.labels),
+            "table not left-total, no rules for: ['S']",
+        ),
+        "word table stray": (
+            lambda: WordTable(rules=(("a", ()), ("z", ())), scope=("a",)),
+            "word rules for symbols outside scope: ['z']",
+        ),
+        "word table not total": (
+            lambda: WordTable(rules=(("a", ()),), scope=("a", "b")),
+            "word table not left-total, no rules for: ['b']",
+        ),
+        "phr order": (
+            lambda: PHRGrammar(SIG, ("a",), "S", (("1", identity_table(SIG)),), 1),
+            "order 1 below maximal label arity 2",
+        ),
+        "hr order": (
+            lambda: HRGrammar(SIG, ("S",), "S", dyck_rules(), 1),
+            "order 1 below maximal label arity 2",
+        ),
+        "phr duplicate index": (
+            lambda: PHRGrammar(
+                SIG, ("a",), "S", (("1", identity_table(SIG)), (1, identity_table(SIG))), 2
+            ),
+            "duplicate table indices",
+        ),
+        "et0l duplicate index": (
+            lambda: ET0LGrammar(
+                ("a",), ("a",), "a", (("1", WordTable((("a", ()),), ("a",))),) * 2
+            ),
+            "duplicate table indices",
+        ),
+        "phr scope": (
+            lambda: PHRGrammar(SIG, ("a",), "S", (("1", Table(IDS, ("a", "b"))),), 2),
+            "table '1' scope differs from the signature",
+        ),
+        "et0l scope": (
+            lambda: ET0LGrammar(
+                ("a", "b"), ("a",), "a", (("1", WordTable((("a", ()),), ("a",))),)
+            ),
+            "table '1' scope differs from the alphabet",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", SHARED)
+    def test_shared_check_message(self, case):
+        build, message = self.SHARED[case]
+        with pytest.raises(GrammarError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_control_alphabet_must_match(self):
         t = identity_table(SIG)

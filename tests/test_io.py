@@ -1,6 +1,7 @@
 """Text formats, JSON graphs, DOT export, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -352,6 +353,16 @@ DIAGNOSTICS = {
         7,
         "order 1 below maximal label arity 2",
     ),
+    "hr low order": (
+        doc(HR, 2, "order 1", drop=1),
+        7,
+        "order 1 below maximal label arity 2",
+    ),
+    "et0l duplicate table": (
+        doc(ET0L, None, "table 1", 'S -> str("a")', 'a -> str("a")'),
+        8,
+        "duplicate table index '1'",
+    ),
     "control without init": (
         doc(PHR + CONTROL, 13, drop=1),
         11,
@@ -580,7 +591,20 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+# argv (run from tests/) -> exit code, sha256 of stdout, exact stderr
+CLI_PINS = json.loads((GOLDEN / "cli.json").read_text())
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", CLI_PINS)
+    def test_output_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(GOLDEN.parent)
+        code, out, err = run_cli(capsys, *argv.split())
+        pin = CLI_PINS[argv]
+        assert code == pin["code"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+        assert err == pin["stderr"]
+
     def test_strings_powers(self, capsys):
         code, obj, _ = run_json(
             capsys, "strings", "fixtures/a_pow2", "--max-steps", "4"
