@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dot import export_dot
 from .engine import Limits, enumerate_language, enumerate_strings, member_string
@@ -45,41 +45,35 @@ class CliError(Exception):
     pass
 
 
-def _load_document(path: str) -> GrammarDocument:
+def _read(path: Optional[str], parse: Callable, missing: str, fixtures: bool = False):
+    """Parse a file named on the command line; every failure is a usage error.
+
+    ``missing`` is the message for an absent path.  With ``fixtures``, a
+    path that is not on disk may name a built-in fixture.
+    """
+    if not path:
+        raise CliError(missing)
     p = Path(path)
     if p.exists():
         try:
-            return parse_document(p.read_text())
-        except ParseError as exc:
+            return parse(p.read_text())
+        except (ParseError, HypergraphError) as exc:
             raise CliError(f"{path}: {exc}") from None
-    name = path
-    if name.startswith("fixtures/"):
-        name = name[len("fixtures/") :]
-    if name in fixture_names():
+    name = path.removeprefix("fixtures/")
+    if fixtures and name in fixture_names():
         return fixture(name)
-    raise CliError(f"no such file or fixture: {path}")
+    raise CliError(f"no such file{' or fixture' if fixtures else ''}: {path}")
 
 
-def _load_phr(path: str):
-    doc = _load_document(path)
-    return doc.phr()
+def _document(path: Optional[str], missing: str) -> GrammarDocument:
+    return _read(path, parse_document, missing, fixtures=True)
 
 
-def _load_plain_phr(path: str) -> PHRGrammar:
-    g = _load_phr(path)
+def _plain_phr(path: Optional[str], missing: str) -> PHRGrammar:
+    g = _document(path, missing).phr()
     if isinstance(g, ControlledPHRGrammar):
         raise CliError(f"{path}: this command needs an uncontrolled grammar")
     return g
-
-
-def _load_fsa(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"no such file: {path}")
-    try:
-        return parse_fsa(p.read_text())
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
 
 
 def _limits(args: argparse.Namespace) -> Limits:
@@ -113,7 +107,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit(json.dumps({"format_version": 1, **obj}, indent=2) + "\n", out)
+
+
+def _phr(args: argparse.Namespace):
+    return _document(args.file, f"{args.command} needs an input file").phr()
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -126,7 +124,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         violations = validate(h)
         _emit_json(
             {
-                "format_version": 1,
                 "valid": not violations,
                 "violations": [
                     {"kind": v.kind, "subject": v.subject, "detail": v.detail}
@@ -136,19 +133,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             args.output,
         )
         return 0 if not violations else 1
-    _load_document(args.file)
-    _emit_json({"format_version": 1, "valid": True, "violations": []}, args.output)
+    _document(args.file, f"{args.command} needs an input file")
+    _emit_json({"valid": True, "violations": []}, args.output)
     return 0
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    g = _load_phr(args.file)
+    g = _phr(args)
     grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
     trace = tuple(t for t in args.trace.split(",") if t) if args.trace else ()
     graphs = trace_successors(g, grammar.start_graph(), trace)
     _emit_json(
         {
-            "format_version": 1,
             "trace": list(trace),
             "graphs": [to_json_obj(h) for h in graphs],
         },
@@ -158,11 +154,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    g = _load_phr(args.file)
-    result = enumerate_language(g, _limits(args))
+    result = enumerate_language(_phr(args), _limits(args))
     _emit_json(
         {
-            "format_version": 1,
             "graphs": [to_json_obj(h) for h in result.graphs],
             "exhaustive": result.exhaustive,
             "saturated": result.saturated,
@@ -177,13 +171,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_strings(args: argparse.Namespace) -> int:
-    g = _load_phr(args.file)
     result = enumerate_strings(
-        g, _limits(args), frozenset(args.empty_label or ())
+        _phr(args), _limits(args), frozenset(args.empty_label or ())
     )
     _emit_json(
         {
-            "format_version": 1,
             "words": [list(w) for w in result.words],
             "exhaustive": result.exhaustive,
             "saturated": result.saturated,
@@ -194,13 +186,12 @@ def _cmd_strings(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    g = _load_phr(args.file)
+    g = _phr(args)
     grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
     word = _parse_word_arg(args.word, set(grammar.signature.labels))
     verdict = member_string(g, word, _limits(args))
     _emit_json(
         {
-            "format_version": 1,
             "word": list(word),
             "verdict": verdict.verdict,
             "trace": list(verdict.trace) if verdict.trace is not None else None,
@@ -213,10 +204,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
 def _image_map(pairs: Sequence[str]) -> dict[str, PHRGrammar]:
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise CliError(f"--image needs letter=file, got {pair!r}")
-        letter, path = pair.split("=", 1)
-        out[letter] = _load_plain_phr(path)
+        letter, _, path = pair.partition("=")
+        out[letter] = _plain_phr(path, f"--image needs letter=file, got {pair!r}")
     return out
 
 
@@ -230,45 +219,40 @@ def _hom_map(pairs: Sequence[str]) -> dict[str, tuple[str, ...]]:
     return out
 
 
-def _typed(args: argparse.Namespace, cls: type, kind: str):
-    """The grammar of the input document, which must be of ``kind``."""
-    doc = _load_document(args.file)
-    if not isinstance(doc.grammar, cls):
-        raise CliError(f"{args.name} needs a kind {kind} document")
-    return doc.grammar
-
-
-def _controlled(args: argparse.Namespace) -> ControlledPHRGrammar:
-    g = _load_phr(args.file)
-    if not isinstance(g, ControlledPHRGrammar):
-        raise CliError(f"{args.name} needs a document with a control block")
+def _typed(args: argparse.Namespace, cls: type, need: str):
+    """The input document's grammar, with its control if it has one,
+    which must be a ``cls``; ``need`` says what to give instead."""
+    doc = _document(args.file, f"{args.name} needs an input file")
+    g = doc.phr() if doc.control else doc.grammar
+    if not isinstance(g, cls):
+        raise CliError(f"{args.name} needs {need}")
     return g
 
 
 def _first(args: argparse.Namespace) -> PHRGrammar:
-    return _load_plain_phr(args.file)
+    return _plain_phr(args.file, f"{args.name} needs an input file")
 
 
 def _second(args: argparse.Namespace) -> PHRGrammar:
-    if not args.file2:
-        raise CliError(f"{args.name} takes two grammar files")
-    return _load_plain_phr(args.file2)
+    return _plain_phr(args.file2, f"{args.name} takes two grammar files")
 
 
 def _fsa_arg(args: argparse.Namespace):
-    if not args.fsa:
-        raise CliError(f"{args.name} needs --fsa")
-    return _load_fsa(args.fsa)
+    return _read(args.fsa, parse_fsa, f"{args.name} needs --fsa")
 
 
 # CLI name -> the construction applied to the parsed arguments
 _TRANSFORMS = {
-    "hr-to-phr": lambda a: transforms.hr_to_phr(_typed(a, HRGrammar, "hr")),
-    "et0l-to-phr": lambda a: transforms.et0l_to_phr(_typed(a, ET0LGrammar, "et0l")),
-    "et0l-propagating": lambda a: transforms.et0l_propagating(
-        _typed(a, ET0LGrammar, "et0l")
+    "hr-to-phr": lambda a: transforms.hr_to_phr(_typed(a, HRGrammar, "a kind hr document")),
+    "et0l-to-phr": lambda a: transforms.et0l_to_phr(
+        _typed(a, ET0LGrammar, "a kind et0l document")
     ),
-    "remove-control": lambda a: transforms.remove_control(_controlled(a)),
+    "et0l-propagating": lambda a: transforms.et0l_propagating(
+        _typed(a, ET0LGrammar, "a kind et0l document")
+    ),
+    "remove-control": lambda a: transforms.remove_control(
+        _typed(a, ControlledPHRGrammar, "a document with a control block")
+    ),
     "remove-unreachable": lambda a: transforms.remove_unreachable(_first(a)),
     "regular-to-phr": lambda a: transforms.regular_to_phr(_fsa_arg(a)),
     "substitute": lambda a: transforms.substitute(_first(a), _image_map(a.image or ())),
@@ -295,14 +279,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    p = Path(args.file)
-    if not p.exists():
-        raise CliError(f"no such file: {args.file}")
-    try:
-        h = from_json(p.read_text())
-    except HypergraphError as exc:
-        raise CliError(f"{args.file}: {exc}") from None
-    _emit(export_dot(h, name=p.stem), args.output)
+    h = _read(args.file, from_json, "export-dot needs an input file")
+    _emit(export_dot(h, name=Path(args.file).stem), args.output)
     return 0
 
 
@@ -310,7 +288,6 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     if args.action == "list":
         _emit_json(
             {
-                "format_version": 1,
                 "fixtures": [
                     {"name": n, "description": fixture_description(n)}
                     for n in fixture_names()
@@ -335,23 +312,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name: str, **kw) -> argparse.ArgumentParser:
+    def sub(name: str, handler: Callable, **kw) -> argparse.ArgumentParser:
         s = subs.add_parser(name, **kw)
         s.add_argument("-o", "--output", help="write to a file instead of stdout")
+        s.set_defaults(handler=handler)
         return s
 
-    s = sub("validate", help="check a grammar document or hypergraph JSON file")
+    s = sub("validate", _cmd_validate, help="check a grammar document or hypergraph JSON file")
     s.add_argument("file")
 
-    s = sub("derive", help="apply a table trace to the start handle")
+    s = sub("derive", _cmd_derive, help="apply a table trace to the start handle")
     s.add_argument("file")
     s.add_argument("--trace", default="", help="comma-separated table indices")
 
-    s = sub("enumerate", help="enumerate derivable graphs within limits")
+    s = sub("enumerate", _cmd_enumerate, help="enumerate derivable graphs within limits")
     s.add_argument("file")
     _add_limit_flags(s)
 
-    s = sub("strings", help="enumerate derivable words within limits")
+    s = sub("strings", _cmd_strings, help="enumerate derivable words within limits")
     s.add_argument("file")
     s.add_argument(
         "--empty-label",
@@ -360,12 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_limit_flags(s)
 
-    s = sub("member", help="search for a word's derivation")
+    s = sub("member", _cmd_member, help="search for a word's derivation")
     s.add_argument("file")
     s.add_argument("word")
     _add_limit_flags(s)
 
-    s = sub("transform", help="apply a grammar construction")
+    s = sub("transform", _cmd_transform, help="apply a grammar construction")
     s.add_argument("name", choices=_TRANSFORMS)
     s.add_argument("file", nargs="?", help="input grammar document")
     s.add_argument("file2", nargs="?", help="second grammar document")
@@ -382,10 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--mode", choices=["rf", "general"], default="rf")
 
-    s = sub("export-dot", help="render a hypergraph JSON file as DOT")
+    s = sub("export-dot", _cmd_export_dot, help="render a hypergraph JSON file as DOT")
     s.add_argument("file")
 
-    s = sub("fixtures", help="list or emit built-in grammars")
+    s = sub("fixtures", _cmd_fixtures, help="list or emit built-in grammars")
     s.add_argument("action", choices=["list", "emit"])
     s.add_argument("fixture_name", nargs="?")
 
@@ -393,24 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "derive": _cmd_derive,
-        "enumerate": _cmd_enumerate,
-        "strings": _cmd_strings,
-        "member": _cmd_member,
-        "transform": _cmd_transform,
-        "export-dot": _cmd_export_dot,
-        "fixtures": _cmd_fixtures,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (CliError, ParseError, GrammarError, TransformError, HypergraphError) as exc:
-        print(f"phrg: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (CliError, ParseError, GrammarError, TransformError, HypergraphError, OSError) as exc:
         print(f"phrg: {exc}", file=sys.stderr)
         return 2
 

@@ -59,10 +59,6 @@ class MemberVerdict:
     trace: Optional[tuple[str, ...]] = None
 
 
-def _is_terminal(h: Hypergraph, terminals: frozenset[str]) -> bool:
-    return all(e.label in terminals for e in h.edges)
-
-
 @dataclass
 class _Search:
     grammar: PHRGrammar
@@ -132,11 +128,9 @@ class _Search:
         self.saturated = not frontier and not self.hit_results
 
     def _accepting(self, h: Hypergraph, state, terminals: frozenset[str]) -> bool:
-        if not _is_terminal(h, terminals):
+        if not all(e.label in terminals for e in h.edges):
             return False
-        if self.control is None:
-            return True
-        return state in self.control.finals
+        return self.control is None or state in self.control.finals
 
 
 def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumeration:

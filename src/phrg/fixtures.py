@@ -1,6 +1,6 @@
 """Built-in example grammars.
 
-Each fixture is a document builder; ``fixture(name)`` returns a fresh
+Each fixture is a grammar builder; ``fixture(name)`` returns a fresh
 ``GrammarDocument``.  These cover the main language families the test
 suite exercises: an exponential graph family, a doubling string family,
 bracket languages, a copy language that is not context-free, and word
@@ -13,67 +13,63 @@ from functools import lru_cache
 from typing import Callable
 
 from .grammar import (
+    AnyPHR,
     ControlAutomaton,
+    ControlledPHRGrammar,
     ET0LGrammar,
     HRGrammar,
     PHRGrammar,
     Rule,
     Table,
     WordTable,
+    identity_table,
+    override_table,
 )
 from .hypergraph import Signature, disjoint_union, handle, hypergraph, string_graph
 from .textfmt import GrammarDocument
 from .transforms import et0l_to_phr, free_product_wp, hr_to_phr, relabel_grammar
 
 
-def _fig5_squares() -> GrammarDocument:
+def _fig5_squares() -> PHRGrammar:
     sig = Signature.of({"box": 0})
     double = disjoint_union(handle("box", 0), handle("box", 0))
     table = Table(rules=(Rule("box", double),), scope=sig.labels)
-    g = PHRGrammar(
+    return PHRGrammar(
         signature=sig,
         terminals=("box",),
         start="box",
         tables=(("1", table),),
         order=0,
     )
-    return GrammarDocument(kind="phr", grammar=g, name="fig5_squares")
 
 
-def _a_pow2_et0l() -> GrammarDocument:
-    g = ET0LGrammar(
+def _a_pow2_et0l() -> ET0LGrammar:
+    return ET0LGrammar(
         alphabet=("a",),
         terminals=("a",),
         axiom="a",
         tables=(("1", WordTable(rules=(("a", ("a", "a")),), scope=("a",))),),
     )
-    return GrammarDocument(kind="et0l", grammar=g, name="a_pow2_et0l")
 
 
-def _a_pow2() -> GrammarDocument:
-    g = et0l_to_phr(_a_pow2_et0l().grammar)
-    return GrammarDocument(kind="phr", grammar=g, name="a_pow2")
-
-
-def _dyck_hr() -> GrammarDocument:
-    sig = Signature.of({"S": 2, "a": 2, "b": 2})
-    rules = (
-        Rule("S", string_graph(("a", "b"))),
-        Rule("S", string_graph(("a", "S", "b"))),
-        Rule("S", string_graph(("S", "S"))),
+def _words_hr(*words: str) -> HRGrammar:
+    """The sequential grammar with one rule S -> w per word, in this order;
+    every other letter is a terminal of arity 2."""
+    letters = {a for w in words for a in w}
+    return HRGrammar(
+        signature=Signature.of(dict.fromkeys(letters, 2)),
+        nonterminals=("S",),
+        start="S",
+        rules=tuple(Rule("S", string_graph(w)) for w in words),
+        order=2,
     )
-    g = HRGrammar(
-        signature=sig, nonterminals=("S",), start="S", rules=rules, order=2
-    )
-    return GrammarDocument(kind="hr", grammar=g, name="dyck_hr")
 
 
-def _dyck_phr() -> GrammarDocument:
-    g = hr_to_phr(_dyck_hr().grammar)
-    return GrammarDocument(kind="phr", grammar=g, name="dyck_phr")
+def _dyck_hr() -> HRGrammar:
+    return _words_hr("ab", "aSb", "SS")
 
 
-def _copy_dyck_K() -> GrammarDocument:
+def _copy_dyck_K() -> PHRGrammar:
     """Words w tagged-copy(w) with w a bracket word; not context-free.
 
     A type-4 nonterminal W grows two tracks in lockstep: its external
@@ -130,132 +126,75 @@ def _copy_dyck_K() -> GrammarDocument:
         ),
         order=4,
     )
-    return GrammarDocument(kind="phr", grammar=hr_to_phr(g), name="copy_dyck_K")
+    return hr_to_phr(g)
 
 
-def _z_wp() -> GrammarDocument:
+def _z_wp() -> PHRGrammar:
     """Word problem of the integers: words with equally many a and A."""
-    sig = Signature.of({"S": 2, "a": 2, "A": 2})
-    rules = (
-        Rule("S", string_graph(("S", "S"))),
-        Rule("S", string_graph(("a", "S", "A"))),
-        Rule("S", string_graph(("A", "S", "a"))),
-        Rule("S", string_graph(("a", "A"))),
-        Rule("S", string_graph(("A", "a"))),
-    )
-    g = HRGrammar(
-        signature=sig, nonterminals=("S",), start="S", rules=rules, order=2
-    )
-    return GrammarDocument(kind="phr", grammar=hr_to_phr(g), name="z_wp")
+    return hr_to_phr(_words_hr("SS", "aSA", "ASa", "aA", "Aa"))
 
 
 @lru_cache(maxsize=1)
-def _f2_wp_grammar() -> PHRGrammar:
-    z1 = _z_wp().grammar
-    assert isinstance(z1, PHRGrammar)
-    z2 = relabel_grammar(z1, {"a": "b", "A": "B"})
-    return free_product_wp(z1, z2)
+def _f2_wp() -> PHRGrammar:
+    z1 = _z_wp()
+    return free_product_wp(z1, relabel_grammar(z1, {"a": "b", "A": "B"}))
 
 
-def _f2_wp() -> GrammarDocument:
-    return GrammarDocument(kind="phr", grammar=_f2_wp_grammar(), name="f2_wp")
-
-
-def _z2_wp() -> GrammarDocument:
+def _z2_wp() -> PHRGrammar:
     """Word problem of the order-two group: even powers of a."""
-    sig = Signature.of({"S": 2, "a": 2})
-    rules = (
-        Rule("S", string_graph(("S", "S"))),
-        Rule("S", string_graph(("a", "a"))),
-        Rule("S", string_graph(("a", "S", "a"))),
-    )
-    g = HRGrammar(
-        signature=sig, nonterminals=("S",), start="S", rules=rules, order=2
-    )
-    return GrammarDocument(kind="phr", grammar=hr_to_phr(g), name="z2_wp")
+    return hr_to_phr(_words_hr("SS", "aa", "aSa"))
 
 
-def _dihedral_wp() -> GrammarDocument:
-    z2a = _z2_wp().grammar
-    assert isinstance(z2a, PHRGrammar)
-    z2b = relabel_grammar(z2a, {"a": "b"})
-    return GrammarDocument(
-        kind="phr", grammar=free_product_wp(z2a, z2b), name="dihedral_wp"
-    )
+def _dihedral_wp() -> PHRGrammar:
+    z2a = _z2_wp()
+    return free_product_wp(z2a, relabel_grammar(z2a, {"a": "b"}))
 
 
-def _ctl_base() -> PHRGrammar:
+def _ctl(transitions: str, finals: str) -> ControlledPHRGrammar:
+    """The appending grammar under a control automaton.
+
+    Table 1 appends a, table 2 appends b and table 0 ends with b.  Each
+    transition is spelled ``qap`` for q -a-> p, and the first one leaves
+    the initial state.
+    """
     sig = Signature.of({"s": 2, "a": 2, "b": 2})
-    ids = (Rule("a", handle("a", 2)), Rule("b", handle("b", 2)))
-    t1 = Table(rules=(Rule("s", string_graph(("a", "s"))),) + ids, scope=sig.labels)
-    t2 = Table(rules=(Rule("s", string_graph(("b", "s"))),) + ids, scope=sig.labels)
-    t0 = Table(rules=(Rule("s", string_graph(("b",))),) + ids, scope=sig.labels)
-    return PHRGrammar(
-        signature=sig,
-        terminals=("a", "b"),
-        start="s",
-        tables=(("1", t1), ("2", t2), ("0", t0)),
-        order=2,
+    ids = identity_table(sig)
+    tables = tuple(
+        (i, override_table(ids, [Rule("s", string_graph(w))]))
+        for i, w in (("1", "as"), ("2", "bs"), ("0", "b"))
     )
-
-
-def _ctl(name: str, control: ControlAutomaton) -> GrammarDocument:
-    return GrammarDocument(kind="phr", grammar=_ctl_base(), control=control, name=name)
-
-
-def _ctl_none() -> GrammarDocument:
+    trans = tuple(tuple(t) for t in transitions.split())
     control = ControlAutomaton(
-        states=("q",),
+        states=tuple({q for t in trans for q in (t[0], t[2])}),
         alphabet=("0", "1", "2"),
-        transitions=(("q", "0", "q"), ("q", "1", "q"), ("q", "2", "q")),
-        initial="q",
-        finals=(),
+        transitions=trans,
+        initial=trans[0][0],
+        finals=tuple(finals),
     )
-    return _ctl("ctl_none", control)
+    g = PHRGrammar(signature=sig, terminals=("a", "b"), start="s", tables=tables, order=2)
+    return ControlledPHRGrammar(grammar=g, control=control)
 
 
-def _ctl_all() -> GrammarDocument:
-    control = ControlAutomaton(
-        states=("q",),
-        alphabet=("0", "1", "2"),
-        transitions=(("q", "0", "q"), ("q", "1", "q"), ("q", "2", "q")),
-        initial="q",
-        finals=("q",),
-    )
-    return _ctl("ctl_all", control)
-
-
-def _ctl_plus0() -> GrammarDocument:
-    control = ControlAutomaton(
-        states=("p", "r", "f"),
-        alphabet=("0", "1", "2"),
-        transitions=(
-            ("p", "1", "r"),
-            ("p", "2", "r"),
-            ("r", "1", "r"),
-            ("r", "2", "r"),
-            ("r", "0", "f"),
-        ),
-        initial="p",
-        finals=("f",),
-    )
-    return _ctl("ctl_plus0", control)
-
-
-_BUILDERS: dict[str, tuple[str, Callable[[], GrammarDocument]]] = {
+_BUILDERS: dict[str, tuple[str, Callable[[], AnyPHR | HRGrammar | ET0LGrammar]]] = {
     "fig5_squares": ("doubling family of 0-ary edges", _fig5_squares),
     "a_pow2_et0l": ("word grammar doubling a run of a", _a_pow2_et0l),
-    "a_pow2": ("string graphs a^(2^n)", _a_pow2),
+    "a_pow2": ("string graphs a^(2^n)", lambda: et0l_to_phr(_a_pow2_et0l())),
     "dyck_hr": ("balanced brackets, sequential grammar", _dyck_hr),
-    "dyck_phr": ("balanced brackets, embedded", _dyck_phr),
+    "dyck_phr": ("balanced brackets, embedded", lambda: hr_to_phr(_dyck_hr())),
     "copy_dyck_K": ("bracket word followed by its tagged copy", _copy_dyck_K),
     "z_wp": ("words with equally many a and A", _z_wp),
     "f2_wp": ("word problem of the rank-2 free group", _f2_wp),
     "z2_wp": ("nonempty even powers of a", _z2_wp),
     "dihedral_wp": ("word problem of the infinite dihedral group", _dihedral_wp),
-    "ctl_none": ("appending grammar, empty control", _ctl_none),
-    "ctl_all": ("appending grammar, unrestricted control", _ctl_all),
-    "ctl_plus0": ("appending grammar, grow-then-stop control", _ctl_plus0),
+    "ctl_none": ("appending grammar, empty control", lambda: _ctl("q0q q1q q2q", "")),
+    "ctl_all": (
+        "appending grammar, unrestricted control",
+        lambda: _ctl("q0q q1q q2q", "q"),
+    ),
+    "ctl_plus0": (
+        "appending grammar, grow-then-stop control",
+        lambda: _ctl("p1r p2r r1r r2r r0f", "f"),
+    ),
 }
 
 
@@ -270,4 +209,8 @@ def fixture_description(name: str) -> str:
 def fixture(name: str) -> GrammarDocument:
     if name not in _BUILDERS:
         raise KeyError(f"no fixture named {name!r}")
-    return _BUILDERS[name][1]()
+    g = _BUILDERS[name][1]()
+    if isinstance(g, ControlledPHRGrammar):
+        return GrammarDocument("phr", g.grammar, control=g.control, name=name)
+    kind = {HRGrammar: "hr", ET0LGrammar: "et0l"}.get(type(g), "phr")
+    return GrammarDocument(kind, g, name=name)

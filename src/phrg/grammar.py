@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .canonical import canonical_graph, canonical_key
 from .hypergraph import (
@@ -61,6 +61,34 @@ def is_identity_rule(rule: Rule) -> bool:
     )
 
 
+def _sort_fields(obj: object, *fields: str) -> None:
+    """Store each named field of a frozen dataclass as a sorted set."""
+    for f in fields:
+        object.__setattr__(obj, f, tuple(sorted(set(getattr(obj, f)))))
+
+
+def _set_total(table: Table | WordTable, rules: tuple, lhs: set[str], word: str) -> None:
+    """Store normalized ``rules`` and the sorted scope on a table, whose
+    rules' left-hand sides ``lhs`` must be exactly its scope; ``word``
+    prefixes the messages of a word table."""
+    object.__setattr__(table, "rules", rules)
+    _sort_fields(table, "scope")
+    stray = lhs - set(table.scope)
+    if stray:
+        symbols = "symbols" if word else "labels"
+        raise GrammarError(f"{word}rules for {symbols} outside scope: {sorted(stray)}")
+    missing = set(table.scope) - lhs
+    if missing:
+        raise GrammarError(f"{word}table not left-total, no rules for: {sorted(missing)}")
+
+
+def _by_lhs(scope: Sequence[str], pairs: Iterable[tuple[str, object]]) -> dict:
+    out: dict[str, list] = {l: [] for l in scope}
+    for l, x in pairs:
+        out[l].append(x)
+    return {l: tuple(xs) for l, xs in out.items()}
+
+
 @dataclass(frozen=True)
 class Table:
     """A left-total set of rules covering every label in ``scope``.
@@ -75,26 +103,15 @@ class Table:
     scope: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        scope = tuple(sorted(set(self.scope)))
         first: dict[tuple[str, bytes], Rule] = {}
         for r in self.rules:
             first.setdefault((r.lhs, canonical_key(r.rhs)), r)
-        object.__setattr__(self, "rules", tuple(first[k] for k in sorted(first)))
-        object.__setattr__(self, "scope", scope)
-        lhs_set = {r.lhs for r in self.rules}
-        stray = lhs_set - set(scope)
-        if stray:
-            raise GrammarError(f"rules for labels outside scope: {sorted(stray)}")
-        missing = set(scope) - lhs_set
-        if missing:
-            raise GrammarError(f"table not left-total, no rules for: {sorted(missing)}")
+        rules = tuple(first[k] for k in sorted(first))
+        _set_total(self, rules, {r.lhs for r in rules}, "")
 
     @cached_property
     def by_label(self) -> dict[str, tuple[Rule, ...]]:
-        out: dict[str, list[Rule]] = {l: [] for l in self.scope}
-        for r in self.rules:
-            out[r.lhs].append(r)
-        return {l: tuple(rs) for l, rs in out.items()}
+        return _by_lhs(self.scope, ((r.lhs, r) for r in self.rules))
 
     @cached_property
     def active_labels(self) -> frozenset[str]:
@@ -124,6 +141,28 @@ def override_table(base: Table, overlay: Iterable[Rule]) -> Table:
     return Table(rules=kept + overlay, scope=base.scope)
 
 
+def _check_order(order: int, sig: Signature) -> None:
+    max_arity = max((sig.arity(l) for l in sig.labels), default=0)
+    if order < max_arity:
+        raise GrammarError(f"order {order} below maximal label arity {max_arity}")
+
+
+def _set_tables(
+    g: PHRGrammar | ET0LGrammar, labels: set[str], source: str, check: Callable
+) -> None:
+    """Give the grammar's tables string indices, which must be unique.  Each
+    table must cover exactly ``labels``, those of the ``source``, before
+    ``check(index, table)`` runs on it."""
+    object.__setattr__(g, "tables", tuple((str(i), t) for i, t in g.tables))
+    indices = [i for i, _ in g.tables]
+    if len(set(indices)) != len(indices):
+        raise GrammarError("duplicate table indices")
+    for idx, table in g.tables:
+        if set(table.scope) != labels:
+            raise GrammarError(f"table {idx!r} scope differs from the {source}")
+        check(idx, table)
+
+
 def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) -> None:
     for r in rules:
         if r.lhs not in lhs_domain:
@@ -150,31 +189,16 @@ class PHRGrammar:
     order: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terminals", tuple(sorted(set(self.terminals))))
-        object.__setattr__(
-            self, "tables", tuple((str(i), t) for i, t in self.tables)
-        )
+        _sort_fields(self, "terminals")
         sig = self.signature
         for a in self.terminals:
             if a not in sig:
                 raise GrammarError(f"terminal {a!r} not in signature")
         if self.start not in sig:
             raise GrammarError(f"start label {self.start!r} not in signature")
-        max_arity = max((sig.arity(l) for l in sig.labels), default=0)
-        if self.order < max_arity:
-            raise GrammarError(
-                f"order {self.order} below maximal label arity {max_arity}"
-            )
-        indices = [i for i, _ in self.tables]
-        if len(set(indices)) != len(indices):
-            raise GrammarError("duplicate table indices")
-        all_labels = set(sig.labels)
-        for idx, table in self.tables:
-            if set(table.scope) != all_labels:
-                raise GrammarError(
-                    f"table {idx!r} scope differs from the signature"
-                )
-            _check_rules(table.rules, sig, all_labels)
+        _check_order(self.order, sig)
+        labels = set(sig.labels)
+        _set_tables(self, labels, "signature", lambda _, t: _check_rules(t.rules, sig, labels))
 
     @cached_property
     def repetition_free(self) -> bool:
@@ -219,18 +243,14 @@ class HRGrammar:
     order: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nonterminals", tuple(sorted(set(self.nonterminals))))
+        _sort_fields(self, "nonterminals")
         sig = self.signature
         for n in self.nonterminals:
             if n not in sig:
                 raise GrammarError(f"nonterminal {n!r} not in signature")
         if self.start not in self.nonterminals:
             raise GrammarError(f"start label {self.start!r} not a nonterminal")
-        max_arity = max((sig.arity(l) for l in sig.labels), default=0)
-        if self.order < max_arity:
-            raise GrammarError(
-                f"order {self.order} below maximal label arity {max_arity}"
-            )
+        _check_order(self.order, sig)
         _check_rules(self.rules, sig, set(self.nonterminals))
 
     @property
@@ -246,28 +266,12 @@ class WordTable:
     scope: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        scope = tuple(sorted(set(self.scope)))
-        rules = tuple(
-            sorted(set((str(l), tuple(w)) for l, w in self.rules))
-        )
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "scope", scope)
-        lhs_set = {l for l, _ in rules}
-        stray = lhs_set - set(scope)
-        if stray:
-            raise GrammarError(f"word rules for symbols outside scope: {sorted(stray)}")
-        missing = set(scope) - lhs_set
-        if missing:
-            raise GrammarError(
-                f"word table not left-total, no rules for: {sorted(missing)}"
-            )
+        rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
+        _set_total(self, rules, {l for l, _ in rules}, "word ")
 
     @cached_property
     def by_symbol(self) -> dict[str, tuple[Word, ...]]:
-        out: dict[str, list[Word]] = {l: [] for l in self.scope}
-        for l, w in self.rules:
-            out[l].append(w)
-        return {l: tuple(ws) for l, ws in out.items()}
+        return _by_lhs(self.scope, self.rules)
 
 
 @dataclass(frozen=True)
@@ -278,28 +282,20 @@ class ET0LGrammar:
     tables: tuple[tuple[str, WordTable], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(sorted(set(self.alphabet))))
-        object.__setattr__(self, "terminals", tuple(sorted(set(self.terminals))))
-        object.__setattr__(
-            self, "tables", tuple((str(i), t) for i, t in self.tables)
-        )
+        _sort_fields(self, "alphabet", "terminals")
         symbols = set(self.alphabet)
         if not set(self.terminals) <= symbols:
             raise GrammarError("terminals must be alphabet symbols")
         if self.axiom not in symbols:
             raise GrammarError(f"axiom {self.axiom!r} not in alphabet")
-        indices = [i for i, _ in self.tables]
-        if len(set(indices)) != len(indices):
-            raise GrammarError("duplicate table indices")
-        for idx, t in self.tables:
-            if set(t.scope) != symbols:
-                raise GrammarError(f"table {idx!r} scope differs from the alphabet")
+
+        def words(idx: str, t: WordTable) -> None:
             for l, w in t.rules:
                 bad = [a for a in w if a not in symbols]
                 if bad:
-                    raise GrammarError(
-                        f"table {idx!r}, rule for {l!r}: unknown symbols {bad}"
-                    )
+                    raise GrammarError(f"table {idx!r}, rule for {l!r}: unknown symbols {bad}")
+
+        _set_tables(self, symbols, "alphabet", words)
 
 
 @dataclass(frozen=True)
@@ -313,10 +309,7 @@ class ControlAutomaton:
     finals: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(sorted(set(self.states))))
-        object.__setattr__(self, "alphabet", tuple(sorted(set(self.alphabet))))
-        object.__setattr__(self, "transitions", tuple(sorted(set(self.transitions))))
-        object.__setattr__(self, "finals", tuple(sorted(set(self.finals))))
+        _sort_fields(self, "states", "alphabet", "transitions", "finals")
         states = set(self.states)
         if self.initial not in states:
             raise GrammarError(f"initial state {self.initial!r} unknown")

@@ -189,7 +189,7 @@ def string_graph(word: Sequence[str] | str, sig: Optional[Signature] = None) -> 
     The empty word gives the one-node graph whose two external nodes
     coincide; note that graph is not repetition-free.
     """
-    letters = tuple(word) if not isinstance(word, str) else tuple(word)
+    letters = tuple(word)
     if sig is not None:
         for a in letters:
             if sig.arity(a) != 2:

@@ -243,20 +243,14 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
         for c in itertools.combinations(er_sorted, k)
     ]
 
+    def enc(e_set: frozenset[str]) -> str:
+        return "+".join(sorted(e_set)) if e_set else "-"
+
     used = set(g.alphabet)
     start2 = _fresh(used, "@start")
     dead = _fresh(used, "@dead")
-    sym: dict[tuple[str, frozenset[str]], str] = {}
-    for x in g.alphabet:
-        for e_set in subsets:
-            tag = "+".join(sorted(e_set)) if e_set else "-"
-            sym[(x, e_set)] = _fresh(used, f"@{x}|{tag}")
-    alphabet2 = tuple(
-        sorted({start2, dead, *g.terminals, *sym.values()})
-    )
-
-    def enc(e_set: frozenset[str]) -> str:
-        return "+".join(sorted(e_set)) if e_set else "-"
+    sym = {(x, e): _fresh(used, f"@{x}|{enc(e)}") for x in g.alphabet for e in subsets}
+    alphabet2 = tuple(sorted({start2, dead, *g.terminals, *sym.values()}))
 
     def fill(rules: list[tuple[str, Word]]) -> WordTable:
         have = {l for l, _ in rules}
@@ -572,10 +566,7 @@ def _substitution_build(
     dead = {j: _fresh(used, f"@dead{j}") for j in range(k + 1)}
 
     arities = {l: host.signature.arity(l) for l in host.signature.labels}
-    for b in target:
-        if b in arities and arities[b] != 2:
-            raise TransformError(f"letter {b!r} has arity {arities[b]}")
-        arities[b] = 2
+    arities.update(dict.fromkeys(target, 2))  # the host has no target letter left
     for a in letters:
         isig = images[a].signature
         for x in isig.labels:

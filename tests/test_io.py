@@ -798,6 +798,12 @@ class TestCli:
         code, out, _ = run_cli(capsys, "transform", name, *argv)
         assert (code, out) == (0, want)
 
+    @pytest.mark.parametrize("name", sorted(set(_TRANSFORMS) - {"regular-to-phr"}))
+    def test_transform_without_input_is_usage_error(self, capsys, name):
+        code, out, err = run_cli(capsys, "transform", name)
+        assert (code, out) == (2, "")
+        assert err == f"phrg: {name} needs an input file\n"
+
     def test_transform_intersect_with_fsa_file(self, capsys, tmp_path):
         fsa = tmp_path / "astar_bstar.fsa"
         fsa.write_text((GOLDEN / "astar_bstar.fsa").read_text())
