@@ -115,12 +115,12 @@ def _phr(args: argparse.Namespace):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # A file that cannot be parsed at all is unusable input (exit 2, the
-    # error propagates); a parseable graph with violations is a negative
-    # verdict (exit 1).
-    p = Path(args.file)
-    if p.suffix == ".json" and p.exists():
-        h = from_json(p.read_text())
+    # A file that cannot be parsed at all is unusable input (exit 2, named
+    # by _read); a parseable graph with violations is a negative verdict
+    # (exit 1).
+    missing = f"{args.command} needs an input file"
+    if Path(args.file).suffix == ".json":
+        h = _read(args.file, from_json, missing)
         violations = validate(h)
         _emit_json(
             {
@@ -133,7 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             args.output,
         )
         return 0 if not violations else 1
-    _document(args.file, f"{args.command} needs an input file")
+    _document(args.file, missing)
     _emit_json({"valid": True, "violations": []}, args.output)
     return 0
 

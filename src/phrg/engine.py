@@ -1,9 +1,9 @@
 """Bounded derivation engine: language enumeration and membership.
 
-Exploration is breadth-first over canonical forms (paired with control
-states when a control automaton is present), so each isomorphism class
-is expanded once.  All searches are bounded; the result records say
-exactly which budget, if any, cut the search:
+Exploration is breadth-first over canonical forms, or word forms (see
+below), paired with control states when a control automaton is present,
+so each isomorphism class is expanded once.  All searches are bounded;
+the result records say exactly which budget, if any, cut the search:
 
 * ``exhaustive`` is True iff no node, edge or result budget pruned
   anything.  The step horizon does not clear it: the enumeration is then
@@ -14,6 +14,15 @@ exactly which budget, if any, cut the search:
 For grammars whose rules never shrink the graph (``node_monotone`` /
 ``edge_monotone``) a saturated run with an edge or node bound is a
 completeness proof for all graphs within that bound, pruned or not.
+
+A ``string_shaped`` grammar is searched over words: every form it
+derives is a string graph plus nullary edges, so the state is a
+``WordForm`` (the word and its sorted nullary labels), which is its own
+key, and no form is replaced or canonicalized.  Only the graphs that
+``enumerate_language`` returns are built.  Results, flags and verdicts
+are those of the search over graphs; a member trace is some shortest
+witness, which may differ from the one the graph search would pick when
+several tie.
 """
 
 from __future__ import annotations
@@ -22,8 +31,15 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .canonical import canonical_key
-from .grammar import AnyPHR, PHRGrammar, Word, parallel_budgeted, split_control
+from .canonical import canonical_graph, canonical_key
+from .grammar import (
+    AnyPHR,
+    PHRGrammar,
+    Word,
+    WordForm,
+    parallel_budgeted,
+    split_control,
+)
 from .hypergraph import Hypergraph, extract_string, string_graph
 
 
@@ -73,20 +89,25 @@ class _Search:
     saturated: bool = False
 
     def run(self, on_accept) -> None:
-        """BFS; calls ``on_accept(pair, graph)`` for each accepted state.
+        """BFS; calls ``on_accept(pair, state)`` for each accepted state.
 
         ``on_accept`` may return True to stop the whole search early.
         """
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
-        start = grammar.start_graph()
-        if len(start.nodes) > limits.max_nodes or len(start.edges) > limits.max_edges:
-            self.hit_nodes = len(start.nodes) > limits.max_nodes
-            self.hit_edges = self.hit_edges or len(start.edges) > limits.max_edges
+        if grammar.string_shaped:
+            start = WordForm((grammar.start,), ())
+            key, nodes, edges = start, 2, 1
+        else:
+            start = grammar.start_graph()
+            key, nodes, edges = canonical_key(start), len(start.nodes), len(start.edges)
+        if nodes > limits.max_nodes or edges > limits.max_edges:
+            self.hit_nodes = nodes > limits.max_nodes
+            self.hit_edges = edges > limits.max_edges
             self.saturated = True
             return
         q0 = ctrl.initial if ctrl is not None else None
-        start_pair = (canonical_key(start), q0)
+        start_pair = (key, q0)
         self.visited[start_pair] = start
         self.parents[start_pair] = None
         if self._accepting(start, q0, terminals) and on_accept(start_pair, start):
@@ -127,10 +148,28 @@ class _Search:
             frontier = next_frontier
         self.saturated = not frontier and not self.hit_results
 
-    def _accepting(self, h: Hypergraph, state, terminals: frozenset[str]) -> bool:
-        if not all(e.label in terminals for e in h.edges):
+    @property
+    def exhaustive(self) -> bool:
+        return not (self.hit_nodes or self.hit_edges or self.hit_results)
+
+    def _accepting(self, form, state, terminals: frozenset[str]) -> bool:
+        if not form.labels() <= terminals:
             return False
         return self.control is None or state in self.control.finals
+
+
+def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
+    """Run the search; its accepted states, one per key."""
+    grammar, ctrl = split_control(g)
+    search = _Search(grammar=grammar, control=ctrl, limits=limits)
+    results: dict = {}
+
+    def collect(pair, form) -> bool:
+        results[pair[0]] = form
+        return False
+
+    search.run(collect)
+    return search, results
 
 
 def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumeration:
@@ -141,18 +180,13 @@ def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumerat
     when some derivation's table trace is accepted by the control
     automaton.
     """
-    grammar, ctrl = split_control(g)
-    search = _Search(grammar=grammar, control=ctrl, limits=limits)
-    results: dict[bytes, Hypergraph] = {}
-
-    def collect(pair, graph) -> bool:
-        results[pair[0]] = graph
-        return False
-
-    search.run(collect)
+    search, results = _accepted(g, limits)
+    if search.grammar.string_shaped:
+        graphs = (form.graph() for form in results.values())
+        results = {canonical_key(h): canonical_graph(h) for h in graphs}
     return LanguageEnumeration(
         graphs=tuple(results[k] for k in sorted(results)),
-        exhaustive=not (search.hit_nodes or search.hit_edges or search.hit_results),
+        exhaustive=search.exhaustive,
         saturated=search.saturated,
         steps=search.steps_taken,
         hit_node_bound=search.hit_nodes,
@@ -171,16 +205,21 @@ def enumerate_strings(
     The empty word is never included: string languages are compared
     modulo the empty word throughout.
     """
-    result = enumerate_language(g, limits)
-    words = set()
-    for h in result.graphs:
-        w = extract_string(h, frozenset(empty_labels))
-        if w:
-            words.add(w)
+    search, results = _accepted(g, limits)
+    empty = frozenset(empty_labels)
+    if search.grammar.string_shaped:
+        found = (
+            tuple(a for a in form.word if a not in empty)
+            for form in results.values()
+            if not form.flags
+        )
+    else:
+        found = (extract_string(h, empty) for h in results.values())
+    words = {w for w in found if w}
     return StringEnumeration(
         words=tuple(sorted(words, key=lambda w: (len(w), w))),
-        exhaustive=result.exhaustive,
-        saturated=result.saturated,
+        exhaustive=search.exhaustive,
+        saturated=search.saturated,
     )
 
 
@@ -204,7 +243,10 @@ def member_string(
     for a in letters:
         if a not in terminals or grammar.signature.arity(a) != 2:
             return MemberVerdict("no-within-limits")
-    target = canonical_key(string_graph(letters))
+    if grammar.string_shaped:
+        target = WordForm(letters, ())
+    else:
+        target = canonical_key(string_graph(letters))
 
     cap_nodes = len(letters) + 1 if grammar.node_monotone else limits.max_nodes
     cap_edges = len(letters) if grammar.edge_monotone else limits.max_edges
@@ -216,7 +258,7 @@ def member_string(
     search = _Search(grammar=grammar, control=ctrl, limits=bounded)
     hit: list = []
 
-    def check(pair, graph) -> bool:
+    def check(pair, form) -> bool:
         if pair[0] == target:
             hit.append(pair)
             return True

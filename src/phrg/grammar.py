@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .canonical import canonical_graph, canonical_key
 from .hypergraph import (
+    Hyperedge,
     Hypergraph,
     HypergraphError,
     Signature,
@@ -38,6 +40,60 @@ _PRODUCT_GUARD = 10**6
 
 class GrammarError(ValueError):
     """Raised for ill-formed grammars or misapplied derivation steps."""
+
+
+class WordForm(NamedTuple):
+    """A string graph plus nullary edges, kept as its word and its sorted
+    nullary labels.  The pair determines the graph up to isomorphism, so a
+    word form is its own key: derivations of a string-shaped grammar run on
+    these without building graphs."""
+
+    word: Word
+    flags: tuple[str, ...]
+
+    def labels(self) -> frozenset[str]:
+        return frozenset(self.word).union(self.flags)
+
+    def graph(self) -> Hypergraph:
+        h = string_graph(self.word)
+        flags = tuple(Hyperedge(f"f{i}", l, ()) for i, l in enumerate(self.flags))
+        return Hypergraph(nodes=h.nodes, edges=h.edges + flags, ext=h.ext)
+
+
+def word_form(rhs: Hypergraph) -> Optional[WordForm]:
+    """``rhs`` as a word form, or None when it is not one.
+
+    Of type 2 that is a string graph (possibly of the empty word) plus
+    nullary edges; of type 0, nullary edges alone, without nodes.
+    """
+    flags = tuple(sorted(e.label for e in rhs.edges if not e.att))
+    if rhs.type == 0:
+        nullary_only = len(flags) == len(rhs.edges) and not rhs.nodes
+        return WordForm((), flags) if nullary_only else None
+    path = Hypergraph(rhs.nodes, tuple(e for e in rhs.edges if e.att), rhs.ext)
+    word = extract_string(path)
+    return None if word is None else WordForm(word, flags)
+
+
+def _reachable(
+    seeds: Iterable[str], successors: Callable[[str], Iterable[str]]
+) -> set[str]:
+    """The seeds and everything reachable from them along ``successors``."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for y in successors(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _options(rows: Iterable[tuple[int, int, object]]) -> tuple[tuple, int, int]:
+    """Product options (edges added, nodes added, piece), sorted by the
+    first two with ties kept in order, and the least of each increment."""
+    opts = tuple(sorted(rows, key=lambda t: (t[0], t[1])))
+    return opts, opts[0][0], min(dn for _, dn, _ in opts)
 
 
 @dataclass(frozen=True)
@@ -112,6 +168,26 @@ class Table:
     @cached_property
     def by_label(self) -> dict[str, tuple[Rule, ...]]:
         return _by_lhs(self.scope, ((r.lhs, r) for r in self.rules))
+
+    @cached_property
+    def graph_options(self) -> dict[str, tuple]:
+        """Per label, its rules as product options of the graph path."""
+        return {
+            l: _options((len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type, r) for r in rs)
+            for l, rs in self.by_label.items()
+        }
+
+    @cached_property
+    def word_options(self) -> dict[str, tuple]:
+        """Per label whose rules all have word forms, those word forms as
+        product options of the word path, in the order of ``graph_options``."""
+        out = {}
+        for l, (opts, least_edges, least_nodes) in self.graph_options.items():
+            forms = [word_form(r.rhs) for _, _, r in opts]
+            if None not in forms:
+                opts = tuple((de, dn, f) for (de, dn, _), f in zip(opts, forms))
+                out[l] = (opts, least_edges, least_nodes)
+        return out
 
     @cached_property
     def active_labels(self) -> frozenset[str]:
@@ -218,6 +294,38 @@ class PHRGrammar:
         """No replacement can shrink the edge count."""
         return all(len(r.rhs.edges) >= 1 for _, t in self.tables for r in t.rules)
 
+    @cached_property
+    def string_shaped(self) -> bool:
+        """Every graph derived from the start handle is a word form.
+
+        That holds when the start label has arity 2 and every label
+        reachable from it has arity 2 or 0, with a ``word_form`` for each
+        of its rules in every table: a string graph plus nullary edges for
+        arity 2, nullary edges alone for arity 0.
+        """
+        sig = self.signature
+        return sig.arity(self.start) == 2 and all(
+            sig.arity(l) in (0, 2) and l in t.word_options
+            for l in self.reachable
+            for _, t in self.tables
+        )
+
+    @cached_property
+    def reachable(self) -> frozenset[str]:
+        """Labels some derivation from the start handle can touch, over
+        rule structure only."""
+        return frozenset(
+            _reachable(
+                [self.start],
+                lambda l: (
+                    e.label
+                    for _, t in self.tables
+                    for r in t.by_label[l]
+                    for e in r.rhs.edges
+                ),
+            )
+        )
+
     @property
     def table_indices(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.tables)
@@ -272,6 +380,14 @@ class WordTable:
     @cached_property
     def by_symbol(self) -> dict[str, tuple[Word, ...]]:
         return _by_lhs(self.scope, self.rules)
+
+    @cached_property
+    def word_options(self) -> dict[str, tuple]:
+        """Per symbol, its words as product options of the word path."""
+        return {
+            l: _options((len(w), len(w) - 1, WordForm(w, ())) for w in ws)
+            for l, ws in self.by_symbol.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -438,67 +554,107 @@ def direct_derivations(
 
 
 def parallel_budgeted(
-    h: Hypergraph,
-    table: Table,
+    h: Hypergraph | WordForm,
+    table: Table | WordTable,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
-) -> tuple[dict[bytes, Hypergraph], bool, bool]:
+) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
-    Returns (successors keyed by canonical key, node bound hit, edge
-    bound hit); an edge-less graph is its own sole successor.  The edge
-    budget prunes option subtrees via exact result edge counts; the node
-    budget uses a per-edge lower bound during the product and the exact
-    count at the leaves.  With neither budget nothing prunes, so more
-    than ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
+    Returns (successors by key, node bound hit, edge bound hit); an
+    edge-less graph is its own sole successor.  A graph's successors are
+    canonical graphs keyed by canonical key.  A word form's successors
+    are word forms keyed by themselves; its edges are taken sorted by
+    label, the edge order of a canonical graph, so it meets the same
+    option lists in the same order as its graph would, and the same
+    budget flags.  The edge budget prunes option subtrees via exact
+    result edge counts; the node budget uses a per-edge lower bound
+    during the product and the exact count at the leaves.  With neither
+    budget nothing prunes, so more than ``_PRODUCT_GUARD`` rule choices
+    raise ``GrammarError`` at once.
     """
-    options = []
+    word_path = isinstance(h, WordForm)
+    if word_path:
+        edges = h.word + h.flags
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        labels = [edges[j] for j in order]
+        place = {j: i for i, j in enumerate(order)}
+        letters = [place[j] for j in range(len(h.word))]  # choices in word order
+        rows = table.word_options
+        nodes = len(h.word) + 1
+    else:
+        labels = [e.label for e in h.edges]
+        rows = table.graph_options
+        nodes = len(h.nodes)
+    picked = []
     count = 1
-    for e in h.edges:
-        rs = table.by_label.get(e.label)
-        if rs is None:
-            raise GrammarError(f"no rules for label {e.label!r} in table")
-        opts = sorted(
-            ((len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type, r) for r in rs),
-            key=lambda t: (t[0], t[1]),
-        )
-        options.append(opts)
-        count *= len(opts)
+    for l in labels:
+        row = rows.get(l)
+        if row is None:
+            if l in table.scope:
+                raise GrammarError(f"rules for label {l!r} are not all word forms")
+            raise GrammarError(f"no rules for label {l!r} in table")
+        picked.append(row)
+        count *= len(row[0])
     if max_nodes is None and max_edges is None and count > _PRODUCT_GUARD:
         raise GrammarError("parallel successor set too large")
+    options = [opts for opts, _, _ in picked]
     m = len(options)
     suffix_edges = [0] * (m + 1)
     suffix_nodes = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        suffix_edges[i] = suffix_edges[i + 1] + min(de for de, _, _ in options[i])
-        suffix_nodes[i] = suffix_nodes[i + 1] + min(dn for _, dn, _ in options[i])
+        suffix_edges[i] = suffix_edges[i + 1] + picked[i][1]
+        suffix_nodes[i] = suffix_nodes[i + 1] + picked[i][2]
 
-    found: dict[bytes, Hypergraph] = {}
+    found: dict = {}
     hit_nodes = False
     hit_edges = False
-    chosen: list[Rule] = []
-
-    def go(i: int, edges_so_far: int, node_bound: int) -> None:
-        nonlocal hit_nodes, hit_edges
+    chosen: list = [None] * m
+    edges_to = [0] * (m + 1)  # edge and node counts of the choices before i
+    nodes_to = [nodes] + [0] * m
+    tried = [0] * m  # options of position i tried so far
+    i = 0
+    while i >= 0:
         if i == m:
-            result = replace(h, {e.id: r.rhs for e, r in zip(h.edges, chosen)})
-            if max_nodes is not None and len(result.nodes) > max_nodes:
-                hit_nodes = True
-                return
-            found[canonical_key(result)] = canonical_graph(result)
-            return
-        for de, dn, rule in options[i]:
-            if max_edges is not None and edges_so_far + de + suffix_edges[i + 1] > max_edges:
+            if word_path:
+                word = tuple(chain.from_iterable([chosen[j].word for j in letters]))
+                if max_nodes is not None and len(word) + 1 > max_nodes:
+                    hit_nodes = True
+                else:
+                    flags = sorted([a for f in chosen for a in f.flags])
+                    form = WordForm(word, tuple(flags))
+                    found[form] = form
+            else:
+                result = replace(h, {e.id: r.rhs for e, r in zip(h.edges, chosen)})
+                if max_nodes is not None and len(result.nodes) > max_nodes:
+                    hit_nodes = True
+                else:
+                    found[canonical_key(result)] = canonical_graph(result)
+            i -= 1
+            continue
+        opts = options[i]
+        k = tried[i]
+        descend = False
+        while k < len(opts):
+            de, dn, piece = opts[k]
+            k += 1
+            if max_edges is not None and edges_to[i] + de + suffix_edges[i + 1] > max_edges:
                 hit_edges = True
                 break  # options sorted by edge increment
-            if max_nodes is not None and node_bound + dn + suffix_nodes[i + 1] > max_nodes:
+            if max_nodes is not None and nodes_to[i] + dn + suffix_nodes[i + 1] > max_nodes:
                 hit_nodes = True
                 continue
-            chosen.append(rule)
-            go(i + 1, edges_so_far + de, node_bound + dn)
-            chosen.pop()
-
-    go(0, 0, len(h.nodes))
+            chosen[i] = piece
+            edges_to[i + 1] = edges_to[i] + de
+            nodes_to[i + 1] = nodes_to[i] + dn
+            descend = True
+            break
+        if descend:
+            tried[i] = k
+            i += 1
+        else:
+            tried[i] = 0
+            i -= 1
     return found, hit_nodes, hit_edges
 
 
@@ -528,11 +684,7 @@ def trace_successors(
 
 
 def et0l_step(table: WordTable, word: Word) -> set[Word]:
-    """All parallel rewrites of ``word`` by the word table.
-
-    A parallel step on the word's string graph under the rules' string
-    graphs is exactly the tabled word step.
-    """
-    rules = tuple(Rule(l, string_graph(w)) for l, w in table.rules)
-    found, _, _ = parallel_budgeted(string_graph(word), Table(rules, table.scope))
-    return {extract_string(s) for s in found.values()}
+    """All parallel rewrites of ``word`` by the word table: the word path
+    of ``parallel_budgeted`` on a word without nullary labels."""
+    found, _, _ = parallel_budgeted(WordForm(tuple(word), ()), table)
+    return {form.word for form in found}

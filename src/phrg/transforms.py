@@ -33,6 +33,7 @@ from .grammar import (
     Table,
     Word,
     WordTable,
+    _reachable,
     identity_table,
     is_identity_rule,
     override_table,
@@ -67,20 +68,6 @@ def _fresh(used: set[str], marked: str) -> str:
 
 
 # ------------------------------------------------------------- assembly
-
-
-def _reachable(
-    seeds: Iterable[str], successors: Callable[[str], Iterable[str]]
-) -> set[str]:
-    """The seeds and everything reachable from them along ``successors``."""
-    seen = set(seeds)
-    todo = list(seen)
-    while todo:
-        for y in successors(todo.pop()):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
 
 
 def _rebuild(
@@ -167,15 +154,7 @@ def remove_unreachable(g: AnyPHR) -> AnyPHR:
     A controlled grammar keeps its control automaton as it is.
     """
     grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
-    reachable = _reachable(
-        [grammar.start],
-        lambda l: (
-            e.label
-            for _, t in grammar.tables
-            for r in t.by_label[l]
-            for e in r.rhs.edges
-        ),
-    )
+    reachable = grammar.reachable
     sig = Signature.of({l: grammar.signature.arity(l) for l in reachable})
     trimmed = _rebuild(
         grammar,

@@ -186,7 +186,9 @@ class TestResultBudget:
 
 class TestLayerHooks:
     """The benchmark harness in perfbench/ times and calibrates a search by
-    replacing these module globals; a search must look each of them up."""
+    replacing these module globals; a search must look them up.  A graph
+    search goes through all five; a word search (a string-shaped grammar)
+    builds no graphs, so it goes through the product alone."""
 
     HOOKS = (
         (phrg.engine, "parallel_budgeted"),
@@ -196,8 +198,7 @@ class TestLayerHooks:
         (phrg.grammar, "canonical_graph"),
     )
 
-    def test_search_goes_through_every_hook(self, monkeypatch):
-        g = fixture("dyck_phr").phr()
+    def count_calls(self, monkeypatch) -> dict:
         calls = {}
         for module, name in self.HOOKS:
             inner = getattr(module, name)
@@ -209,9 +210,22 @@ class TestLayerHooks:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_search_goes_through_every_hook(self, monkeypatch):
+        g = fixture("fig5_squares").phr()
+        calls = self.count_calls(monkeypatch)
+        out = enumerate_language(g, Limits(max_steps=3, max_edges=4))
+        assert len(out.graphs) == 3
+        assert not [hook for hook, n in calls.items() if n == 0]
+
+    def test_word_search_goes_through_the_product(self, monkeypatch):
+        g = fixture("dyck_phr").phr()
+        calls = self.count_calls(monkeypatch)
         out = enumerate_strings(g, Limits(max_steps=3, max_edges=4))
         assert ("a", "b") in out.words
-        assert not [hook for hook, n in calls.items() if n == 0]
+        assert calls.pop("phrg.engine.parallel_budgeted") > 0
+        assert not [hook for hook, n in calls.items() if n > 0]
 
 
 class TestControlledEnumeration:

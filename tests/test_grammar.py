@@ -374,6 +374,19 @@ class TestEt0lStep:
         assert et0l_step(t, ("a", "b", "a")) == expected
         assert () in et0l_step(t, ("a", "a"))
 
+    def test_long_word_in_linear_time(self):
+        # one frame per letter used to overflow the stack near 1,000 letters
+        t = WordTable(rules=(("a", ("a",)), ("b", ("a", "b"))), scope=("a", "b"))
+        t0 = time.perf_counter()
+        got = et0l_step(t, ("a", "b") * 750)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == {("a", "a", "b") * 750}
+
+    def test_unknown_symbol(self):
+        t = WordTable(rules=(("a", ("a",)),), scope=("a",))
+        with pytest.raises(GrammarError, match="no rules for label 'x' in table"):
+            et0l_step(t, ("a", "x"))
+
 
 class TestProductGuard:
     """Without budgets, 2^20 > 10^6 rule choices raise before any is tried."""

@@ -1,0 +1,244 @@
+"""The word path of the search against the graph path.
+
+A string-shaped grammar is searched over word forms, without graphs.
+The graph path is the oracle: ``graph_path()`` turns the shape test off
+for the searches inside it, so the same public calls run over canonical
+graphs.  Enumerations must agree field for field, member verdicts must
+agree, and member traces must be shortest witnesses on both paths.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phrg import (
+    ControlAutomaton,
+    ControlledPHRGrammar,
+    Limits,
+    PHRGrammar,
+    Rule,
+    Signature,
+    Table,
+    canonical_graph,
+    canonical_key,
+    enumerate_language,
+    enumerate_strings,
+    fixture,
+    fixture_names,
+    handle,
+    member_string,
+    string_graph,
+)
+from phrg.grammar import WordForm, parallel_budgeted, split_control
+from phrg.hypergraph import Hyperedge, Hypergraph
+from oracles import all_words
+from test_golden_constructions import CASES
+
+GRAPH_ONLY = ("fig5_squares", "copy_dyck_K")
+STRING_SHAPED = tuple(n for n in fixture_names() if n not in GRAPH_ONLY)
+
+
+@contextmanager
+def graph_path():
+    """Searches inside take the graph path, whatever the grammar's shape."""
+    with mock.patch.object(PHRGrammar, "string_shaped", property(lambda self: False)):
+        yield
+
+
+def on_both_paths(fn, *args):
+    word = fn(*args)
+    with graph_path():
+        graph = fn(*args)
+    return word, graph
+
+
+def witnesses(g, word, trace, limits: Limits) -> bool:
+    """The trace derives the word's string graph from the start handle and
+    is accepted by the control automaton, if there is one.
+
+    The trace is replayed over graphs within the limits, inside which the
+    search found it: ``trace_successors`` has no budget, and one step of
+    the word-problem grammars outside them has millions of rule choices.
+    """
+    if isinstance(g, ControlledPHRGrammar) and not g.control.accepts(trace):
+        return False
+    grammar, _ = split_control(g)
+    start = grammar.start_graph()
+    reached = {canonical_key(start): start}
+    for index in trace:
+        table = grammar.table(index)
+        step: dict = {}
+        for h in reached.values():
+            step.update(parallel_budgeted(h, table, limits.max_nodes, limits.max_edges)[0])
+        reached = step
+    return canonical_key(string_graph(word)) in reached
+
+
+def check_equivalent(g, limits: Limits, queries=()) -> None:
+    assert split_control(g)[0].string_shaped
+    lang, lang_graph = on_both_paths(enumerate_language, g, limits)
+    words, words_graph = on_both_paths(enumerate_strings, g, limits)
+    if lang.hit_result_budget or lang_graph.hit_result_budget:
+        # which states a cut search keeps depends on the order of its keys
+        for name in ("exhaustive", "saturated", "hit_result_budget", "steps"):
+            assert getattr(lang, name) == getattr(lang_graph, name)
+        return
+    assert lang == lang_graph
+    assert words == words_graph
+    members = {w for w in words.words if len(w) <= 4}
+    for word in sorted(members) + sorted(set(queries) - members):
+        got, want = on_both_paths(member_string, g, word, limits)
+        assert got.verdict == want.verdict, word
+        if got.verdict == "yes":
+            assert len(got.trace) == len(want.trace)
+            assert witnesses(g, word, got.trace, limits)
+
+
+class TestShape:
+    def test_fixture_shapes(self):
+        for name in fixture_names():
+            grammar, _ = split_control(fixture(name).phr())
+            assert grammar.string_shaped == (name in STRING_SHAPED), name
+
+    def test_unreachable_labels_do_not_count(self):
+        sig = Signature.of({"S": 2, "a": 2, "Z": 3})
+        t = Table(
+            rules=(
+                Rule("S", string_graph("aa")),
+                Rule("a", string_graph("a")),
+                Rule("Z", Hypergraph(("u", "v", "w"), (), ("u", "v", "w"))),
+            ),
+            scope=sig.labels,
+        )
+        g = PHRGrammar(signature=sig, terminals=("a",), start="S", tables=(("1", t),), order=3)
+        assert g.string_shaped
+        assert g.reachable == {"S", "a"}
+
+    def test_isolated_node_breaks_the_shape(self):
+        sig = Signature.of({"S": 2, "a": 2})
+        h = string_graph("a")
+        stray = Hypergraph(h.nodes + ("z",), h.edges, h.ext)
+        t = Table(rules=(Rule("S", stray), Rule("a", string_graph("a"))), scope=sig.labels)
+        g = PHRGrammar(signature=sig, terminals=("a",), start="S", tables=(("1", t),), order=2)
+        assert not g.string_shaped
+
+
+@pytest.mark.parametrize("name", STRING_SHAPED)
+def test_fixture_paths_agree(name):
+    g = fixture(name).phr()
+    terminals = sorted(split_control(g)[0].terminals)
+    limits = Limits(max_steps=5, max_nodes=10, max_edges=4, max_results=20_000)
+    check_equivalent(g, limits, all_words(terminals[:3], 2))
+
+
+GOLDEN_SHAPED = sorted(n for n in CASES if "copy_dyck_K" not in n)
+
+
+@pytest.mark.parametrize("name", GOLDEN_SHAPED)
+def test_golden_construction_paths_agree(name):
+    build, args, kwargs = CASES[name]
+    g = build(*args, **kwargs)
+    limits = Limits(max_steps=4, max_nodes=8, max_edges=4, max_results=20_000)
+    check_equivalent(g, limits, all_words(sorted(g.terminals)[:2], 2))
+
+
+def test_copy_constructions_keep_the_graph_path():
+    for name in set(CASES) - set(GOLDEN_SHAPED):
+        build, args, kwargs = CASES[name]
+        assert not build(*args, **kwargs).string_shaped, name
+
+
+def test_result_budget_cut_flags_agree():
+    g = fixture("dyck_phr").phr()
+    limits = Limits(max_steps=8, max_edges=6, max_results=3)
+    lang, lang_graph = on_both_paths(enumerate_language, g, limits)
+    assert lang.hit_result_budget and lang_graph.hit_result_budget
+    check_equivalent(g, limits)
+    verdicts = on_both_paths(member_string, g, "aabb", limits)
+    assert [v.verdict for v in verdicts] == ["unknown", "unknown"]
+
+
+# ---------------------------------------------------- generated grammars
+
+BINARY = ("S", "T", "a", "b")
+NULLARY = ("x", "y")
+SIG = Signature.of({**dict.fromkeys(BINARY, 2), **dict.fromkeys(NULLARY, 0)})
+TERMINALS = ("a", "b", "y")
+
+
+def _rhs(word, flags) -> Hypergraph:
+    """A string graph plus nullary edges, or nullary edges alone."""
+    nullary = tuple(Hyperedge(f"f{i}", l, ()) for i, l in enumerate(flags))
+    if word is None:
+        return Hypergraph((), nullary, ())
+    h = string_graph(word)
+    return Hypergraph(h.nodes, h.edges + nullary, h.ext)
+
+
+def test_product_flags_follow_the_canonical_edge_order():
+    # Flags of one product depend on the order of its edges: taking this
+    # word's letters in word order, not sorted by label, sets the edge flag.
+    sig = Signature.of({"S": 2, "a": 2, "x": 0})
+    rules = (
+        Rule("S", _rhs(("S", "a"), ("x",))),
+        Rule("a", string_graph("S")),
+        Rule("a", string_graph("aa")),
+        Rule("x", handle("x", sig)),
+    )
+    table = Table(rules=rules, scope=sig.labels)
+    form = WordForm(("a", "S"), ())
+    on_words = parallel_budgeted(form, table, 1, 4)
+    on_graphs = parallel_budgeted(canonical_graph(form.graph()), table, 1, 4)
+    assert on_words[1:] == on_graphs[1:] == (True, False)
+
+
+@st.composite
+def grammars(draw):
+    flags = st.sampled_from(((), (), (), ("x",), ("y",), ("x", "y")))
+    words = st.lists(st.sampled_from(BINARY), max_size=3)  # the empty word erases
+    indices = [str(i) for i in range(draw(st.integers(1, 3)))]
+    tables = []
+    for index in indices:
+        rules = []
+        for label in SIG.labels:
+            if label in TERMINALS and draw(st.booleans()):
+                rules.append(Rule(label, handle(label, SIG)))
+            for _ in range(draw(st.integers(1, 2))):
+                word = None if label in NULLARY else tuple(draw(words))
+                rules.append(Rule(label, _rhs(word, draw(flags))))
+        tables.append((index, Table(rules=tuple(rules), scope=SIG.labels)))
+    g = PHRGrammar(signature=SIG, terminals=TERMINALS, start="S", tables=tuple(tables), order=2)
+    if not draw(st.booleans()):
+        return g
+    states = ("p", "q", "r")[: draw(st.integers(1, 3))]
+    transitions = draw(
+        st.lists(
+            st.tuples(st.sampled_from(states), st.sampled_from(indices), st.sampled_from(states)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    finals = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2))
+    control = ControlAutomaton(
+        states=states,
+        alphabet=tuple(indices),
+        transitions=tuple(transitions),
+        initial="p",
+        finals=tuple(finals),
+    )
+    return ControlledPHRGrammar(grammar=g, control=control)
+
+
+@given(
+    g=grammars(),
+    steps=st.integers(1, 4),
+    nodes=st.integers(2, 8),
+    edges=st.integers(1, 6),
+)
+@settings(max_examples=250, deadline=None)
+def test_generated_paths_agree(g, steps, nodes, edges):
+    limits = Limits(max_steps=steps, max_nodes=nodes, max_edges=edges, max_results=50_000)
+    check_equivalent(g, limits, all_words(("a", "b"), 3))
