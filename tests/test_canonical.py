@@ -1,6 +1,16 @@
-"""Canonical keys and isomorphism witnesses."""
+"""Canonical keys and isomorphism witnesses.
 
+``golden/canonical.json`` pins, for each case of ``golden_cases()``, the
+sha256 of every key, canonical graph and witness that ``golden_record``
+writes for the case's graphs; the file is ``canonical_digests()`` dumped
+as JSON.
+"""
+
+import hashlib
 import itertools
+import json
+import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +23,7 @@ from phrg import (
     is_isomorphic,
     isomorphism,
     string_graph,
+    to_json,
 )
 from oracles import brute_force_isomorphic
 
@@ -92,6 +103,93 @@ def all_small_graphs(max_nodes, max_edges, ext_cap):
                 for elen in range(ext_cap + 1):
                     for ext in itertools.product(nodes, repeat=elen):
                         yield hypergraph(nodes=nodes, edges=edges, ext=ext)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "canonical.json"
+
+
+def shuffled_copy(h, rng):
+    """``h`` with node and edge names drawn at random; as a graph lists its
+    nodes and edges sorted by name, this shuffles them too."""
+    node_map = {v: f"w{i}" for v, i in zip(h.nodes, rng.sample(range(100), len(h.nodes)))}
+    edge_map = {e.id: f"f{i}" for e, i in zip(h.edges, rng.sample(range(100), len(h.edges)))}
+    return renamed(h, node_map, edge_map)
+
+
+def isolated(k):
+    return hypergraph(nodes=[f"v{i}" for i in range(k)], edges=[], ext=())
+
+
+def loops(k):
+    return hypergraph(
+        nodes=[f"v{i}" for i in range(k)],
+        edges=[(f"e{i}", "b", (f"v{i}",)) for i in range(k)],
+        ext=(),
+    )
+
+
+def triangles(k, ext=()):
+    """k disjoint directed a/2 triangles: v(3t) -> v(3t+1) -> v(3t+2) -> v(3t)."""
+    return hypergraph(
+        nodes=[f"v{i}" for i in range(3 * k)],
+        edges=[
+            (f"e{3 * t + j}", "a", (f"v{3 * t + j}", f"v{3 * t + (j + 1) % 3}"))
+            for t in range(k)
+            for j in range(3)
+        ],
+        ext=ext,
+    )
+
+
+def loops_and_two_cycles(k, j):
+    """k a/2 loops and j directed a/2 two-cycles, all disjoint."""
+    nodes = [f"v{i}" for i in range(k + 2 * j)]
+    edges = [("a", (v, v)) for v in nodes[:k]]
+    for u, v in zip(nodes[k::2], nodes[k + 1 :: 2]):
+        edges += [("a", (u, v)), ("a", (v, u))]
+    return hypergraph(
+        nodes=nodes, edges=[(f"e{i}", lab, att) for i, (lab, att) in enumerate(edges)], ext=()
+    )
+
+
+def golden_cases() -> dict[str, list]:
+    cases: dict[str, list] = {}
+    for g in all_small_graphs(3, 3, 3):
+        cases.setdefault(f"sweep {len(g.nodes)} nodes {len(g.edges)} edges", []).append(g)
+    for k in range(1, 8):
+        cases[f"isolated {k}"] = [isolated(k)]
+        cases[f"loops {k}"] = [loops(k)]
+    for k in range(2, 5):
+        cases[f"triangles {k}"] = [triangles(k)]
+        cases[f"triangles {k} ext"] = [triangles(k, ext=("v0", "v4"))]
+    # node names fix the order in which the search meets the components
+    for k, j in itertools.product(range(1, 4), repeat=2):
+        name = f"loops {k} two-cycles {j}"
+        rng = random.Random(name)
+        cases[name] = [shuffled_copy(loops_and_two_cycles(k, j), rng) for _ in range(8)]
+    return cases
+
+
+def golden_record(g, rng) -> bytes:
+    """The key, the canonical graph and a witness to a shuffled copy of ``g``."""
+    w = isomorphism(g, shuffled_copy(g, rng))
+    assert w is not None
+    return canonical_key(g) + to_json(canonical_graph(g)).encode() + repr(w).encode()
+
+
+def canonical_digests() -> dict[str, str]:
+    digests = {}
+    for name, graphs in golden_cases().items():
+        rng = random.Random(name)
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(golden_record(g, rng))
+        digests[name] = h.hexdigest()
+    return digests
+
+
+def test_canonical_outputs_unchanged():
+    assert canonical_digests() == json.loads(GOLDEN.read_text())
 
 
 def test_keys_decide_isomorphism_small_sweep():
