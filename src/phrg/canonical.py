@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hypergraph import Hyperedge, Hypergraph
+from .hypergraph import Hyperedge, Hypergraph, _UnionFind
 
 _Cert = tuple
 
@@ -40,7 +40,7 @@ def _rank(values: list) -> list[int]:
     return [order[v] for v in values]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
 def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     """Return (certificate, node order realizing it).
 
@@ -77,9 +77,14 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
                 return cs
             cs = new
 
-    best: list[tuple[_Cert, tuple[int, ...]] | None] = [None]
+    # best leaf so far: (certificate, node order, individualized path)
+    best: list[tuple[_Cert, tuple[int, ...], tuple[int, ...]] | None] = [None]
+    # automorphisms met so far, each as a list mapping node index to image
+    gens: list[list[int]] = []
 
-    def leaf(cs: list[int]) -> None:
+    def leaf(cs: list[int], path: tuple[int, ...]) -> int | None:
+        """Score a discrete coloring; on an automorphism, return the depth
+        of the common ancestor with the best leaf."""
         order = sorted(range(n), key=cs.__getitem__)
         position = [0] * n
         for p, v in enumerate(order):
@@ -90,26 +95,56 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
             tuple(sorted((lab, tuple(position[u] for u in att)) for lab, att in edges)),
         )
         if best[0] is None or cert < best[0][0]:
-            best[0] = (cert, tuple(order))
+            best[0] = (cert, tuple(order), path)
+            return None
+        if cert != best[0][0]:
+            return None
+        _, best_order, best_path = best[0]
+        gamma = [0] * n
+        for a, b in zip(order, best_order):
+            gamma[a] = b
+        gens.append(gamma)
+        common = 0
+        while path[common] == best_path[common]:
+            common += 1
+        return common
 
-    def search(cs: list[int]) -> None:
+    def search(cs: list[int], path: tuple[int, ...]) -> int | None:
+        """Search below the node reached by individualizing ``path``;
+        return a depth above this node's to jump back to, or None."""
         cs = refine(cs)
         counts: dict[int, int] = {}
         for c in cs:
             counts[c] = counts.get(c, 0) + 1
         target = next((c for c in sorted(counts) if counts[c] > 1), None)
         if target is None:
-            leaf(cs)
-            return
+            return leaf(cs, path)
+        depth = len(path)
+        orbits = _UnionFind(n)
+        merged = 0
+        explored: list[int] = []
         for v in range(n):
-            if cs[v] == target:
-                child = [c * 2 for c in cs]
-                child[v] -= 1
-                search(child)
+            if cs[v] != target:
+                continue
+            # orbits under the automorphisms met so far that fix the path
+            for gamma in gens[merged:]:
+                if all(gamma[u] == u for u in path):
+                    for u in range(n):
+                        orbits.union(u, gamma[u])
+            merged = len(gens)
+            if any(orbits.find(u) == orbits.find(v) for u in explored):
+                continue
+            explored.append(v)
+            child = [c * 2 for c in cs]
+            child[v] -= 1
+            jump = search(child, path + (v,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    search(colors)
+    search(colors, ())
     assert best[0] is not None
-    return best[0]
+    return best[0][:2]
 
 
 def canonical_key(h: Hypergraph) -> bytes:

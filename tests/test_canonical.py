@@ -10,8 +10,10 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,3 +250,74 @@ def test_key_equality_matches_brute_force(data):
         built.append(hypergraph(nodes=nodes, edges=edges, ext=ext))
     g, h = built
     assert (canonical_key(g) == canonical_key(h)) == brute_force_isomorphic(g, h)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [isolated(12), loops(12), triangles(4)],
+    ids=["12 isolated nodes", "12 loops", "4 triangles"],
+)
+def test_symmetric_family_key_is_fast(family):
+    # a fresh copy, so that no earlier call has cached its key
+    g = shuffled_copy(family, random.Random("timed"))
+    start = time.perf_counter()
+    key = canonical_key(g)
+    assert time.perf_counter() - start < 0.1
+    assert key == canonical_key(family)
+    assert isomorphism(g, family) is not None
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph with 1-3 nodes 0.. and up to 3 edges over a/2 and b/1."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("a"), st.tuples(node, node)),
+                st.tuples(st.just("b"), st.tuples(node)),
+            ),
+            max_size=3,
+        )
+    )
+    return n, edges
+
+
+@st.composite
+def copies_of(draw, small):
+    """A disjoint union of 1-3 copies of ``small`` (at most 7 nodes), with
+    nodes and edges named at random and an external sequence of up to 2
+    nodes."""
+    n, small_edges = small
+    k = draw(st.integers(min_value=1, max_value=min(3, 7 // n)))
+    nodes = [(c, i) for c in range(k) for i in range(n)]
+    edges = [
+        (lab, tuple((c, u) for u in att)) for c in range(k) for lab, att in small_edges
+    ]
+    name = dict(zip(nodes, (f"v{i}" for i in draw(st.permutations(range(len(nodes)))))))
+    ext = draw(st.lists(st.sampled_from(nodes), max_size=2))
+    return hypergraph(
+        nodes=[name[v] for v in nodes],
+        edges=[
+            (f"e{i}", lab, [name[u] for u in att])
+            for i, (lab, att) in enumerate(draw(st.permutations(edges)))
+        ],
+        ext=[name[v] for v in ext],
+    )
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """Two unions of copies, half the time of the same small graph."""
+    first = draw(small_graphs())
+    second = first if draw(st.booleans()) else draw(small_graphs())
+    return draw(copies_of(first)), draw(copies_of(second))
+
+
+@given(symmetric_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_key_equality_matches_brute_force_with_symmetry(pair, rng):
+    g, h = pair
+    assert (canonical_key(g) == canonical_key(h)) == brute_force_isomorphic(g, h)
+    assert isomorphism(g, shuffled_copy(g, rng)) is not None
