@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -77,20 +78,13 @@ def _plain_phr(path: Optional[str], missing: str) -> PHRGrammar:
 
 
 def _limits(args: argparse.Namespace) -> Limits:
-    return Limits(
-        max_steps=args.max_steps,
-        max_nodes=args.max_nodes,
-        max_edges=args.max_edges,
-        max_results=args.max_results,
-    )
+    return Limits(**{f.name: getattr(args, f.name) for f in fields(Limits)})
 
 
 def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
-    defaults = Limits()
-    sub.add_argument("--max-steps", type=int, default=defaults.max_steps)
-    sub.add_argument("--max-nodes", type=int, default=defaults.max_nodes)
-    sub.add_argument("--max-edges", type=int, default=defaults.max_edges)
-    sub.add_argument("--max-results", type=int, default=defaults.max_results)
+    """One ``--max-...`` flag per ``Limits`` field, with its default."""
+    for f in fields(Limits):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
 
 def _parse_word_arg(text: str, labels: set[str]) -> tuple[str, ...]:
@@ -108,6 +102,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_json(obj: dict, out: Optional[str]) -> None:
     _emit(json.dumps({"format_version": 1, **obj}, indent=2) + "\n", out)
+
+
+def _record(result, **converted) -> dict:
+    """A result record's fields in declaration order; ``converted`` holds
+    the JSON form of those whose values are not JSON already."""
+    return {f.name: converted.get(f.name, getattr(result, f.name)) for f in fields(result)}
 
 
 def _phr(args: argparse.Namespace):
@@ -155,18 +155,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     result = enumerate_language(_phr(args), _limits(args))
-    _emit_json(
-        {
-            "graphs": [to_json_obj(h) for h in result.graphs],
-            "exhaustive": result.exhaustive,
-            "saturated": result.saturated,
-            "steps": result.steps,
-            "hit_node_bound": result.hit_node_bound,
-            "hit_edge_bound": result.hit_edge_bound,
-            "hit_result_budget": result.hit_result_budget,
-        },
-        args.output,
-    )
+    _emit_json(_record(result, graphs=[to_json_obj(h) for h in result.graphs]), args.output)
     return 0
 
 
@@ -174,14 +163,7 @@ def _cmd_strings(args: argparse.Namespace) -> int:
     result = enumerate_strings(
         _phr(args), _limits(args), frozenset(args.empty_label or ())
     )
-    _emit_json(
-        {
-            "words": [list(w) for w in result.words],
-            "exhaustive": result.exhaustive,
-            "saturated": result.saturated,
-        },
-        args.output,
-    )
+    _emit_json(_record(result, words=[list(w) for w in result.words]), args.output)
     return 0
 
 
@@ -190,14 +172,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
     grammar = g.grammar if isinstance(g, ControlledPHRGrammar) else g
     word = _parse_word_arg(args.word, set(grammar.signature.labels))
     verdict = member_string(g, word, _limits(args))
-    _emit_json(
-        {
-            "word": list(word),
-            "verdict": verdict.verdict,
-            "trace": list(verdict.trace) if verdict.trace is not None else None,
-        },
-        args.output,
-    )
+    trace = list(verdict.trace) if verdict.trace is not None else None
+    _emit_json({"word": list(word), **_record(verdict, trace=trace)}, args.output)
     return 0 if verdict.verdict == "yes" else 1
 
 

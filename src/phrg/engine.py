@@ -20,16 +20,17 @@ derives is a string graph plus nullary edges, so the state is a
 ``WordForm`` (the word and its sorted nullary labels), which is its own
 key, and no form is replaced or canonicalized.  Only the graphs that
 ``enumerate_language`` returns are built.  Results, flags and verdicts
-are those of the search over graphs; a member trace is some shortest
-witness, which may differ from the one the graph search would pick when
-several tie.
+are those of the search over graphs, as ``parallel_budgeted`` takes the
+edges of a word form and of a graph in the same order, sorted by label;
+a member trace is some shortest witness, which may differ from the one
+the graph search would pick when several tie.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .canonical import canonical_graph, canonical_key
 from .grammar import (
@@ -88,30 +89,28 @@ class _Search:
     steps_taken: int = 0
     saturated: bool = False
 
-    def run(self, on_accept) -> None:
-        """BFS; calls ``on_accept(pair, state)`` for each accepted state.
-
-        ``on_accept`` may return True to stop the whole search early.
-        """
+    def accepted(self) -> Iterator[tuple[tuple, object]]:
+        """BFS; yields ``(pair, form)`` for each accepted state in the
+        order found.  A caller that stops pulling stops the search."""
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
-        if grammar.string_shaped:
-            start = WordForm((grammar.start,), ())
-            key, nodes, edges = start, 2, 1
-        else:
-            start = grammar.start_graph()
-            key, nodes, edges = canonical_key(start), len(start.nodes), len(start.edges)
-        if nodes > limits.max_nodes or edges > limits.max_edges:
-            self.hit_nodes = nodes > limits.max_nodes
-            self.hit_edges = edges > limits.max_edges
+        # the start handle: one edge on as many nodes as its label's arity
+        self.hit_nodes = grammar.signature.arity(grammar.start) > limits.max_nodes
+        self.hit_edges = 1 > limits.max_edges
+        if self.hit_nodes or self.hit_edges:
             self.saturated = True
             return
+        if grammar.string_shaped:
+            start = key = WordForm((grammar.start,), ())
+        else:
+            start = grammar.start_graph()
+            key = canonical_key(start)
         q0 = ctrl.initial if ctrl is not None else None
         start_pair = (key, q0)
         self.visited[start_pair] = start
         self.parents[start_pair] = None
-        if self._accepting(start, q0, terminals) and on_accept(start_pair, start):
-            return
+        if self._accepting(start, q0, terminals):
+            yield start_pair, start
         frontier = [start_pair]
         while frontier and self.steps_taken < limits.max_steps:
             self.steps_taken += 1
@@ -140,10 +139,8 @@ class _Search:
                         graph = succs[key]
                         self.visited[new_pair] = graph
                         self.parents[new_pair] = (pair, index)
-                        if self._accepting(graph, q2, terminals) and on_accept(
-                            new_pair, graph
-                        ):
-                            return
+                        if self._accepting(graph, q2, terminals):
+                            yield new_pair, graph
                         next_frontier.append(new_pair)
             frontier = next_frontier
         self.saturated = not frontier and not self.hit_results
@@ -162,14 +159,7 @@ def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
     """Run the search; its accepted states, one per key."""
     grammar, ctrl = split_control(g)
     search = _Search(grammar=grammar, control=ctrl, limits=limits)
-    results: dict = {}
-
-    def collect(pair, form) -> bool:
-        results[pair[0]] = form
-        return False
-
-    search.run(collect)
-    return search, results
+    return search, {pair[0]: form for pair, form in search.accepted()}
 
 
 def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumeration:
@@ -256,18 +246,9 @@ def member_string(
         max_edges=min(limits.max_edges, cap_edges),
     )
     search = _Search(grammar=grammar, control=ctrl, limits=bounded)
-    hit: list = []
-
-    def check(pair, form) -> bool:
-        if pair[0] == target:
-            hit.append(pair)
-            return True
-        return False
-
-    search.run(check)
-    if hit:
+    pair = next((p for p, _ in search.accepted() if p[0] == target), None)
+    if pair is not None:
         trace = []
-        pair = hit[0]
         while search.parents[pair] is not None:
             pair, index = search.parents[pair]
             trace.append(index)

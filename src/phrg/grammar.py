@@ -564,10 +564,12 @@ def parallel_budgeted(
     Returns (successors by key, node bound hit, edge bound hit); an
     edge-less graph is its own sole successor.  A graph's successors are
     canonical graphs keyed by canonical key.  A word form's successors
-    are word forms keyed by themselves; its edges are taken sorted by
-    label, the edge order of a canonical graph, so it meets the same
-    option lists in the same order as its graph would, and the same
-    budget flags.  The edge budget prunes option subtrees via exact
+    are word forms keyed by themselves.  Both paths take the edges
+    stably sorted by label, the order in which a canonical graph numbers
+    them (not its edge order, which sorts ids as strings: ``e10`` before
+    ``e2``), so a word form meets the same option lists in the same
+    order as its canonical graph, and sets the same budget flags.  The
+    edge budget prunes option subtrees via exact
     result edge counts; the node budget uses a per-edge lower bound
     during the product and the exact count at the leaves.  With neither
     budget nothing prunes, so more than ``_PRODUCT_GUARD`` rule choices
@@ -583,7 +585,8 @@ def parallel_budgeted(
         rows = table.word_options
         nodes = len(h.word) + 1
     else:
-        labels = [e.label for e in h.edges]
+        edges = sorted(h.edges, key=lambda e: e.label)
+        labels = [e.label for e in edges]
         rows = table.graph_options
         nodes = len(h.nodes)
     picked = []
@@ -625,7 +628,7 @@ def parallel_budgeted(
                     form = WordForm(word, tuple(flags))
                     found[form] = form
             else:
-                result = replace(h, {e.id: r.rhs for e, r in zip(h.edges, chosen)})
+                result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
                 if max_nodes is not None and len(result.nodes) > max_nodes:
                     hit_nodes = True
                 else:

@@ -107,16 +107,6 @@ class Hypergraph:
     def repetition_free(self) -> bool:
         return len(set(self.ext)) == len(self.ext)
 
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
-
-    def edge(self, edge_id: str) -> Hyperedge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise HypergraphError(f"no edge with id {edge_id!r}")
-
     def labels(self) -> frozenset[str]:
         return frozenset(e.label for e in self.edges)
 

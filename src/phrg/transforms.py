@@ -680,10 +680,6 @@ class Homomorphism:
             tuple(sorted((a, tuple(w)) for a, w in mapping.items()))
         )
 
-    @property
-    def erasing(self) -> bool:
-        return any(not w for _, w in self.mapping)
-
 
 def _coerce_hom(hom) -> dict[str, Word]:
     if isinstance(hom, Homomorphism):

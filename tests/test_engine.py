@@ -227,6 +227,18 @@ class TestLayerHooks:
         assert calls.pop("phrg.engine.parallel_budgeted") > 0
         assert not [hook for hook, n in calls.items() if n > 0]
 
+    def test_member_stops_at_its_word(self, monkeypatch):
+        # dyck_phr never shrinks a form, so member lowers its budgets to
+        # |ab|+1 nodes and |ab| edges; these limits are those already,
+        # and both searches run under the same bounds.
+        g = fixture("dyck_phr").phr()
+        limits = Limits(max_steps=4, max_nodes=3, max_edges=2)
+        calls = self.count_calls(monkeypatch)
+        assert member_string(g, "ab", limits).verdict == "yes"
+        member_calls = calls["phrg.engine.parallel_budgeted"]
+        assert enumerate_strings(g, limits).words == (("a", "b"),)
+        assert member_calls < calls["phrg.engine.parallel_budgeted"] - member_calls
+
 
 class TestControlledEnumeration:
     def grammar(self):

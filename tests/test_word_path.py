@@ -7,6 +7,7 @@ graphs.  Enumerations must agree field for field, member verdicts must
 agree, and member traces must be shortest witnesses on both paths.
 """
 
+import random
 from contextlib import contextmanager
 from unittest import mock
 
@@ -193,6 +194,57 @@ def test_product_flags_follow_the_canonical_edge_order():
     on_words = parallel_budgeted(form, table, 1, 4)
     on_graphs = parallel_budgeted(canonical_graph(form.graph()), table, 1, 4)
     assert on_words[1:] == on_graphs[1:] == (True, False)
+
+
+def _both_products(form: WordForm, table: Table, max_nodes, max_edges):
+    """The product on the word form and on its canonical graph, with the
+    word form's successors keyed as graphs."""
+    found, *flags = parallel_budgeted(form, table, max_nodes, max_edges)
+    on_words = ({canonical_key(f.graph()) for f in found}, *flags)
+    found, *flags = parallel_budgeted(canonical_graph(form.graph()), table, max_nodes, max_edges)
+    return on_words, (set(found), *flags)
+
+
+def test_product_flags_past_ten_edges():
+    # A canonical graph names its edges e0, e1, ...; by id, e10 and e11
+    # come before e2, which is not label order once there are 11 edges.
+    sig = Signature.of(dict.fromkeys("abcdefghijklm", 2))
+    words = {  # label -> its right-hand sides; an empty word erases
+        "a": "i", "b": "am|iaf", "c": "ad", "d": "|dhi", "e": "bf|clj", "f": "a",
+        "g": "b", "h": "jm", "i": "gea", "j": "f|ihk", "k": "|glb", "l": "f|gaf",
+        "m": "",
+    }
+    rules = (Rule(l, string_graph(w)) for l, ws in words.items() for w in ws.split("|"))
+    table = Table(rules=tuple(rules), scope=sig.labels)
+    on_words, on_graphs = _both_products(WordForm(tuple("ddkalkgelilg"), ()), table, 25, 26)
+    assert len(on_words[0]) == 163
+    assert on_words == on_graphs
+    assert on_words[1:] == (True, False)
+
+
+def test_long_form_products_agree():
+    """Seeded sweep of 11-14-letter forms, half with nullary edges, under
+    budgets near the form's size: the word path and the graph path give
+    the same successors and flags.  Cases 33 and 142 disagree when the
+    graph path takes its edges by id."""
+    rng = random.Random(3)
+    letters, nullary = "abcdefgh", ("x", "y")
+    sig = Signature.of({**dict.fromkeys(letters, 2), **dict.fromkeys(nullary, 0)})
+    for case in range(150):
+        with_flags = case % 2 == 1
+        rules = []
+        for label in letters + "xy":
+            for _ in range(rng.choice((1, 1, 2))):
+                flags = tuple(rng.sample(nullary, rng.randint(0, 1))) if with_flags else ()
+                word = None if label in nullary else rng.choices(letters, k=rng.randint(0, 3))
+                rules.append(Rule(label, _rhs(word, flags)))
+        table = Table(rules=tuple(rules), scope=sig.labels)
+        word = tuple(rng.choices(letters, k=rng.randint(11, 14)))
+        flags = tuple(sorted(rng.choices(nullary, k=rng.randint(0, 2)))) if with_flags else ()
+        n = len(word)
+        max_nodes, max_edges = rng.randint(n, n + 10), rng.randint(n, n + 10)
+        on_words, on_graphs = _both_products(WordForm(word, flags), table, max_nodes, max_edges)
+        assert on_words == on_graphs, (case, word, flags)
 
 
 @st.composite
