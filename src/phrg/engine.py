@@ -2,14 +2,22 @@
 
 Exploration is breadth-first over canonical forms, or word forms (see
 below), paired with control states when a control automaton is present,
-so each isomorphism class is expanded once.  All searches are bounded;
-the result records say exactly which budget, if any, cut the search:
+so each isomorphism class is expanded once.  Dead forms are never
+built: a product option whose piece holds a label outside
+``PHRGrammar.productive`` is dropped, and a search whose start label is
+unproductive ends at once.  Such a form could never become terminal, so
+the languages are those of the unpruned search.  All searches are
+bounded; the result records say exactly which budget, if any, cut the
+search:
 
-* ``exhaustive`` is True iff no node, edge or result budget pruned
-  anything.  The step horizon does not clear it: the enumeration is then
-  complete for every derivation depth up to ``max_steps``.
+* ``exhaustive`` is True iff no node, edge or result budget pruned a
+  live form.  The step horizon does not clear it: the enumeration is
+  then complete for every derivation depth up to ``max_steps``.
 * ``saturated`` is True iff the frontier emptied before the step horizon,
   i.e. more steps would add nothing within the same bounds.
+
+Both flags, the ``hit_*`` flags and ``no-within-limits`` verdicts are
+only ever more precise than those of a search that kept dead forms.
 
 For grammars whose rules never shrink the graph (``node_monotone`` /
 ``edge_monotone``) a saturated run with an edge or node bound is a
@@ -94,6 +102,9 @@ class _Search:
         order found.  A caller that stops pulling stops the search."""
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
+        if grammar.start not in grammar.productive:
+            self.saturated = True  # no derivation can end in a terminal graph
+            return
         # the start handle: one edge on as many nodes as its label's arity
         self.hit_nodes = grammar.signature.arity(grammar.start) > limits.max_nodes
         self.hit_edges = 1 > limits.max_edges
@@ -118,9 +129,11 @@ class _Search:
             for pair in sorted(frontier, key=lambda p: (p[0], p[1] or "")):
                 h = self.visited[pair]
                 labels = h.labels()
-                for index, table in grammar.tables:
+                for index, table in grammar.live_tables:
+                    if not labels.isdisjoint(table.blocked):
+                        continue  # every successor holds an unproductive label
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
-                    # idle table: skips 21,907 of 47,398 products on the closure benchmark
+                    # idle table: the form is its own sole successor
                     if not (labels & table.active_labels):
                         succs = {pair[0]: h}
                     else:

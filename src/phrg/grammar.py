@@ -89,6 +89,23 @@ def _reachable(
     return seen
 
 
+def _least_fixpoint(
+    seeds: Iterable[str], rules: Iterable[tuple[str, Iterable[str]]]
+) -> set[str]:
+    """The least set holding the seeds and the left-hand side of every
+    rule ``(lhs, labels)`` whose labels all lie in it."""
+    done = set(seeds)
+    rules = [(l, frozenset(rhs)) for l, rhs in rules]
+    changed = True
+    while changed:
+        changed = False
+        for l, rhs in rules:
+            if l not in done and rhs <= done:
+                done.add(l)
+                changed = True
+    return done
+
+
 def _options(rows: Iterable[tuple[int, int, object]]) -> tuple[tuple, int, int]:
     """Product options (edges added, nodes added, piece), sorted by the
     first two with ties kept in order, and the least of each increment."""
@@ -197,6 +214,55 @@ class Table:
             for l, rs in self.by_label.items()
             if not (len(rs) == 1 and is_identity_rule(rs[0]))
         )
+
+
+@dataclass(frozen=True)
+class LiveTable:
+    """A table as the search takes it: each label's product options cut to
+    the live ones, whose pieces hold ``productive`` labels alone.
+
+    The least increments of a row are those of its live options, which
+    tightens the product's suffix bounds.  A label with no live option is
+    *blocked*: a form holding it has no successor that can still become
+    terminal.  Such a label has no row, not an empty one (whose least
+    increment would be unbounded and set the edge flag); the search takes
+    no product for a form holding it.
+    """
+
+    table: Table
+    productive: frozenset[str]
+
+    @property
+    def scope(self) -> tuple[str, ...]:
+        return self.table.scope
+
+    @property
+    def active_labels(self) -> frozenset[str]:
+        return self.table.active_labels
+
+    @cached_property
+    def blocked(self) -> frozenset[str]:
+        return frozenset(
+            l
+            for l, rs in self.table.by_label.items()
+            if not any(r.rhs.labels() <= self.productive for r in rs)
+        )
+
+    @cached_property
+    def graph_options(self) -> dict[str, tuple]:
+        return self._live(self.table.graph_options, lambda r: r.rhs.labels())
+
+    @cached_property
+    def word_options(self) -> dict[str, tuple]:
+        return self._live(self.table.word_options, WordForm.labels)
+
+    def _live(self, rows: dict[str, tuple], labels: Callable) -> dict[str, tuple]:
+        out = {}
+        for l, (opts, _, _) in rows.items():
+            kept = [o for o in opts if labels(o[2]) <= self.productive]
+            if kept:
+                out[l] = _options(kept)
+        return out
 
 
 def identity_table(sig: Signature) -> Table:
@@ -325,6 +391,26 @@ class PHRGrammar:
                 ),
             )
         )
+
+    @cached_property
+    def productive(self) -> frozenset[str]:
+        """Labels from which a terminal graph can be derived, over rule
+        structure only: the least fixpoint of "some rule for the label, in
+        some table, has a right-hand side whose labels are all
+        productive", seeded with the terminals.
+
+        Every label of a derivation that ends in a terminal graph is
+        productive, by induction from the last step.  The test ignores the
+        synchronization of parallel steps and any control, so it may call
+        a label productive that is not, never the reverse.
+        """
+        rules = ((r.lhs, r.rhs.labels()) for _, t in self.tables for r in t.rules)
+        return frozenset(_least_fixpoint(self.terminals, rules))
+
+    @cached_property
+    def live_tables(self) -> tuple[tuple[str, LiveTable], ...]:
+        """The tables cut to their live options, as the search takes them."""
+        return tuple((i, LiveTable(t, self.productive)) for i, t in self.tables)
 
     @property
     def table_indices(self) -> tuple[str, ...]:

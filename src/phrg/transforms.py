@@ -33,6 +33,7 @@ from .grammar import (
     Table,
     Word,
     WordTable,
+    _least_fixpoint,
     _reachable,
     identity_table,
     is_identity_rule,
@@ -202,15 +203,7 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
     """
     if all(w for _, t in g.tables for _, w in t.rules):
         return g
-    erasable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for _, t in g.tables:
-            for l, w in t.rules:
-                if l not in erasable and all(a in erasable for a in w):
-                    erasable.add(l)
-                    changed = True
+    erasable = _least_fixpoint((), (r for _, t in g.tables for r in t.rules))
     if len(erasable) > _ERASABLE_GUARD:
         raise TransformError(
             f"{len(erasable)} erasable symbols; commitment sets would blow up"
