@@ -7,10 +7,13 @@ attachment, labelling and the external sequence pointwise.
 The canonical key is computed by individualization-refinement: nodes are
 colored (initially by their positions in the external sequence), colors
 are refined by the multiset of incident (label, tentacle position,
-attached colors) signatures, and non-discrete colorings branch on every
-member of the first non-singleton color class.  Each discrete coloring
-yields a certificate; the minimum certificate over all branches is
-canonical, so two graphs get equal keys iff they are isomorphic.
+attached colors) signatures until a round adds no cell, that is, to an
+equitable coloring, and non-discrete colorings branch on every member of
+the first non-singleton color class.  Each discrete coloring yields a
+certificate; the minimum certificate over all branches is canonical, so
+two graphs get equal keys iff they are isomorphic.  A root coloring that
+is discrete, by the external sequence or after refinement, is scored at
+once, without a search.
 """
 
 from __future__ import annotations
@@ -40,6 +43,21 @@ def _rank(values: list) -> list[int]:
     return [order[v] for v in values]
 
 
+def _refine(cs: list[int], incidence: list[list[tuple]]) -> list[int]:
+    """Refine ``cs`` until a round adds no cell; the coloring is then
+    equitable, in dense ranks.  A discrete coloring is returned as is."""
+    cells = len(set(cs))  # a child coloring (2c, 2c - 1) is not dense
+    while cells < len(cs):
+        cs = _rank([
+            (c, tuple(sorted([(r, p, tuple([cs[u] for u in a])) for r, p, a in inc])))
+            for c, inc in zip(cs, incidence)
+        ])
+        if max(cs) + 1 == cells:
+            break
+        cells = max(cs) + 1
+    return cs
+
+
 @lru_cache(maxsize=1024)
 def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     """Return (certificate, node order realizing it).
@@ -53,38 +71,10 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     edges = [(e.label, tuple(idx[v] for v in e.att)) for e in h.edges]
     ext = tuple(idx[v] for v in h.ext)
 
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ei, (_, att) in enumerate(edges):
-        for pos, v in enumerate(att):
-            incidence[v].append((ei, pos))
+    colors = _rank([tuple(p for p, u in enumerate(ext) if u == v) for v in range(n)])
 
-    profile: list[list[int]] = [[] for _ in range(n)]
-    for pos, v in enumerate(ext):
-        profile[v].append(pos)
-    colors = _rank([tuple(p) for p in profile])
-
-    def refine(cs: list[int]) -> list[int]:
-        while True:
-            sigs = []
-            for v in range(n):
-                local = sorted(
-                    (edges[ei][0], pos, tuple(cs[u] for u in edges[ei][1]))
-                    for ei, pos in incidence[v]
-                )
-                sigs.append((cs[v], tuple(local)))
-            new = _rank(sigs)
-            if new == cs:
-                return cs
-            cs = new
-
-    # best leaf so far: (certificate, node order, individualized path)
-    best: list[tuple[_Cert, tuple[int, ...], tuple[int, ...]] | None] = [None]
-    # automorphisms met so far, each as a list mapping node index to image
-    gens: list[list[int]] = []
-
-    def leaf(cs: list[int], path: tuple[int, ...]) -> int | None:
-        """Score a discrete coloring; on an automorphism, return the depth
-        of the common ancestor with the best leaf."""
+    def score(cs: list[int]) -> tuple[_Cert, tuple[int, ...]]:
+        """The certificate of a discrete coloring, and its node order."""
         order = sorted(range(n), key=cs.__getitem__)
         position = [0] * n
         for p, v in enumerate(order):
@@ -94,8 +84,29 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
             tuple(position[v] for v in ext),
             tuple(sorted((lab, tuple(position[u] for u in att)) for lab, att in edges)),
         )
+        return cert, tuple(order)
+
+    if len(set(colors)) < n:
+        # (label rank, tentacle position, attachment) per incidence of a node
+        incidence: list[list[tuple]] = [[] for _ in range(n)]
+        for r, (_, att) in zip(_rank([lab for lab, _ in edges]), edges):
+            for pos, v in enumerate(att):
+                incidence[v].append((r, pos, att))
+        colors = _refine(colors, incidence)
+    if len(set(colors)) == n:  # one leaf: no search
+        return score(colors)
+
+    # best leaf so far: (certificate, node order, individualized path)
+    best: list[tuple[_Cert, tuple[int, ...], tuple[int, ...]] | None] = [None]
+    # automorphisms met so far, each as a list mapping node index to image
+    gens: list[list[int]] = []
+
+    def leaf(cs: list[int], path: tuple[int, ...]) -> int | None:
+        """Score a discrete coloring; on an automorphism, return the depth
+        of the common ancestor with the best leaf."""
+        cert, order = score(cs)
         if best[0] is None or cert < best[0][0]:
-            best[0] = (cert, tuple(order), path)
+            best[0] = (cert, order, path)
             return None
         if cert != best[0][0]:
             return None
@@ -110,9 +121,8 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
         return common
 
     def search(cs: list[int], path: tuple[int, ...]) -> int | None:
-        """Search below the node reached by individualizing ``path``;
-        return a depth above this node's to jump back to, or None."""
-        cs = refine(cs)
+        """Search below the node reached by individualizing ``path``, with
+        refined coloring ``cs``; return a depth above it to jump to, or None."""
         counts: dict[int, int] = {}
         for c in cs:
             counts[c] = counts.get(c, 0) + 1
@@ -137,7 +147,7 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
             explored.append(v)
             child = [c * 2 for c in cs]
             child[v] -= 1
-            jump = search(child, path + (v,))
+            jump = search(_refine(child, incidence), path + (v,))
             if jump is not None and jump < depth:
                 return jump
         return None

@@ -5,8 +5,10 @@ below), paired with control states when a control automaton is present,
 so each isomorphism class is expanded once.  Dead forms are never
 built: a product option whose piece holds a label outside
 ``PHRGrammar.productive`` is dropped, and a search whose start label is
-unproductive ends at once.  Such a form could never become terminal, so
-the languages are those of the unpruned search.  All searches are
+unproductive ends at once.  Likewise a pair whose control state is not in
+``ControlAutomaton.live_states`` is dropped, and a search whose initial
+state is not ends at once.  Such a pair could never be accepted, so the
+languages are those of the unpruned search.  All searches are
 bounded; the result records say exactly which budget, if any, cut the
 search:
 
@@ -102,8 +104,11 @@ class _Search:
         order found.  A caller that stops pulling stops the search."""
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
-        if grammar.start not in grammar.productive:
-            self.saturated = True  # no derivation can end in a terminal graph
+        q0 = ctrl.initial if ctrl is not None else None
+        if grammar.start not in grammar.productive or (
+            ctrl is not None and q0 not in ctrl.live_states
+        ):
+            self.saturated = True  # no derivation can end in an accepted graph
             return
         # the start handle: one edge on as many nodes as its label's arity
         self.hit_nodes = grammar.signature.arity(grammar.start) > limits.max_nodes
@@ -116,7 +121,6 @@ class _Search:
         else:
             start = grammar.start_graph()
             key = canonical_key(start)
-        q0 = ctrl.initial if ctrl is not None else None
         start_pair = (key, q0)
         self.visited[start_pair] = start
         self.parents[start_pair] = None
@@ -133,6 +137,8 @@ class _Search:
                     if not labels.isdisjoint(table.blocked):
                         continue  # every successor holds an unproductive label
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
+                    if ctrl is not None and q2 not in ctrl.live_states:
+                        continue  # no table trace from q2 reaches a final state
                     # idle table: the form is its own sole successor
                     if not (labels & table.active_labels):
                         succs = {pair[0]: h}

@@ -543,6 +543,14 @@ class ControlAutomaton:
         return bool(current & set(self.finals))
 
     @cached_property
+    def live_states(self) -> frozenset[str]:
+        """The states from which some word leads to a final state."""
+        back: dict[str, list[str]] = {}
+        for q, _, p in self.transitions:
+            back.setdefault(p, []).append(q)
+        return frozenset(_reachable(self.finals, lambda p: back.get(p, ())))
+
+    @cached_property
     def is_deterministic_complete(self) -> bool:
         return all(
             len(self._step_map.get((q, a), frozenset())) == 1
@@ -718,7 +726,9 @@ def parallel_budgeted(
                 if max_nodes is not None and len(result.nodes) > max_nodes:
                     hit_nodes = True
                 else:
-                    found[canonical_key(result)] = canonical_graph(result)
+                    key = canonical_key(result)
+                    if key not in found:
+                        found[key] = canonical_graph(result)
             i -= 1
             continue
         opts = options[i]

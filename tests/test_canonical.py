@@ -218,6 +218,39 @@ def test_keys_decide_isomorphism_small_sweep():
             assert not brute_force_isomorphic(g, h)
 
 
+def test_key_invariant_under_node_order():
+    # Nodes are indexed in name order, and a coloring the external
+    # sequence makes discrete is scored at once, so every order must agree.
+    for g in all_small_graphs(2, 2, 2):
+        edge_map = {e.id: e.id for e in g.edges}
+        keys = {
+            canonical_key(renamed(g, dict(zip(g.nodes, names)), edge_map))
+            for names in itertools.permutations(g.nodes)
+        }
+        assert keys == {canonical_key(g)}
+
+
+def test_child_coloring_is_refined_to_a_stable_partition():
+    # Two directed triangles, no external nodes: the root and the first
+    # child are equitable but not discrete, so the second child coloring
+    # (2c, 2c - 1 over four cells) must be refined; its values run up to
+    # 6 on six nodes, so counting cells by its largest value mistakes it
+    # for a discrete coloring and scores a wrong leaf.
+    g = triangles(2)
+    assert canonical_key(g) == (
+        b"(6, (), (('a', (0, 2)), ('a', (1, 0)), ('a', (2, 1)),"
+        b" ('a', (3, 5)), ('a', (4, 3)), ('a', (5, 4))))"
+    )
+    rng = random.Random("stable")
+    six_cycle = hypergraph(
+        nodes=[f"v{i}" for i in range(6)],
+        edges=[(f"e{i}", "a", (f"v{i}", f"v{(i + 1) % 6}")) for i in range(6)],
+        ext=(),
+    )
+    for other in [shuffled_copy(g, rng) for _ in range(8)] + [six_cycle]:
+        assert (canonical_key(g) == canonical_key(other)) == brute_force_isomorphic(g, other)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_key_equality_matches_brute_force(data):

@@ -3,8 +3,10 @@
 A label is productive when some terminal graph derives from it, over
 rule structure only.  The search drops every product option whose piece
 holds an unproductive label, so it never builds a form that cannot become
-terminal.  The oracle is the unpruned search: inside ``unpruned()`` every
-label counts as productive, which is the search without the trim.
+terminal, nor a pair whose control state can reach no final state.  The
+oracle is the unpruned search: inside ``unpruned()`` every label counts
+as productive and every control state as live, which is the search
+without the trim.
 Graphs, words and ``yes`` verdicts (with traces of one length) must be
 equal on both sides; the flags may only become more precise.
 """
@@ -56,10 +58,13 @@ def _tracing():
 
 @contextmanager
 def unpruned():
-    """Searches inside count every label as productive: nothing is trimmed."""
+    """Searches inside count every label as productive and every control
+    state as live: nothing is trimmed."""
     every = property(lambda self: frozenset(self.signature.labels))
+    live = property(lambda self: frozenset(self.states))
     with mock.patch.object(PHRGrammar, "productive", every):
-        yield
+        with mock.patch.object(ControlAutomaton, "live_states", live):
+            yield
 
 
 def fresh(g):
@@ -200,6 +205,32 @@ class TestDeadStart:
         out = enumerate_strings(g, Limits(max_steps=30, max_nodes=30, max_edges=5))
         assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
         assert calls == []
+
+
+class TestDeadControl:
+    def test_live_states(self):
+        control = ControlAutomaton(
+            states=("p", "q", "f", "d"),
+            alphabet=("1", "2"),
+            transitions=(("p", "1", "q"), ("q", "2", "f"), ("f", "1", "d")),
+            initial="p",
+            finals=("f",),
+        )
+        assert control.live_states == {"p", "q", "f"}
+        complete = control.determinize_complete()
+        assert complete.live_states == {"{p}", "{q}", "{f}"} < set(complete.states)
+
+    def test_no_final_state_ends_at_once(self, monkeypatch):
+        # ctl_none's automaton has no final state.  Unpruned, this search
+        # ran 12,285 products to come out empty with both flags False.
+        g = fixture("ctl_none").phr()
+        calls = count_products(monkeypatch)
+        out = enumerate_strings(g, Limits(max_steps=12, max_edges=12))
+        assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
+        assert calls == []
+        with unpruned():
+            full = enumerate_strings(fresh(g), Limits(max_steps=6, max_edges=6))
+        assert full.words == () and not full.saturated and calls
 
 
 def test_blocked_label_has_no_successors(monkeypatch):
