@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import inf, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .canonical import canonical_graph, canonical_key
@@ -36,6 +38,7 @@ from .hypergraph import (
 Word = tuple[str, ...]
 
 _PRODUCT_GUARD = 10**6
+_new = tuple.__new__  # builds a WordForm without its Python-level __new__
 
 
 class GrammarError(ValueError):
@@ -196,15 +199,21 @@ class Table:
 
     @cached_property
     def word_options(self) -> dict[str, tuple]:
-        """Per label whose rules all have word forms, those word forms as
-        product options of the word path, in the order of ``graph_options``."""
+        """Per label whose rules all have word forms, their words (whole forms
+        for ``flag_labels``) as product options, in ``graph_options`` order."""
         out = {}
         for l, (opts, least_edges, least_nodes) in self.graph_options.items():
             forms = [word_form(r.rhs) for _, _, r in opts]
             if None not in forms:
-                opts = tuple((de, dn, f) for (de, dn, _), f in zip(opts, forms))
+                pieces = forms if l in self.flag_labels else [f.word for f in forms]
+                opts = tuple((de, dn, x) for (de, dn, _), x in zip(opts, pieces))
                 out[l] = (opts, least_edges, least_nodes)
         return out
+
+    @cached_property
+    def flag_labels(self) -> frozenset[str]:
+        """Labels whose rules can add nullary edges."""
+        return frozenset(r.lhs for r in self.rules if not all(e.att for e in r.rhs.edges))
 
     @cached_property
     def active_labels(self) -> frozenset[str]:
@@ -240,6 +249,8 @@ class LiveTable:
     def active_labels(self) -> frozenset[str]:
         return self.table.active_labels
 
+    flag_labels = property(lambda self: self.table.flag_labels)
+
     @cached_property
     def blocked(self) -> frozenset[str]:
         return frozenset(
@@ -250,16 +261,17 @@ class LiveTable:
 
     @cached_property
     def graph_options(self) -> dict[str, tuple]:
-        return self._live(self.table.graph_options, lambda r: r.rhs.labels())
+        return self._live(self.table.graph_options)
 
     @cached_property
     def word_options(self) -> dict[str, tuple]:
-        return self._live(self.table.word_options, WordForm.labels)
+        return self._live(self.table.word_options)
 
-    def _live(self, rows: dict[str, tuple], labels: Callable) -> dict[str, tuple]:
+    def _live(self, rows: dict[str, tuple]) -> dict[str, tuple]:
         out = {}
         for l, (opts, _, _) in rows.items():
-            kept = [o for o in opts if labels(o[2]) <= self.productive]
+            rs = self.table.graph_options[l][0]  # in the order of opts
+            kept = [o for o, (_, _, r) in zip(opts, rs) if r.rhs.labels() <= self.productive]
             if kept:
                 out[l] = _options(kept)
         return out
@@ -458,6 +470,7 @@ class WordTable:
 
     rules: tuple[tuple[str, Word], ...]
     scope: tuple[str, ...]
+    flag_labels = frozenset()  # words carry no nullary labels
 
     def __post_init__(self) -> None:
         rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
@@ -471,7 +484,7 @@ class WordTable:
     def word_options(self) -> dict[str, tuple]:
         """Per symbol, its words as product options of the word path."""
         return {
-            l: _options((len(w), len(w) - 1, WordForm(w, ())) for w in ws)
+            l: _options((len(w), len(w) - 1, w) for w in ws)
             for l, ws in self.by_symbol.items()
         }
 
@@ -662,10 +675,17 @@ def parallel_budgeted(
     stably sorted by label, the order in which a canonical graph numbers
     them (not its edge order, which sorts ids as strings: ``e10`` before
     ``e2``), so a word form meets the same option lists in the same
-    order as its canonical graph, and sets the same budget flags.  The
-    edge budget prunes option subtrees via exact
-    result edge counts; the node budget uses a per-edge lower bound
-    during the product and the exact count at the leaves.  With neither
+    order as its canonical graph, and sets the same budget flags.
+
+    Options come sorted by edge increment.  Each is checked, edges first,
+    against the counts chosen so far plus the least increments to come:
+    past the edge budget no later option fits, past the node budget one
+    may.  A position with one option leaves the search, its increments
+    added to the starting counts; its check could fail only at the first
+    position, against the least totals, so it runs once up front.  Other
+    checks sum the same increments as with every position searched, so
+    the flags are the same.  A word form's node count is exact at a leaf
+    and checked; a graph's leaf checks the replaced graph.  With neither
     budget nothing prunes, so more than ``_PRODUCT_GUARD`` rule choices
     raise ``GrammarError`` at once.
     """
@@ -674,8 +694,6 @@ def parallel_budgeted(
         edges = h.word + h.flags
         order = sorted(range(len(edges)), key=edges.__getitem__)
         labels = [edges[j] for j in order]
-        place = {j: i for i, j in enumerate(order)}
-        letters = [place[j] for j in range(len(h.word))]  # choices in word order
         rows = table.word_options
         nodes = len(h.word) + 1
     else:
@@ -683,44 +701,60 @@ def parallel_budgeted(
         labels = [e.label for e in edges]
         rows = table.graph_options
         nodes = len(h.nodes)
-    picked = []
-    count = 1
-    for l in labels:
+    m = len(labels)
+    chosen: list = [()] * (m + 1)  # the last slot is joined after every word
+    picked, at = [], []  # the rows with a choice, and their positions
+    total_edges = 0
+    for p, l in enumerate(labels):
         row = rows.get(l)
         if row is None:
             if l in table.scope:
                 raise GrammarError(f"rules for label {l!r} are not all word forms")
             raise GrammarError(f"no rules for label {l!r} in table")
-        picked.append(row)
-        count *= len(row[0])
-    if max_nodes is None and max_edges is None and count > _PRODUCT_GUARD:
-        raise GrammarError("parallel successor set too large")
-    options = [opts for opts, _, _ in picked]
-    m = len(options)
-    suffix_edges = [0] * (m + 1)
-    suffix_nodes = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_edges[i] = suffix_edges[i + 1] + picked[i][1]
-        suffix_nodes[i] = suffix_nodes[i + 1] + picked[i][2]
+        total_edges += row[1]
+        nodes += row[2]
+        if len(row[0]) == 1:
+            chosen[p] = row[0][0][2]
+        else:
+            picked.append(row)
+            at.append(p)
+    if max_nodes is None and max_edges is None:
+        if prod(len(r[0]) for r in picked) > _PRODUCT_GUARD:
+            raise GrammarError("parallel successor set too large")
+    if not at or at[0]:  # the first position is folded, or there is none
+        if m and max_edges is not None and total_edges > max_edges:
+            return {}, False, True
+        if max_nodes is not None and nodes > max_nodes:
+            return {}, True, False
+    room_edges = inf if max_edges is None else max_edges - total_edges
+    room_nodes = inf if max_nodes is None else max_nodes - nodes
+    rooms = []  # the budgets less the least increments of every other position
+    for _, de, dn in picked:
+        room_edges += de
+        room_nodes += dn
+        rooms.append((room_edges, room_nodes))
+    if word_path:
+        place = sorted(range(m), key=order.__getitem__)  # label-order positions
+        join = itemgetter(*place[: len(h.word)], m)  # the chosen words in word order
+        flagged = table.flag_labels
+        carry = [p for p, l in enumerate(labels) if l in flagged] if flagged else ()
 
-    found: dict = {}
-    hit_nodes = False
-    hit_edges = False
-    chosen: list = [None] * m
-    edges_to = [0] * (m + 1)  # edge and node counts of the choices before i
-    nodes_to = [nodes] + [0] * m
-    tried = [0] * m  # options of position i tried so far
+    found, hit_nodes, hit_edges = {}, False, False
+    k = len(picked)
+    edges_to, nodes_to = [0] * (k + 1), [0] * (k + 1)  # added by the choices before i
+    rest = [iter(r[0]) for r in picked]  # the options of position i not tried yet
     i = 0
     while i >= 0:
-        if i == m:
+        if i == k:
             if word_path:
-                word = tuple(chain.from_iterable([chosen[j].word for j in letters]))
-                if max_nodes is not None and len(word) + 1 > max_nodes:
-                    hit_nodes = True
-                else:
-                    flags = sorted([a for f in chosen for a in f.flags])
-                    form = WordForm(word, tuple(flags))
-                    found[form] = form
+                words, flags = chosen, ()
+                if carry:  # these positions hold whole word forms
+                    words = chosen.copy()
+                    for p in carry:
+                        words[p] = chosen[p].word
+                    flags = tuple(sorted(chain.from_iterable(chosen[p].flags for p in carry)))
+                form = _new(WordForm, (tuple(chain.from_iterable(join(words))), flags))
+                found[form] = form
             else:
                 result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
                 if max_nodes is not None and len(result.nodes) > max_nodes:
@@ -731,28 +765,24 @@ def parallel_budgeted(
                         found[key] = canonical_graph(result)
             i -= 1
             continue
-        opts = options[i]
-        k = tried[i]
-        descend = False
-        while k < len(opts):
-            de, dn, piece = opts[k]
-            k += 1
-            if max_edges is not None and edges_to[i] + de + suffix_edges[i + 1] > max_edges:
+        e, n = edges_to[i], nodes_to[i]
+        room_e, room_n = rooms[i]
+        for de, dn, piece in rest[i]:
+            if e + de > room_e:
                 hit_edges = True
+                i -= 1
                 break  # options sorted by edge increment
-            if max_nodes is not None and nodes_to[i] + dn + suffix_nodes[i + 1] > max_nodes:
+            if n + dn > room_n:
                 hit_nodes = True
                 continue
-            chosen[i] = piece
-            edges_to[i + 1] = edges_to[i] + de
-            nodes_to[i + 1] = nodes_to[i] + dn
-            descend = True
-            break
-        if descend:
-            tried[i] = k
+            chosen[at[i]] = piece
             i += 1
+            edges_to[i] = e + de
+            nodes_to[i] = n + dn
+            if i < k:
+                rest[i] = iter(picked[i][0])
+            break
         else:
-            tried[i] = 0
             i -= 1
     return found, hit_nodes, hit_edges
 

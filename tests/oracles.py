@@ -171,6 +171,53 @@ def nfa_accepts(
     return bool(current & set(finals))
 
 
+# ---------------------------------------------------- parallel product
+
+def budgeted_product(
+    rows: Sequence[Sequence[tuple]],
+    start_nodes: int,
+    leaf: Callable[[list], tuple],
+    max_nodes: int | None = None,
+    max_edges: int | None = None,
+) -> tuple[dict, bool, bool]:
+    """Every choice of one option per position, pruned by the budgets.
+
+    ``rows`` holds, per position, its options (edges added, nodes added,
+    piece) in the order they are tried, sorted by edge increment.  Each
+    option is checked against the increments chosen before it plus the
+    least increments of the positions after it: edges first (past the
+    budget, no later option of the position is tried), then nodes (past
+    the budget, the next option is).  ``leaf(pieces)`` gives a full
+    choice's (key, value, node count); the count is checked once more,
+    and the first value per key is kept.  Returns (values by key, node
+    budget hit, edge budget hit).
+    """
+    least_edges = [min(o[0] for o in opts) for opts in rows]
+    least_nodes = [min(o[1] for o in opts) for opts in rows]
+    found: dict = {}
+    hit = {"nodes": False, "edges": False}
+
+    def choose(i: int, edges: int, nodes: int, pieces: list) -> None:
+        if i == len(rows):
+            key, value, count = leaf(pieces)
+            if max_nodes is not None and count > max_nodes:
+                hit["nodes"] = True
+            else:
+                found.setdefault(key, value)
+            return
+        for de, dn, piece in rows[i]:
+            if max_edges is not None and edges + de + sum(least_edges[i + 1 :]) > max_edges:
+                hit["edges"] = True
+                break
+            if max_nodes is not None and nodes + dn + sum(least_nodes[i + 1 :]) > max_nodes:
+                hit["nodes"] = True
+                continue
+            choose(i + 1, edges + de, nodes + dn, pieces + [piece])
+
+    choose(0, 0, start_nodes, [])
+    return found, hit["nodes"], hit["edges"]
+
+
 # ------------------------------------------------------- group oracles
 
 def free_trivial(word: Sequence[str], inverse: Mapping[str, str]) -> bool:

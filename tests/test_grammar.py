@@ -1,6 +1,7 @@
 """Rules, tables, grammars, derivation steps, and control automata."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -31,7 +32,7 @@ from phrg import (
     string_graph,
     trace_successors,
 )
-from oracles import nfa_accepts, all_words
+from oracles import nfa_accepts, all_words, subst_set
 
 SIG = Signature.of({"S": 2, "a": 2, "b": 2})
 IDS = (Rule("a", handle("a", 2)), Rule("b", handle("b", 2)))
@@ -381,6 +382,19 @@ class TestEt0lStep:
         got = et0l_step(t, ("a", "b") * 750)
         assert time.perf_counter() - t0 < 1.0
         assert got == {("a", "a", "b") * 750}
+
+    def test_long_word_matches_the_substitution_oracle(self):
+        # ten letters with a choice among 1,500; the others are folded
+        images = {"a": [("a",)], "b": [("a",), ("b", "b")], "c": [(), ("c",)], "d": [()]}
+        t = WordTable(
+            rules=tuple((l, w) for l, ws in images.items() for w in ws), scope=tuple(images)
+        )
+        rng = random.Random(5)
+        word = rng.choices("ad", k=1490) + ["b"] * 7 + ["c"] * 3
+        rng.shuffle(word)
+        got = et0l_step(t, word)
+        assert len(got) == 2**10
+        assert got == subst_set([tuple(word)], images)
 
     def test_unknown_symbol(self):
         t = WordTable(rules=(("a", ("a",)),), scope=("a",))

@@ -33,9 +33,17 @@ from phrg import (
     member_string,
     string_graph,
 )
-from phrg.grammar import WordForm, parallel_budgeted, split_control
-from phrg.hypergraph import Hyperedge, Hypergraph
-from oracles import all_words
+from phrg.grammar import (
+    GrammarError,
+    LiveTable,
+    WordForm,
+    WordTable,
+    parallel_budgeted,
+    split_control,
+    word_form,
+)
+from phrg.hypergraph import Hyperedge, Hypergraph, replace
+from oracles import all_words, budgeted_product
 from test_golden_constructions import CASES
 
 GRAPH_ONLY = ("fig5_squares", "copy_dyck_K")
@@ -245,6 +253,124 @@ def test_long_form_products_agree():
         max_nodes, max_edges = rng.randint(n, n + 10), rng.randint(n, n + 10)
         on_words, on_graphs = _both_products(WordForm(word, flags), table, max_nodes, max_edges)
         assert on_words == on_graphs, (case, word, flags)
+
+
+def test_single_option_first_position_is_checked_up_front():
+    # a (one option) comes first; its check against the least totals
+    # fails on nodes before b's options are tried, so no edge flag
+    sig = Signature.of(dict.fromkeys("abxy", 2))
+    rules = (
+        Rule("a", string_graph("xxx")),
+        Rule("b", string_graph("y")),
+        Rule("b", string_graph("yyyy")),
+        Rule("x", handle("x", sig)),
+        Rule("y", handle("y", sig)),
+    )
+    table = Table(rules=rules, scope=sig.labels)
+    form = WordForm(("a", "b"), ())
+    assert parallel_budgeted(form, table, 4, 5) == ({}, True, False)
+    assert parallel_budgeted(canonical_graph(form.graph()), table, 4, 5) == ({}, True, False)
+
+
+def test_edgeless_form_over_no_node_budget():
+    table = Table(rules=(Rule("a", string_graph("a")),), scope=("a",))
+    form = WordForm((), ())
+    assert parallel_budgeted(form, table, 0, None) == ({}, True, False)
+    assert parallel_budgeted(canonical_graph(form.graph()), table, 0, 0) == ({}, True, False)
+    assert parallel_budgeted(form, table, 1, 0) == ({form: form}, False, False)
+
+
+def _reference(subject, table, max_nodes, max_edges):
+    """``budgeted_product`` on a word form or a graph, with each label's
+    options read off the table's rules: a rule's edges and nodes added,
+    stably sorted, cut to live rules for a ``LiveTable``."""
+    live = getattr(table, "productive", None)
+    rules = table.table.rules if live is not None else table.rules
+    if isinstance(table, WordTable):
+        options = [(l, (len(w), len(w) - 1, WordForm(w, ()))) for l, w in rules]
+    else:
+        word = isinstance(subject, WordForm)
+        options = []
+        for r in rules:
+            if live is None or r.rhs.labels() <= live:
+                de, dn = len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type
+                options.append((r.lhs, (de, dn, word_form(r.rhs) if word else r)))
+    if isinstance(subject, WordForm):
+        symbols = subject.word + subject.flags
+        order = sorted(range(len(symbols)), key=lambda j: symbols[j])
+        labels = [symbols[j] for j in order]
+        start = len(subject.word) + 1
+
+        def leaf(pieces):
+            by_symbol = dict(zip(order, pieces))
+            word = tuple(a for j in range(len(subject.word)) for a in by_symbol[j].word)
+            form = WordForm(word, tuple(sorted(a for f in pieces for a in f.flags)))
+            return form, form, len(word) + 1
+
+    else:
+        edges = sorted(subject.edges, key=lambda e: e.label)
+        labels = [e.label for e in edges]
+        start = len(subject.nodes)
+
+        def leaf(pieces):
+            result = replace(subject, {e.id: r.rhs for e, r in zip(edges, pieces)})
+            return canonical_key(result), canonical_graph(result), len(result.nodes)
+
+    rows = [sorted((o for l2, o in options if l2 == l), key=lambda o: o[:2]) for l in labels]
+    if not all(rows):
+        return None  # a label without live rules has no product
+    return budgeted_product(rows, start, leaf, max_nodes, max_edges)
+
+
+def test_product_matches_the_reference_product():
+    """Seeded sweep over Table, LiveTable and WordTable rows, with nullary
+    labels, identity rules and budgets from 0 to the form's size + 6 or
+    None: on word forms and on their canonical graphs the product gives
+    the reference's successors in its order, and both flags."""
+    rng = random.Random(12)
+    for case in range(500):
+        letters = "abcd"[: rng.randint(1, 4)]
+        nullary = ("x", "y")[: rng.randint(0, 2)]
+        sig = Signature.of({**dict.fromkeys(letters, 2), **dict.fromkeys(nullary, 0)})
+        kind = ("table", "live", "word")[case % 3]
+        word = tuple(rng.choices(letters, k=rng.randint(0, 6)))
+        if kind == "word":
+            rules = [
+                (l, tuple(rng.choices(letters, k=rng.randint(0, 3))))
+                for l in letters
+                for _ in range(rng.choice((1, 1, 2, 3)))
+            ]
+            table = WordTable(rules=tuple(rules), scope=tuple(letters))
+            subjects = [WordForm(word, ())]
+        else:
+            rules = []
+            for l in sig.labels:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    flags = tuple(rng.sample(nullary, rng.randint(0, len(nullary))))
+                    if rng.random() < 0.2:
+                        rules.append(Rule(l, handle(l, sig)))
+                    elif l in nullary:
+                        rules.append(Rule(l, _rhs(None, flags)))
+                    else:
+                        body = rng.choices(letters, k=rng.randint(0, 3))
+                        rules.append(Rule(l, _rhs(body, flags if rng.random() < 0.3 else ())))
+            table = Table(rules=tuple(rules), scope=sig.labels)
+            if kind == "live":
+                table = LiveTable(table, frozenset(rng.sample(sig.labels, len(sig.labels) - 1)))
+            flags = rng.choices(nullary, k=rng.randint(0, 2)) if nullary else ()
+            form = WordForm(word, tuple(sorted(flags)))
+            subjects = [form, canonical_graph(form.graph())]
+        size = len(subjects[0].word) + len(subjects[0].flags)
+        budgets = [None, *range(size + 7)]
+        max_nodes, max_edges = rng.choice(budgets), rng.choice(budgets)
+        for subject in subjects:
+            want = _reference(subject, table, max_nodes, max_edges)
+            if want is None:
+                with pytest.raises(GrammarError):
+                    parallel_budgeted(subject, table, max_nodes, max_edges)
+                continue
+            found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
+            assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:]), case
 
 
 @st.composite
