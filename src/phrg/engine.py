@@ -34,6 +34,12 @@ are those of the search over graphs, as ``parallel_budgeted`` takes the
 edges of a word form and of a graph in the same order, sorted by label;
 a member trace is some shortest witness, which may differ from the one
 the graph search would pick when several tie.
+
+Forms with the same labels share the choice search of their products:
+``parallel_budgeted`` memoizes it per table object, under the path, the
+sorted labels, the node count and the budgets.  A form whose label
+multiset was expanded before, in this search or an earlier one on the
+same grammar object, reuses the choices and only assembles successors.
 """
 
 from __future__ import annotations
@@ -124,15 +130,16 @@ class _Search:
         start_pair = (key, q0)
         self.visited[start_pair] = start
         self.parents[start_pair] = None
-        if self._accepting(start, q0, terminals):
+        labels = start.labels()
+        label_sets = {labels: labels}  # forms share few label sets; one copy of each
+        if self._accepting(labels, q0, terminals):
             yield start_pair, start
-        frontier = [start_pair]
+        frontier = [(start_pair, labels)]  # each reached pair with its form's labels
         while frontier and self.steps_taken < limits.max_steps:
             self.steps_taken += 1
             next_frontier = []
-            for pair in sorted(frontier, key=lambda p: (p[0], p[1] or "")):
+            for pair, labels in sorted(frontier, key=lambda f: (f[0][0], f[0][1] or "")):
                 h = self.visited[pair]
-                labels = h.labels()
                 for index, table in grammar.live_tables:
                     if not labels.isdisjoint(table.blocked):
                         continue  # every successor holds an unproductive label
@@ -158,9 +165,11 @@ class _Search:
                         graph = succs[key]
                         self.visited[new_pair] = graph
                         self.parents[new_pair] = (pair, index)
-                        if self._accepting(graph, q2, terminals):
+                        reached = graph.labels()
+                        reached = label_sets.setdefault(reached, reached)
+                        if self._accepting(reached, q2, terminals):
                             yield new_pair, graph
-                        next_frontier.append(new_pair)
+                        next_frontier.append((new_pair, reached))
             frontier = next_frontier
         self.saturated = not frontier and not self.hit_results
 
@@ -168,8 +177,8 @@ class _Search:
     def exhaustive(self) -> bool:
         return not (self.hit_nodes or self.hit_edges or self.hit_results)
 
-    def _accepting(self, form, state, terminals: frozenset[str]) -> bool:
-        if not form.labels() <= terminals:
+    def _accepting(self, labels, state, terminals: frozenset[str]) -> bool:
+        if not labels <= terminals:
             return False
         return self.control is None or state in self.control.finals
 

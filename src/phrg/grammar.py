@@ -15,8 +15,9 @@ counts only if the sequence of applied table indices is accepted.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import inf, prod
 from operator import itemgetter
@@ -38,6 +39,7 @@ from .hypergraph import (
 Word = tuple[str, ...]
 
 _PRODUCT_GUARD = 10**6
+_CHOICES_CACHE = 1024  # choice searches kept per table
 _new = tuple.__new__  # builds a WordForm without its Python-level __new__
 
 
@@ -116,6 +118,12 @@ def _options(rows: Iterable[tuple[int, int, object]]) -> tuple[tuple, int, int]:
     return opts, opts[0][0], min(dn for _, dn, _ in opts)
 
 
+def _choice_memo(table) -> Callable:
+    """``_choices`` on ``table``, memoized for that table object."""
+    ref = weakref.ref(table)  # the memo, stored on the table, must not keep it alive
+    return lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
+
+
 @dataclass(frozen=True)
 class Rule:
     lhs: str
@@ -177,6 +185,7 @@ class Table:
 
     rules: tuple[Rule, ...]
     scope: tuple[str, ...]
+    choices = cached_property(_choice_memo)
 
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
@@ -240,6 +249,7 @@ class LiveTable:
 
     table: Table
     productive: frozenset[str]
+    choices = cached_property(_choice_memo)
 
     @property
     def scope(self) -> tuple[str, ...]:
@@ -471,6 +481,7 @@ class WordTable:
     rules: tuple[tuple[str, Word], ...]
     scope: tuple[str, ...]
     flag_labels = frozenset()  # words carry no nullary labels
+    choices = cached_property(_choice_memo)
 
     def __post_init__(self) -> None:
         rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
@@ -662,7 +673,7 @@ def direct_derivations(
 
 def parallel_budgeted(
     h: Hypergraph | WordForm,
-    table: Table | WordTable,
+    table: Table | LiveTable | WordTable,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
 ) -> tuple[dict, bool, bool]:
@@ -677,6 +688,59 @@ def parallel_budgeted(
     ``e2``), so a word form meets the same option lists in the same
     order as its canonical graph, and sets the same budget flags.
 
+    The choices of one option per edge, and both flags, depend only on
+    the path, the sorted labels, the node count and the budgets: that is
+    the key under which ``table.choices`` memoizes ``_choices`` per table
+    object (an error is not stored, so it recurs).  Word order and edge
+    ids enter only here, where each choice becomes a successor in the
+    order found, so successors, their order and the flags are those of a
+    fresh search.  A word form's node count is exact in the search; a
+    graph's leaf checks the replaced graph.
+    """
+    word_path = isinstance(h, WordForm)
+    if word_path:
+        edges = h.word + h.flags
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        labels = tuple([edges[j] for j in order])
+        nodes = len(h.word) + 1
+    else:
+        edges = sorted(h.edges, key=lambda e: e.label)
+        labels = tuple([e.label for e in edges])
+        nodes = len(h.nodes)
+    choices, hit_nodes, hit_edges = table.choices(word_path, labels, nodes, max_nodes, max_edges)
+    found = {}
+    if word_path:
+        place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
+        join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order
+        flagged = table.flag_labels
+        carry = [p for p, l in enumerate(labels) if l in flagged] if flagged else ()
+        for chosen in choices:
+            words, flags = chosen, ()
+            if carry:  # these positions hold whole word forms
+                words = [c.word if p in carry else c for p, c in enumerate(chosen)]
+                flags = tuple(sorted(chain.from_iterable(chosen[p].flags for p in carry)))
+            form = _new(WordForm, (tuple(chain.from_iterable(join(words))), flags))
+            found[form] = form
+    else:
+        for chosen in choices:
+            result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
+            if max_nodes is not None and len(result.nodes) > max_nodes:
+                hit_nodes = True
+            else:
+                key = canonical_key(result)
+                if key not in found:
+                    found[key] = canonical_graph(result)
+    return found, hit_nodes, hit_edges
+
+
+def _choices(
+    table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges
+) -> tuple[tuple[tuple, ...], bool, bool]:
+    """The choice search of ``parallel_budgeted`` for a form with these
+    sorted edge labels and ``nodes`` nodes: each choice of one option per
+    edge within the budgets, in the order found, as its pieces in label
+    order plus a trailing ``()``; and the node and edge flags.
+
     Options come sorted by edge increment.  Each is checked, edges first,
     against the counts chosen so far plus the least increments to come:
     past the edge budget no later option fits, past the node budget one
@@ -684,23 +748,10 @@ def parallel_budgeted(
     added to the starting counts; its check could fail only at the first
     position, against the least totals, so it runs once up front.  Other
     checks sum the same increments as with every position searched, so
-    the flags are the same.  A word form's node count is exact at a leaf
-    and checked; a graph's leaf checks the replaced graph.  With neither
-    budget nothing prunes, so more than ``_PRODUCT_GUARD`` rule choices
-    raise ``GrammarError`` at once.
+    the flags are the same.  With neither budget nothing prunes, so more
+    than ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
-    word_path = isinstance(h, WordForm)
-    if word_path:
-        edges = h.word + h.flags
-        order = sorted(range(len(edges)), key=edges.__getitem__)
-        labels = [edges[j] for j in order]
-        rows = table.word_options
-        nodes = len(h.word) + 1
-    else:
-        edges = sorted(h.edges, key=lambda e: e.label)
-        labels = [e.label for e in edges]
-        rows = table.graph_options
-        nodes = len(h.nodes)
+    rows = table.word_options if word_path else table.graph_options
     m = len(labels)
     chosen: list = [()] * (m + 1)  # the last slot is joined after every word
     picked, at = [], []  # the rows with a choice, and their positions
@@ -723,9 +774,9 @@ def parallel_budgeted(
             raise GrammarError("parallel successor set too large")
     if not at or at[0]:  # the first position is folded, or there is none
         if m and max_edges is not None and total_edges > max_edges:
-            return {}, False, True
+            return (), False, True
         if max_nodes is not None and nodes > max_nodes:
-            return {}, True, False
+            return (), True, False
     room_edges = inf if max_edges is None else max_edges - total_edges
     room_nodes = inf if max_nodes is None else max_nodes - nodes
     rooms = []  # the budgets less the least increments of every other position
@@ -733,36 +784,15 @@ def parallel_budgeted(
         room_edges += de
         room_nodes += dn
         rooms.append((room_edges, room_nodes))
-    if word_path:
-        place = sorted(range(m), key=order.__getitem__)  # label-order positions
-        join = itemgetter(*place[: len(h.word)], m)  # the chosen words in word order
-        flagged = table.flag_labels
-        carry = [p for p, l in enumerate(labels) if l in flagged] if flagged else ()
 
-    found, hit_nodes, hit_edges = {}, False, False
+    out, hit_nodes, hit_edges = [], False, False
     k = len(picked)
     edges_to, nodes_to = [0] * (k + 1), [0] * (k + 1)  # added by the choices before i
     rest = [iter(r[0]) for r in picked]  # the options of position i not tried yet
     i = 0
     while i >= 0:
         if i == k:
-            if word_path:
-                words, flags = chosen, ()
-                if carry:  # these positions hold whole word forms
-                    words = chosen.copy()
-                    for p in carry:
-                        words[p] = chosen[p].word
-                    flags = tuple(sorted(chain.from_iterable(chosen[p].flags for p in carry)))
-                form = _new(WordForm, (tuple(chain.from_iterable(join(words))), flags))
-                found[form] = form
-            else:
-                result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
-                if max_nodes is not None and len(result.nodes) > max_nodes:
-                    hit_nodes = True
-                else:
-                    key = canonical_key(result)
-                    if key not in found:
-                        found[key] = canonical_graph(result)
+            out.append(tuple(chosen))
             i -= 1
             continue
         e, n = edges_to[i], nodes_to[i]
@@ -784,7 +814,7 @@ def parallel_budgeted(
             break
         else:
             i -= 1
-    return found, hit_nodes, hit_edges
+    return tuple(out), hit_nodes, hit_edges
 
 
 def parallel_successors(h: Hypergraph, table: Table) -> tuple[Hypergraph, ...]:

@@ -239,6 +239,31 @@ class TestLayerHooks:
         assert enumerate_strings(g, limits).words == (("a", "b"),)
         assert member_calls < calls["phrg.engine.parallel_budgeted"] - member_calls
 
+    def test_choice_searches_are_reused(self, monkeypatch):
+        # dyck_phr's word forms repeat their label multisets; the choice
+        # search runs once per table object, labels, node count and budgets
+        g = fixture("dyck_phr").phr()
+        limits = Limits(max_steps=4, max_edges=6)
+        keys, searches = [], []
+        product, choices = phrg.engine.parallel_budgeted, phrg.grammar._choices
+
+        def counting_product(h, table, *budgets):
+            keys.append((id(table), tuple(sorted(h.word + h.flags)), len(h.word), *budgets))
+            return product(h, table, *budgets)
+
+        def counting_choices(*key):
+            searches.append(key)
+            return choices(*key)
+
+        monkeypatch.setattr(phrg.engine, "parallel_budgeted", counting_product)
+        monkeypatch.setattr(phrg.grammar, "_choices", counting_choices)
+        first = enumerate_strings(g, limits)
+        assert len(searches) == len(set(keys)) < len(keys)
+        calls, searches[:] = len(keys), []
+        assert enumerate_strings(g, limits) == first
+        assert len(keys) == 2 * calls
+        assert searches == []
+
 
 class TestControlledEnumeration:
     def grammar(self):

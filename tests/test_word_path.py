@@ -326,8 +326,11 @@ def test_product_matches_the_reference_product():
     """Seeded sweep over Table, LiveTable and WordTable rows, with nullary
     labels, identity rules and budgets from 0 to the form's size + 6 or
     None: on word forms and on their canonical graphs the product gives
-    the reference's successors in its order, and both flags."""
-    rng = random.Random(12)
+    the reference's successors in its order, and both flags.  Each case
+    asks one table object about anagrams of its form under several
+    budget pairs, on both paths, in shuffled order, so that answers
+    come from memoized choice searches as well as fresh ones."""
+    rng, reuse = random.Random(12), random.Random(13)
     for case in range(500):
         letters = "abcd"[: rng.randint(1, 4)]
         nullary = ("x", "y")[: rng.randint(0, 2)]
@@ -341,7 +344,7 @@ def test_product_matches_the_reference_product():
                 for _ in range(rng.choice((1, 1, 2, 3)))
             ]
             table = WordTable(rules=tuple(rules), scope=tuple(letters))
-            subjects = [WordForm(word, ())]
+            form = WordForm(word, ())
         else:
             rules = []
             for l in sig.labels:
@@ -359,11 +362,19 @@ def test_product_matches_the_reference_product():
                 table = LiveTable(table, frozenset(rng.sample(sig.labels, len(sig.labels) - 1)))
             flags = rng.choices(nullary, k=rng.randint(0, 2)) if nullary else ()
             form = WordForm(word, tuple(sorted(flags)))
-            subjects = [form, canonical_graph(form.graph())]
-        size = len(subjects[0].word) + len(subjects[0].flags)
-        budgets = [None, *range(size + 7)]
-        max_nodes, max_edges = rng.choice(budgets), rng.choice(budgets)
-        for subject in subjects:
+        budgets = [None, *range(len(form.word) + len(form.flags) + 7)]
+        pairs = [(rng.choice(budgets), rng.choice(budgets))]
+        pairs += [(reuse.choice(budgets), reuse.choice(budgets)) for _ in range(2)]
+        anagrams = (tuple(reuse.sample(word, len(word))) for _ in range(2))
+        forms = [form, *(WordForm(w, form.flags) for w in anagrams)]
+        queries = [
+            (subject, *pair)
+            for f in forms
+            for subject in ([f] if kind == "word" else [f, canonical_graph(f.graph())])
+            for pair in pairs
+        ]
+        reuse.shuffle(queries)
+        for subject, max_nodes, max_edges in queries:
             want = _reference(subject, table, max_nodes, max_edges)
             if want is None:
                 with pytest.raises(GrammarError):
@@ -371,6 +382,49 @@ def test_product_matches_the_reference_product():
                 continue
             found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
             assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:]), case
+
+
+def _grow_table() -> Table:
+    rules = (Rule("a", string_graph("a")), Rule("a", string_graph("aa")))
+    return Table(rules=rules, scope=("a",))
+
+
+def _asked_in_turn(table, questions) -> list:
+    """Each question to the one table object equals the reference."""
+    answers = []
+    for subject, max_nodes, max_edges in questions:
+        found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
+        want = _reference(subject, table, max_nodes, max_edges)
+        assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:])
+        answers.append((list(found), *flags))
+    return answers
+
+
+def test_memoized_choices_are_keyed_by_the_budgets():
+    # aa has 2 edges and 3 nodes, its successors up to 4 and 5; each
+    # budget alone, asked after the unbounded pair, cuts one of them
+    form = WordForm(("a", "a"), ())
+    budgets = [(9, 9), (9, 3), (4, 9), (None, None)]
+    answers = _asked_in_turn(_grow_table(), [(form, *pair) for pair in budgets])
+    assert answers[0] == answers[3]
+    assert len({repr(a) for a in answers}) == 3
+
+
+def test_memoized_choices_are_keyed_by_the_path():
+    # the same labels, asked first of a graph (options are rules), then
+    # of a word form (options are words)
+    form = WordForm(("a", "a"), ())
+    table = _grow_table()
+    _asked_in_turn(table, [(canonical_graph(form.graph()), 9, 9), (form, 9, 9)])
+
+
+def test_memoized_choices_are_keyed_by_the_node_count():
+    # one a-edge, alone or beside an isolated node: under 3 nodes only the
+    # smaller graph can grow to aa, so the larger one's choices do not fit it
+    h = string_graph("a")
+    isolated = canonical_graph(Hypergraph(h.nodes + ("z",), h.edges, h.ext))
+    answers = _asked_in_turn(_grow_table(), [(isolated, 3, 9), (canonical_graph(h), 3, 9)])
+    assert [len(found) for found, *_ in answers] == [1, 2]
 
 
 @st.composite
