@@ -4,16 +4,20 @@ Isomorphism here is label-, tentacle-order- and external-sequence-
 preserving: a bijection on nodes and one on edges commuting with
 attachment, labelling and the external sequence pointwise.
 
-The canonical key is computed by individualization-refinement: nodes are
-colored (initially by their positions in the external sequence), colors
+The canonical key is computed by individualization-refinement.  The root
+colors a node 0 if it is not external and 1 + its first position in the
+external sequence otherwise.  At most one node that is not external makes
+this coloring discrete: it is scored at once, the node that is not
+external first, without incidence lists or a search.  Otherwise colors
 are refined by the multiset of incident (label, tentacle position,
-attached colors) signatures until a round adds no cell, that is, to an
-equitable coloring, and non-discrete colorings branch on every member of
-the first non-singleton color class.  Each discrete coloring yields a
-certificate; the minimum certificate over all branches is canonical, so
-two graphs get equal keys iff they are isomorphic.  A root coloring that
-is discrete, by the external sequence or after refinement, is scored at
-once, without a search.
+attached colors) signatures, building each edge's tuple of attached colors
+once per round, until a round adds no cell, that is, to an equitable
+coloring, and non-discrete colorings branch on every member of the first
+non-singleton color class, skipping members in the orbit of an explored
+one under the automorphisms met so far that fix the path.  Each discrete
+coloring yields a certificate; the minimum certificate over all branches
+is canonical, so two graphs get equal keys iff they are isomorphic.  The
+last 1,024 graphs keep their certificate, node order and key bytes.
 """
 
 from __future__ import annotations
@@ -43,13 +47,16 @@ def _rank(values: list) -> list[int]:
     return [order[v] for v in values]
 
 
-def _refine(cs: list[int], incidence: list[list[tuple]]) -> list[int]:
+def _refine(cs: list[int], incidence: list[list[tuple]], atts: list[tuple]) -> list[int]:
     """Refine ``cs`` until a round adds no cell; the coloring is then
-    equitable, in dense ranks.  A discrete coloring is returned as is."""
+    equitable, in dense ranks.  A discrete coloring is returned as is.
+    ``incidence[v]`` holds (label rank, tentacle position, edge index) per
+    tentacle at ``v``, and ``atts[e]`` is the attachment of edge ``e``."""
     cells = len(set(cs))  # a child coloring (2c, 2c - 1) is not dense
     while cells < len(cs):
+        attached = [tuple([cs[u] for u in a]) for a in atts]
         cs = _rank([
-            (c, tuple(sorted([(r, p, tuple([cs[u] for u in a])) for r, p, a in inc])))
+            (c, tuple(sorted([(r, p, attached[e]) for r, p, e in inc])))
             for c, inc in zip(cs, incidence)
         ])
         if max(cs) + 1 == cells:
@@ -58,7 +65,6 @@ def _refine(cs: list[int], incidence: list[list[tuple]]) -> list[int]:
     return cs
 
 
-@lru_cache(maxsize=1024)
 def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     """Return (certificate, node order realizing it).
 
@@ -68,33 +74,34 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     nodes = h.nodes
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
-    edges = [(e.label, tuple(idx[v] for v in e.att)) for e in h.edges]
-    ext = tuple(idx[v] for v in h.ext)
+    edges = [(e.label, tuple([idx[v] for v in e.att])) for e in h.edges]
+    ext = tuple([idx[v] for v in h.ext])
+    first: dict[int, int] = {}  # external node -> its first position
+    for p, v in enumerate(ext):
+        first.setdefault(v, p)
 
-    colors = _rank([tuple(p for p, u in enumerate(ext) if u == v) for v in range(n)])
-
-    def score(cs: list[int]) -> tuple[_Cert, tuple[int, ...]]:
-        """The certificate of a discrete coloring, and its node order."""
-        order = sorted(range(n), key=cs.__getitem__)
+    def score(order: list[int]) -> tuple[_Cert, tuple[int, ...]]:
+        """The certificate of a node order, and the order."""
         position = [0] * n
         for p, v in enumerate(order):
             position[v] = p
         cert: _Cert = (
             n,
-            tuple(position[v] for v in ext),
-            tuple(sorted((lab, tuple(position[u] for u in att)) for lab, att in edges)),
+            tuple([position[v] for v in ext]),
+            tuple(sorted([(lab, tuple([position[u] for u in att])) for lab, att in edges])),
         )
         return cert, tuple(order)
 
-    if len(set(colors)) < n:
-        # (label rank, tentacle position, attachment) per incidence of a node
-        incidence: list[list[tuple]] = [[] for _ in range(n)]
-        for r, (_, att) in zip(_rank([lab for lab, _ in edges]), edges):
-            for pos, v in enumerate(att):
-                incidence[v].append((r, pos, att))
-        colors = _refine(colors, incidence)
-    if len(set(colors)) == n:  # one leaf: no search
-        return score(colors)
+    if len(first) >= n - 1:  # a discrete root: the node not external comes first
+        return score([v for v in range(n) if v not in first] + list(first))
+
+    # (label rank, tentacle position, edge index) per incidence of a node
+    incidence: list[list[tuple]] = [[] for _ in range(n)]
+    for e, (r, (_, att)) in enumerate(zip(_rank([lab for lab, _ in edges]), edges)):
+        for pos, v in enumerate(att):
+            incidence[v].append((r, pos, e))
+    atts = [att for _, att in edges]
+    colors = _refine([first.get(v, -1) + 1 for v in range(n)], incidence, atts)
 
     # best leaf so far: (certificate, node order, individualized path)
     best: list[tuple[_Cert, tuple[int, ...], tuple[int, ...]] | None] = [None]
@@ -104,7 +111,7 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     def leaf(cs: list[int], path: tuple[int, ...]) -> int | None:
         """Score a discrete coloring; on an automorphism, return the depth
         of the common ancestor with the best leaf."""
-        cert, order = score(cs)
+        cert, order = score(sorted(range(n), key=cs.__getitem__))
         if best[0] is None or cert < best[0][0]:
             best[0] = (cert, order, path)
             return None
@@ -147,19 +154,27 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
             explored.append(v)
             child = [c * 2 for c in cs]
             child[v] -= 1
-            jump = search(_refine(child, incidence), path + (v,))
+            jump = search(_refine(child, incidence, atts), path + (v,))
             if jump is not None and jump < depth:
                 return jump
         return None
 
     search(colors, ())
+    del search  # it refers to itself: free it now, not in a collection
     assert best[0] is not None
     return best[0][:2]
 
 
+@lru_cache(maxsize=1024)
+def _memo(h: Hypergraph) -> tuple[_Cert, tuple[int, ...], bytes]:
+    """``_canonical_data(h)`` and the key bytes of its certificate."""
+    cert, order = _canonical_data(h)
+    return cert, order, repr(cert).encode("ascii")
+
+
 def canonical_key(h: Hypergraph) -> bytes:
     """A byte string equal for two graphs iff they are isomorphic."""
-    return repr(_canonical_data(h)[0]).encode("ascii")
+    return _memo(h)[2]
 
 
 def canonical_graph(h: Hypergraph) -> Hypergraph:
@@ -168,8 +183,7 @@ def canonical_graph(h: Hypergraph) -> Hypergraph:
     Nodes are named ``n0..``, edges ``e0..``; structurally equal for
     isomorphic inputs.
     """
-    cert, _ = _canonical_data(h)
-    n, ext, edge_cert = cert
+    n, ext, edge_cert = _memo(h)[0]
     return Hypergraph(
         nodes=tuple(f"n{i}" for i in range(n)),
         edges=tuple(
@@ -182,8 +196,8 @@ def canonical_graph(h: Hypergraph) -> Hypergraph:
 
 def isomorphism(g: Hypergraph, h: Hypergraph) -> IsoWitness | None:
     """An explicit isomorphism g -> h, or None."""
-    cg, og = _canonical_data(g)
-    ch, oh = _canonical_data(h)
+    cg, og, _ = _memo(g)
+    ch, oh, _ = _memo(h)
     if cg != ch:
         return None
     node_map = {g.nodes[a]: h.nodes[b] for a, b in zip(og, oh)}

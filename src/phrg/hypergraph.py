@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -76,7 +77,7 @@ class Hyperedge:
     att: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "att", tuple(str(v) for v in self.att))
+        object.__setattr__(self, "att", tuple(map(str, self.att)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,9 @@ class Hypergraph:
     ext: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(str(v) for v in self.nodes)))
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: e.id))
-        )
-        object.__setattr__(self, "ext", tuple(str(v) for v in self.ext))
+        object.__setattr__(self, "nodes", tuple(sorted(map(str, self.nodes))))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
+        object.__setattr__(self, "ext", tuple(map(str, self.ext)))
 
     @property
     def type(self) -> int:

@@ -39,6 +39,69 @@ def brute_force_isomorphic(g, h) -> bool:
     return False
 
 
+def canonical_reference(h) -> tuple[tuple, tuple[int, ...]]:
+    """(certificate, node order) of ``h`` by plain individualization-
+    refinement that follows every branch of the search tree.
+
+    Nodes are numbered by their place in ``h.nodes``.  The root colors a
+    node by the tuple of its positions in ``h.ext``.  A refinement round
+    recolors every node by its color and the sorted (label, tentacle
+    position, colors of the attachment) of its tentacles, ranked; rounds
+    repeat until the number of colors stops growing.  The search
+    individualizes, in turn, each node of the smallest color held by more
+    than one node, giving it a color just below the rest of its cell, and
+    refines.  A coloring with one node per color orders the nodes by color;
+    its certificate is (node count, positions of the external sequence,
+    sorted (label, positions of the attachment) of the edges).  The result
+    is the least certificate, with the order of the first leaf reaching it.
+    """
+    n = len(h.nodes)
+    index = {v: i for i, v in enumerate(h.nodes)}
+    edges = [(e.label, tuple(index[v] for v in e.att)) for e in h.edges]
+    ext = tuple(index[v] for v in h.ext)
+
+    def ranked(values: list) -> list[int]:
+        distinct = sorted(set(values))
+        return [distinct.index(x) for x in values]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            finer = ranked([
+                (colors[v], tuple(sorted(
+                    (label, p, tuple(colors[u] for u in att))
+                    for label, att in edges
+                    for p, w in enumerate(att)
+                    if w == v
+                )))
+                for v in range(n)
+            ])
+            if len(set(finer)) == len(set(colors)):
+                return finer
+            colors = finer
+
+    leaves: list[tuple[tuple, tuple[int, ...]]] = []
+
+    def search(colors: list[int]) -> None:
+        shared = sorted(c for c in set(colors) if colors.count(c) > 1)
+        if not shared:
+            order = tuple(sorted(range(n), key=lambda v: colors[v]))
+            position = {v: p for p, v in enumerate(order)}
+            cert = (
+                n,
+                tuple(position[v] for v in ext),
+                tuple(sorted((lab, tuple(position[u] for u in att)) for lab, att in edges)),
+            )
+            leaves.append((cert, order))
+            return
+        for v in range(n):
+            if colors[v] == shared[0]:
+                search(refine(ranked([(c, u != v) for u, c in enumerate(colors)])))
+
+    search(refine(ranked([tuple(p for p, u in enumerate(ext) if u == v) for v in range(n)])))
+    least = min(cert for cert, _ in leaves)
+    return next(leaf for leaf in leaves if leaf[0] == least)
+
+
 def union_find_classes(items: Sequence, pairs: Iterable[tuple]) -> int:
     """Number of equivalence classes after merging the given pairs."""
     parent = {x: x for x in items}

@@ -27,7 +27,8 @@ from phrg import (
     string_graph,
     to_json,
 )
-from oracles import brute_force_isomorphic
+from phrg.canonical import _canonical_data
+from oracles import brute_force_isomorphic, canonical_reference
 
 
 def renamed(h, node_map, edge_map):
@@ -354,3 +355,66 @@ def test_key_equality_matches_brute_force_with_symmetry(pair, rng):
     g, h = pair
     assert (canonical_key(g) == canonical_key(h)) == brute_force_isomorphic(g, h)
     assert isomorphism(g, shuffled_copy(g, rng)) is not None
+
+
+# cases whose search tree has too many leaves to walk unpruned in a test
+UNPRUNED_TOO_SLOW = {
+    "isolated 7",
+    "loops 7",
+    "triangles 4",
+    "loops 2 two-cycles 3",
+    "loops 3 two-cycles 3",
+}
+
+
+def test_canonical_data_matches_unpruned_search():
+    # every graph of all_small_graphs(3, 3, 3) and the smaller symmetric
+    # families, with the same node orders as the golden file
+    for name, graphs in golden_cases().items():
+        if name not in UNPRUNED_TOO_SLOW:
+            for g in graphs:
+                assert _canonical_data(g) == canonical_reference(g), name
+
+
+@given(small_graphs().flatmap(copies_of))
+@settings(max_examples=150, deadline=None)
+def test_canonical_data_matches_unpruned_search_with_symmetry(g):
+    assert _canonical_data(g) == canonical_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g, key, order",
+    [
+        (hypergraph(["a", "a"], [], ["a"]), b"(2, (1,), ())", (0, 1)),
+        (
+            hypergraph(["a", "a", "b", "b", "c"], [("e", "a", ("a", "b"))], []),
+            b"(5, (), (('a', (3, 4)),))",
+            (0, 2, 4, 1, 3),
+        ),
+    ],
+    ids=["discrete root", "refined root"],
+)
+def test_duplicate_node_ids_keep_their_key(g, key, order):
+    # a repeated id names its last index; the other copy is an isolated node
+    assert canonical_key(g) == key
+    assert _canonical_data(g)[1] == order
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        hypergraph(["a"], [("e", "a", ("a", "z"))], ["a"]),
+        hypergraph(["a", "b", "c"], [("e", "a", ("a", "z"))], []),
+        hypergraph(["a"], [], ["z"]),
+        hypergraph(["a", "b", "c"], [], ["z"]),
+    ],
+    ids=[
+        "dangling attachment, discrete root",
+        "dangling attachment, refined root",
+        "dangling external node, discrete root",
+        "dangling external node, refined root",
+    ],
+)
+def test_dangling_reference_raises_key_error(g):
+    with pytest.raises(KeyError):
+        canonical_key(g)
