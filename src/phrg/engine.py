@@ -3,9 +3,11 @@
 Exploration is breadth-first over canonical forms, or word forms (see
 below), paired with control states when a control automaton is present,
 so each isomorphism class is expanded once.  Dead forms are never
-built: a product option whose piece holds a label outside
-``PHRGrammar.productive`` is dropped, and a search whose start label is
-unproductive ends at once.  Likewise a pair whose control state is not in
+built: the search takes each table as a plain ``Table`` cut to its
+live rules (``PHRGrammar.live_tables``), those whose right-hand sides
+hold ``PHRGrammar.productive`` labels alone, skips a table in which some
+label of the form keeps no rule, and ends at once when the start label is
+unproductive.  Likewise a pair whose control state is not in
 ``ControlAutomaton.live_states`` is dropped, and a search whose initial
 state is not ends at once.  Such a pair could never be accepted, so the
 languages are those of the unpruned search.  All searches are
@@ -140,8 +142,8 @@ class _Search:
             next_frontier = []
             for pair, labels in sorted(frontier, key=lambda f: (f[0][0], f[0][1] or "")):
                 h = self.visited[pair]
-                for index, table in grammar.live_tables:
-                    if not labels.isdisjoint(table.blocked):
+                for index, table, blocked in grammar.live_tables:
+                    if not labels.isdisjoint(blocked):
                         continue  # every successor holds an unproductive label
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
                     if ctrl is not None and q2 not in ctrl.live_states:

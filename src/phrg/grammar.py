@@ -129,6 +129,16 @@ class Rule:
     lhs: str
     rhs: Hypergraph
 
+    @cached_property
+    def key(self) -> bytes:
+        """The right-hand side's canonical key, computed once per rule."""
+        return canonical_key(self.rhs)
+
+    @cached_property
+    def form(self) -> Optional[WordForm]:
+        """The right-hand side's ``word_form``, computed once per rule."""
+        return word_form(self.rhs)
+
 
 def is_identity_rule(rule: Rule) -> bool:
     """True when the rule rewrites a label to its own handle."""
@@ -190,7 +200,7 @@ class Table:
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
         for r in self.rules:
-            first.setdefault((r.lhs, canonical_key(r.rhs)), r)
+            first.setdefault((r.lhs, r.key), r)
         rules = tuple(first[k] for k in sorted(first))
         _set_total(self, rules, {r.lhs for r in rules}, "")
 
@@ -212,7 +222,7 @@ class Table:
         for ``flag_labels``) as product options, in ``graph_options`` order."""
         out = {}
         for l, (opts, least_edges, least_nodes) in self.graph_options.items():
-            forms = [word_form(r.rhs) for _, _, r in opts]
+            forms = [r.form for _, _, r in opts]
             if None not in forms:
                 pieces = forms if l in self.flag_labels else [f.word for f in forms]
                 opts = tuple((de, dn, x) for (de, dn, _), x in zip(opts, pieces))
@@ -232,59 +242,6 @@ class Table:
             for l, rs in self.by_label.items()
             if not (len(rs) == 1 and is_identity_rule(rs[0]))
         )
-
-
-@dataclass(frozen=True)
-class LiveTable:
-    """A table as the search takes it: each label's product options cut to
-    the live ones, whose pieces hold ``productive`` labels alone.
-
-    The least increments of a row are those of its live options, which
-    tightens the product's suffix bounds.  A label with no live option is
-    *blocked*: a form holding it has no successor that can still become
-    terminal.  Such a label has no row, not an empty one (whose least
-    increment would be unbounded and set the edge flag); the search takes
-    no product for a form holding it.
-    """
-
-    table: Table
-    productive: frozenset[str]
-    choices = cached_property(_choice_memo)
-
-    @property
-    def scope(self) -> tuple[str, ...]:
-        return self.table.scope
-
-    @property
-    def active_labels(self) -> frozenset[str]:
-        return self.table.active_labels
-
-    flag_labels = property(lambda self: self.table.flag_labels)
-
-    @cached_property
-    def blocked(self) -> frozenset[str]:
-        return frozenset(
-            l
-            for l, rs in self.table.by_label.items()
-            if not any(r.rhs.labels() <= self.productive for r in rs)
-        )
-
-    @cached_property
-    def graph_options(self) -> dict[str, tuple]:
-        return self._live(self.table.graph_options)
-
-    @cached_property
-    def word_options(self) -> dict[str, tuple]:
-        return self._live(self.table.word_options)
-
-    def _live(self, rows: dict[str, tuple]) -> dict[str, tuple]:
-        out = {}
-        for l, (opts, _, _) in rows.items():
-            rs = self.table.graph_options[l][0]  # in the order of opts
-            kept = [o for o, (_, _, r) in zip(opts, rs) if r.rhs.labels() <= self.productive]
-            if kept:
-                out[l] = _options(kept)
-        return out
 
 
 def identity_table(sig: Signature) -> Table:
@@ -430,9 +387,23 @@ class PHRGrammar:
         return frozenset(_least_fixpoint(self.terminals, rules))
 
     @cached_property
-    def live_tables(self) -> tuple[tuple[str, LiveTable], ...]:
-        """The tables cut to their live options, as the search takes them."""
-        return tuple((i, LiveTable(t, self.productive)) for i, t in self.tables)
+    def live_tables(self) -> tuple[tuple[str, Table, frozenset[str]], ...]:
+        """The tables as the search takes them: ``(index, table, blocked)``.
+
+        Each table is cut to its live rules, whose right-hand sides hold
+        ``productive`` labels alone, which tightens its rows' least
+        increments.  ``blocked``, the rest of the scope, keeps no rule: a
+        form holding such a label has no successor that can still become
+        terminal, and the search takes no product for it (an empty row's
+        unbounded least increment would set the edge flag).  The cut reuses
+        the table's keyed rules, so it keys none.
+        """
+        out = []
+        for i, t in self.tables:
+            live = tuple(r for r in t.rules if r.rhs.labels() <= self.productive)
+            cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
+            out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
+        return tuple(out)
 
     @property
     def table_indices(self) -> tuple[str, ...]:
@@ -673,12 +644,15 @@ def direct_derivations(
 
 def parallel_budgeted(
     h: Hypergraph | WordForm,
-    table: Table | LiveTable | WordTable,
+    table: Table | WordTable,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
 ) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
+    The search passes a plain ``Table`` cut to its live rules (see
+    ``PHRGrammar.live_tables``); a label of ``h`` without a rule in
+    ``table`` raises ``GrammarError``.
     Returns (successors by key, node bound hit, edge bound hit); an
     edge-less graph is its own sole successor.  A graph's successors are
     canonical graphs keyed by canonical key.  A word form's successors

@@ -20,6 +20,7 @@ from phrg import (
     handle,
     identity_table,
     member_string,
+    override_table,
     remove_unreachable,
     string_graph,
     trace_successors,
@@ -226,6 +227,32 @@ class TestLayerHooks:
         assert ("a", "b") in out.words
         assert calls.pop("phrg.engine.parallel_budgeted") > 0
         assert not [hook for hook, n in calls.items() if n > 0]
+
+    def test_each_rule_is_keyed_once(self, monkeypatch):
+        # a rule keeps its canonical key, so a table built from the rules of
+        # built tables keys only the rules new to it
+        base = fixture("dyck_phr").phr().tables[0][1]
+        sig = Signature.of({"S": 2, "D": 2, "a": 2})
+        rules = (
+            Rule("S", string_graph("a")),
+            Rule("S", string_graph("D")),
+            Rule("D", string_graph("DD")),
+            Rule("a", handle("a", 2)),
+        )
+        g = PHRGrammar(
+            signature=sig,
+            terminals=("a",),
+            start="S",
+            tables=(("1", Table(rules=rules, scope=sig.labels)),),
+            order=2,
+        )
+        calls = self.count_calls(monkeypatch)
+        overlay = (Rule("S", string_graph("ab")), Rule("S", string_graph("ba")))
+        assert set(overlay) <= set(override_table(base, overlay).rules)
+        assert calls["phrg.grammar.canonical_key"] == len(overlay)
+        [(_, cut, blocked)] = g.live_tables  # D never terminates
+        assert (len(cut.rules), blocked) == (2, {"D"})
+        assert calls["phrg.grammar.canonical_key"] == len(overlay)
 
     def test_member_stops_at_its_word(self, monkeypatch):
         # dyck_phr never shrinks a form, so member lowers its budgets to

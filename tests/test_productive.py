@@ -247,7 +247,7 @@ def test_blocked_label_has_no_successors(monkeypatch):
     to_a = common + (Rule("A", string_graph("a")),)
     g = _grammar(sig, [(1, to_dead), (2, to_a)], ("a",))
     assert g.productive == {"S", "A", "a"}
-    assert [t.blocked for _, t in g.live_tables] == [{"A", "D"}, {"D"}]
+    assert [blocked for _, _, blocked in g.live_tables] == [{"A", "D"}, {"D"}]
     limits = Limits(max_steps=4, max_edges=1)
     for path in (nullcontext, graph_path):
         with path():
@@ -259,6 +259,38 @@ def test_blocked_label_has_no_successors(monkeypatch):
     calls = count_products(monkeypatch)
     enumerate_language(fresh(g), limits)
     assert len(calls) == 3  # S in both tables, A in table 2
+
+
+def _former_cut(table: Table, productive, rows: dict) -> dict:
+    """The reference cut: each row filtered to the options whose rule's
+    right-hand side holds productive labels alone, then stably re-sorted
+    by increments, with its least increments; a row left empty is gone."""
+    out = {}
+    for l, (opts, _, _) in rows.items():
+        rules = table.graph_options[l][0]  # aligned with opts
+        kept = [o for o, (_, _, r) in zip(opts, rules) if r.rhs.labels() <= productive]
+        if kept:
+            kept.sort(key=lambda o: o[:2])
+            out[l] = (tuple(kept), kept[0][0], min(dn for _, dn, _ in kept))
+    return out
+
+
+def test_live_tables_keep_the_former_cut():
+    grammars = [split_control(fixture(n).phr())[0] for n in fixture_names()]
+    grammars += [build(*args, **kw) for build, args, kw in CASES.values()]
+    cuts = 0
+    for g in grammars:
+        live = g.productive
+        for (_, table), (_, cut, blocked) in zip(g.tables, g.live_tables):
+            assert cut.graph_options == _former_cut(table, live, table.graph_options)
+            want = _former_cut(table, live, table.word_options)
+            assert {l: cut.word_options[l] for l in want if l in cut.word_options} == {
+                l: row for l, row in want.items() if l in cut.word_options
+            }
+            rows = table.by_label.items()
+            assert blocked == {l for l, rs in rows if not any(r.rhs.labels() <= live for r in rs)}
+            cuts += len(cut.rules) < len(table.rules)
+    assert cuts  # some tables lose rules
 
 
 # ------------------------------------------------- equality with unpruned

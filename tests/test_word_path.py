@@ -35,7 +35,6 @@ from phrg import (
 )
 from phrg.grammar import (
     GrammarError,
-    LiveTable,
     WordForm,
     WordTable,
     parallel_budgeted,
@@ -283,18 +282,15 @@ def test_edgeless_form_over_no_node_budget():
 def _reference(subject, table, max_nodes, max_edges):
     """``budgeted_product`` on a word form or a graph, with each label's
     options read off the table's rules: a rule's edges and nodes added,
-    stably sorted, cut to live rules for a ``LiveTable``."""
-    live = getattr(table, "productive", None)
-    rules = table.table.rules if live is not None else table.rules
+    stably sorted."""
     if isinstance(table, WordTable):
-        options = [(l, (len(w), len(w) - 1, WordForm(w, ()))) for l, w in rules]
+        options = [(l, (len(w), len(w) - 1, WordForm(w, ()))) for l, w in table.rules]
     else:
         word = isinstance(subject, WordForm)
         options = []
-        for r in rules:
-            if live is None or r.rhs.labels() <= live:
-                de, dn = len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type
-                options.append((r.lhs, (de, dn, word_form(r.rhs) if word else r)))
+        for r in table.rules:
+            de, dn = len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type
+            options.append((r.lhs, (de, dn, word_form(r.rhs) if word else r)))
     if isinstance(subject, WordForm):
         symbols = subject.word + subject.flags
         order = sorted(range(len(symbols)), key=lambda j: symbols[j])
@@ -318,18 +314,19 @@ def _reference(subject, table, max_nodes, max_edges):
 
     rows = [sorted((o for l2, o in options if l2 == l), key=lambda o: o[:2]) for l in labels]
     if not all(rows):
-        return None  # a label without live rules has no product
+        return None  # a label without rules in the table has no product
     return budgeted_product(rows, start, leaf, max_nodes, max_edges)
 
 
 def test_product_matches_the_reference_product():
-    """Seeded sweep over Table, LiveTable and WordTable rows, with nullary
-    labels, identity rules and budgets from 0 to the form's size + 6 or
-    None: on word forms and on their canonical graphs the product gives
-    the reference's successors in its order, and both flags.  Each case
-    asks one table object about anagrams of its form under several
-    budget pairs, on both paths, in shuffled order, so that answers
-    come from memoized choice searches as well as fresh ones."""
+    """Seeded sweep over Table rows, whole or cut to live rules, and
+    WordTable rows, with nullary labels, identity rules and budgets from
+    0 to the form's size + 6 or None: on word forms and on their
+    canonical graphs the product gives the reference's successors in its
+    order, and both flags.  Each case asks one table object about
+    anagrams of its form under several budget pairs, on both paths, in
+    shuffled order, so that answers come from memoized choice searches
+    as well as fresh ones."""
     rng, reuse = random.Random(12), random.Random(13)
     for case in range(500):
         letters = "abcd"[: rng.randint(1, 4)]
@@ -358,8 +355,10 @@ def test_product_matches_the_reference_product():
                         body = rng.choices(letters, k=rng.randint(0, 3))
                         rules.append(Rule(l, _rhs(body, flags if rng.random() < 0.3 else ())))
             table = Table(rules=tuple(rules), scope=sig.labels)
-            if kind == "live":
-                table = LiveTable(table, frozenset(rng.sample(sig.labels, len(sig.labels) - 1)))
+            if kind == "live":  # cut to the rules over all labels but one
+                live = frozenset(rng.sample(sig.labels, len(sig.labels) - 1))
+                kept = tuple(r for r in table.rules if r.rhs.labels() <= live)
+                table = Table(rules=kept, scope=tuple({r.lhs for r in kept}))
             flags = rng.choices(nullary, k=rng.randint(0, 2)) if nullary else ()
             form = WordForm(word, tuple(sorted(flags)))
         budgets = [None, *range(len(form.word) + len(form.flags) + 7)]
