@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from math import inf, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .canonical import canonical_graph, canonical_key
 from .hypergraph import (
@@ -37,6 +37,7 @@ from .hypergraph import (
 )
 
 Word = tuple[str, ...]
+_T = TypeVar("_T")
 
 _PRODUCT_GUARD = 10**6
 _CHOICES_CACHE = 1024  # choice searches kept per table
@@ -80,10 +81,9 @@ def word_form(rhs: Hypergraph) -> Optional[WordForm]:
     return None if word is None else WordForm(word, flags)
 
 
-def _reachable(
-    seeds: Iterable[str], successors: Callable[[str], Iterable[str]]
-) -> set[str]:
-    """The seeds and everything reachable from them along ``successors``."""
+def _reachable(seeds: Iterable[_T], successors: Callable[[_T], Iterable[_T]]) -> set[_T]:
+    """The seeds and everything reachable from them along ``successors``,
+    which is called once per item found, last found first."""
     seen = set(seeds)
     todo = list(seen)
     while todo:
@@ -92,6 +92,21 @@ def _reachable(
                 seen.add(y)
                 todo.append(y)
     return seen
+
+
+def _fresh(used: set[str], base: str) -> str:
+    """``base``, suffixed ``.2``, ``.3``, ... until it is unused; the result
+    joins ``used``.  Construction labels (``@name``, barred ``~name``),
+    subset names (``{p+q}``) and derived table indices all come from here,
+    so a name that would collide with one in ``used`` gets ``.2``, ``.3``
+    and so on."""
+    name = base
+    k = 2
+    while name in used:
+        name = f"{base}.{k}"
+        k += 1
+    used.add(name)
+    return name
 
 
 def _least_fixpoint(
@@ -199,8 +214,11 @@ class Table:
 
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
-        for r in self.rules:
-            first.setdefault((r.lhs, r.key), r)
+        try:
+            for r in self.rules:
+                first.setdefault((r.lhs, r.key), r)
+        except KeyError:  # keying met a node that the right-hand side lacks
+            raise _invalid_rhs(r, validate(r.rhs)) from None
         rules = tuple(first[k] for k in sorted(first))
         _set_total(self, rules, {r.lhs for r in rules}, "")
 
@@ -284,6 +302,13 @@ def _set_tables(
         check(idx, table)
 
 
+def _invalid_rhs(rule: Rule, problems: Iterable) -> GrammarError:
+    return GrammarError(
+        f"rule for {rule.lhs!r}: invalid right-hand side: "
+        + "; ".join(f"{v.kind}({v.subject}): {v.detail}" for v in problems)
+    )
+
+
 def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) -> None:
     for r in rules:
         if r.lhs not in lhs_domain:
@@ -295,10 +320,7 @@ def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) ->
             )
         problems = validate(r.rhs, sig)
         if problems:
-            raise GrammarError(
-                f"rule for {r.lhs!r}: invalid right-hand side: "
-                + "; ".join(f"{v.kind}({v.subject}): {v.detail}" for v in problems)
-            )
+            raise _invalid_rhs(r, problems)
 
 
 @dataclass(frozen=True)
@@ -554,36 +576,29 @@ class ControlAutomaton:
         )
 
     def determinize_complete(self) -> "ControlAutomaton":
-        """Subset construction; the result is deterministic and complete."""
+        """Subset construction; the result is deterministic and complete.
+        Each reachable subset is named ``{p+q}`` through ``_fresh``."""
         if self.is_deterministic_complete:
             return self
 
-        def name(subset: frozenset[str]) -> str:
-            return "{" + "+".join(sorted(subset)) + "}"
+        def step(subset: frozenset[str], a: str) -> frozenset[str]:
+            return frozenset(p for q in subset for p in self._step_map.get((q, a), ()))
 
         start = frozenset({self.initial})
-        todo = [start]
-        seen = {start}
-        transitions: list[tuple[str, str, str]] = []
-        while todo:
-            cur = todo.pop()
-            for a in self.alphabet:
-                nxt = frozenset(
-                    p for q in cur for p in self._step_map.get((q, a), frozenset())
-                )
-                transitions.append((name(cur), a, name(nxt)))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        finals = tuple(
-            name(s) for s in seen if s & set(self.finals)
-        )
+        subsets = _reachable([start], lambda s: (step(s, a) for a in self.alphabet))
+        used: set[str] = set()
+        name = {
+            s: _fresh(used, "{" + "+".join(sorted(s)) + "}")
+            for s in sorted(subsets, key=sorted)
+        }
         return ControlAutomaton(
-            states=tuple(name(s) for s in seen),
+            states=tuple(name.values()),
             alphabet=self.alphabet,
-            transitions=tuple(transitions),
-            initial=name(start),
-            finals=finals,
+            transitions=tuple(
+                (name[s], a, name[step(s, a)]) for s in subsets for a in self.alphabet
+            ),
+            initial=name[start],
+            finals=tuple(name[s] for s in subsets if not s.isdisjoint(self.finals)),
         )
 
     def step(self, state: str, symbol: str) -> str:

@@ -330,24 +330,12 @@ def extract_string(
     """
     if h.type != 2:
         return None
-    for e in h.edges:
-        if len(e.att) != 2:
-            return None
     succ: dict[str, tuple[str, str]] = {}
-    indeg: dict[str, int] = {v: 0 for v in h.nodes}
     for e in h.edges:
-        a, b = e.att
-        if a in succ:
-            return None  # out-degree above one
-        succ[a] = (e.label, b)
-        indeg[b] += 1
+        if len(e.att) != 2 or e.att[0] in succ:
+            return None  # not binary, or out-degree above one
+        succ[e.att[0]] = (e.label, e.att[1])
     start, end = h.ext
-    if len(h.edges) == 0:
-        if len(h.nodes) == 1 and start == end:
-            return ()
-        return None
-    if indeg[start] != 0:
-        return None
     word: list[str] = []
     seen = {start}
     cur = start
@@ -358,14 +346,10 @@ def extract_string(
         seen.add(cur)
         if label not in empty_labels:
             word.append(label)
-    if cur != end:
+    # the walk took len(seen) - 1 edges: any other edge or node is off the path
+    if cur != end or not len(seen) == len(h.nodes) == len(h.edges) + 1:
         return None
-    if len(seen) != len(h.nodes):
-        return None  # stray nodes off the path
-    for v, d in indeg.items():
-        if d > 1:
-            return None
-    return tuple(word)
+    return tuple(word) if seen.issubset(h.nodes) else None
 
 
 def to_json_obj(h: Hypergraph, include_version: bool = False) -> dict:

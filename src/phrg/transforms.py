@@ -12,15 +12,16 @@ String languages are always compared modulo the empty word.
 
 Fresh labels are written ``@name`` and barred (tagged) copies ``~name``;
 both prefixes are uniquified against every label in sight, so user
-labels never collide with construction labels.
+labels never collide with construction labels.  Subset names of a
+determinized automaton and derived table indices come from the same
+helper, ``_fresh``: a name that would collide gets ``.2``, ``.3`` and so on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .grammar import (
     AnyPHR,
@@ -33,6 +34,7 @@ from .grammar import (
     Table,
     Word,
     WordTable,
+    _fresh,
     _least_fixpoint,
     _reachable,
     identity_table,
@@ -51,21 +53,6 @@ from .hypergraph import (
 
 class TransformError(ValueError):
     """Raised when a construction's preconditions are not met."""
-
-
-# ---------------------------------------------------------------- naming
-
-
-def _fresh(used: set[str], marked: str) -> str:
-    """The marked name (``@name`` or ``~name``), suffixed ``.2``, ``.3``, ...
-    until it is unused; the result joins ``used``."""
-    name = marked
-    k = 2
-    while name in used:
-        name = f"{marked}.{k}"
-        k += 1
-    used.add(name)
-    return name
 
 
 # ------------------------------------------------------------- assembly
@@ -234,40 +221,36 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
     ]
     decode = [(sym[(a, frozenset())], (a,)) for a in g.terminals]
     tables2.append(("dec", fill(decode)))
+    indices = {"init", "dec"}
 
-    reached: set[frozenset[str]] = {frozenset()}
-    todo = [frozenset()]
-    while todo:
-        e_set = todo.pop()
+    def images(w: Word, e_next: frozenset[str]) -> Iterator[Word]:
+        """``w`` over the symbols committed to ``e_next``, each letter of
+        ``e_next`` kept or dropped; the empty word is left out."""
+        keep_or_drop = [(sym[(a, e_next)],) + ((None,) if a in e_next else ()) for a in w]
+        for pick in itertools.product(*keep_or_drop):
+            kept = tuple(filter(None, pick))
+            if kept:
+                yield kept
+
+    def steps(e_set: frozenset[str]) -> Iterator[frozenset[str]]:
+        """The commitments one step from ``e_set``, each step's table
+        appended to ``tables2`` as it is found."""
         for index, t in g.tables:
             for e_next in subsets:
-                ok = all(
-                    any(set(w) <= e_next for w in t.by_symbol[x]) for x in e_set
-                )
-                if not ok:
+                if not all(any(set(w) <= e_next for w in t.by_symbol[x]) for x in e_set):
                     continue
-                rules: list[tuple[str, Word]] = []
-                for x in g.alphabet:
-                    variants: set[Word] = set()
-                    for w in t.by_symbol[x]:
-                        deletable = [i for i, a in enumerate(w) if a in e_next]
-                        for drop_count in range(len(deletable) + 1):
-                            for drop in itertools.combinations(deletable, drop_count):
-                                kept = tuple(
-                                    sym[(a, e_next)]
-                                    for i, a in enumerate(w)
-                                    if i not in set(drop)
-                                )
-                                if kept:
-                                    variants.add(kept)
-                    rules += [(sym[(x, e_set)], v) for v in sorted(variants)]
-                tables2.append((f"t.{index}.{enc(e_set)}.{enc(e_next)}", fill(rules)))
+                rules = [
+                    (sym[(x, e_set)], v)
+                    for x in g.alphabet
+                    for v in sorted({v for w in t.by_symbol[x] for v in images(w, e_next)})
+                ]
+                name = _fresh(indices, f"t.{index}.{enc(e_set)}.{enc(e_next)}")
+                tables2.append((name, fill(rules)))
                 if len(tables2) > _TABLE_GUARD:
                     raise TransformError("commitment-set construction too large")
-                if e_next not in reached:
-                    reached.add(e_next)
-                    todo.append(e_next)
+                yield e_next
 
+    _reachable([frozenset()], steps)
     out = ET0LGrammar(
         alphabet=alphabet2,
         terminals=g.terminals,
@@ -422,26 +405,6 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
 # ----------------------------------------------------------- substitution
 
 
-@dataclass(frozen=True)
-class SubstitutionSpec:
-    """Per-letter image grammars for substitution into string languages."""
-
-    images: tuple[tuple[str, PHRGrammar], ...]
-
-    def as_dict(self) -> dict[str, PHRGrammar]:
-        return dict(self.images)
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, PHRGrammar]) -> "SubstitutionSpec":
-        return cls(tuple(sorted(mapping.items())))
-
-
-def _coerce_spec(spec) -> dict[str, PHRGrammar]:
-    if isinstance(spec, SubstitutionSpec):
-        return spec.as_dict()
-    return dict(spec)
-
-
 def _start_hygienic(g: PHRGrammar, used: set[str]) -> PHRGrammar:
     """Ensure the start never occurs in a right-hand side nor is terminal."""
     occurs = any(
@@ -490,7 +453,7 @@ def _pad_terminals(g: PHRGrammar, target: Sequence[str]) -> PHRGrammar:
 
 
 def _substitution_build(
-    g: PHRGrammar, image_map: dict[str, PHRGrammar], with_restart: bool
+    g: PHRGrammar, image_map: Mapping[str, PHRGrammar], with_restart: bool
 ) -> PHRGrammar:
     letters = sorted(image_map)
     missing = set(g.terminals) - set(letters)
@@ -594,30 +557,29 @@ def _substitution_build(
     )
 
 
-def substitute(g: PHRGrammar, spec) -> PHRGrammar:
+def substitute(g: PHRGrammar, spec: Mapping[str, PHRGrammar]) -> PHRGrammar:
     """Replace each terminal letter by a whole string language.
 
     ``spec`` maps every terminal of ``g`` to a grammar; the result
     derives every graph obtained from a graph of L(g) by substituting,
     per terminal edge, some string graph of that letter's image language.
     """
-    return _substitution_build(g, _coerce_spec(spec), with_restart=False)
+    return _substitution_build(g, spec, with_restart=False)
 
 
-def iterate_substitution(g: PHRGrammar, spec) -> PHRGrammar:
+def iterate_substitution(g: PHRGrammar, spec: Mapping[str, PHRGrammar]) -> PHRGrammar:
     """Close L(g) under repeatedly applying the substitution.
 
     Every letter of the common image alphabet must itself have an image,
     since substituted letters may be substituted again.
     """
-    image_map = _coerce_spec(spec)
-    target = {b for img in image_map.values() for b in img.terminals}
-    uncovered = target - set(image_map)
+    target = {b for img in spec.values() for b in img.terminals}
+    uncovered = target - set(spec)
     if uncovered:
         raise TransformError(
             f"iterated substitution needs images for: {sorted(uncovered)}"
         )
-    return _substitution_build(g, image_map, with_restart=True)
+    return _substitution_build(g, spec, with_restart=True)
 
 
 # ------------------------------------------------------- rational closure
@@ -658,36 +620,14 @@ def rational_plus(g: PHRGrammar) -> PHRGrammar:
 # ---------------------------------------------------------- homomorphisms
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A letter-to-word map, extended to words by concatenation."""
-
-    mapping: tuple[tuple[str, Word], ...]
-
-    def as_dict(self) -> dict[str, Word]:
-        return dict(self.mapping)
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, Sequence[str] | str]) -> "Homomorphism":
-        return cls(
-            tuple(sorted((a, tuple(w)) for a, w in mapping.items()))
-        )
-
-
-def _coerce_hom(hom) -> dict[str, Word]:
-    if isinstance(hom, Homomorphism):
-        return hom.as_dict()
-    return {a: tuple(w) for a, w in dict(hom).items()}
-
-
-def apply_hom(g: PHRGrammar, hom, mode: str = "rf") -> PHRGrammar:
+def apply_hom(g: PHRGrammar, hom: Mapping[str, Sequence[str]], mode: str = "rf") -> PHRGrammar:
     """The image language h(L(g)), via singleton-word substitution.
 
     ``mode="rf"`` rejects erasing maps (they would introduce rules whose
     right-hand sides merge external nodes); ``mode="general"`` allows
     them.
     """
-    mapping = _coerce_hom(hom)
+    mapping = {a: tuple(w) for a, w in hom.items()}
     if mode not in ("rf", "general"):
         raise TransformError(f"unknown mode {mode!r}")
     if mode == "rf" and any(not w for w in mapping.values()):
@@ -729,14 +669,14 @@ def _block_product(g: PHRGrammar, mapping: Mapping[str, Word]) -> PHRGrammar:
     )
 
 
-def inverse_hom(g: PHRGrammar, hom) -> PHRGrammar:
+def inverse_hom(g: PHRGrammar, hom: Mapping[str, Sequence[str]]) -> PHRGrammar:
     """The preimage language h^{-1}(L(g)), modulo the empty word.
 
     Letters with nonempty images are found by a block-automaton product
     with g; letters whose image is the empty word may then appear
     anywhere, which one substitution inserts around the found letters.
     """
-    mapping = _coerce_hom(hom)
+    mapping = {a: tuple(w) for a, w in hom.items()}
     carriers = sorted(b for b, w in mapping.items() if w)
     erasers = tuple(sorted(b for b, w in mapping.items() if not w))
     if not carriers:
@@ -1045,6 +985,7 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
     ]
 
     tables: list[tuple[str, Table]] = []
+    indices: set[str] = set()
     for i1, t1 in h1.tables:
         for i2, t2 in h2.tables:
             overlay: list[Rule] = list(start_rules)
@@ -1054,7 +995,7 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
                         overlay.append(rule)
                     else:
                         overlay += flanked(rule)
-            tables.append((f"{i1}.{i2}", override_table(base, overlay)))
+            tables.append((_fresh(indices, f"{i1}.{i2}"), override_table(base, overlay)))
 
     out = PHRGrammar(
         signature=sig,

@@ -213,6 +213,16 @@ class TestLayerHooks:
             monkeypatch.setattr(module, name, counting)
         return calls
 
+    def test_benchmark_hooks_exist(self):
+        # the traced benchmark replaces these names; a refactor that moves
+        # one must fail here, not only in the benchmark
+        from test_productive import _tracing
+
+        patches = _tracing().PATCHES
+        assert patches
+        for module, name, _ in patches:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
     def test_search_goes_through_every_hook(self, monkeypatch):
         g = fixture("fig5_squares").phr()
         calls = self.count_calls(monkeypatch)

@@ -66,6 +66,18 @@ class TestTables:
                 order=2,
             )
 
+    def test_dangling_rhs_names_its_rule(self):
+        from phrg import hypergraph
+
+        for att, ext, fault in (
+            (("u", "w"), ("u", "v"), "dangling-ref(e1): attachment node 'w' missing"),
+            (("u", "v"), ("u", "x"), "dangling-ref(ext[1]): external node 'x' missing"),
+        ):
+            rhs = hypergraph(nodes=["u", "v"], edges=[("e1", "a", att)], ext=ext)
+            with pytest.raises(GrammarError) as err:
+                Table(rules=(Rule("S", rhs),) + IDS, scope=SIG.labels)
+            assert str(err.value) == f"rule for 'S': invalid right-hand side: {fault}"
+
     def test_rules_deduplicated_up_to_iso(self):
         from phrg import hypergraph
 
@@ -496,6 +508,21 @@ class TestDeterminize:
         for q in d.states:
             for a in d.alphabet:
                 assert d.step(q, a) in d.states
+
+    def test_subsets_that_spell_alike(self):
+        # the subsets {a, b} and {a+b} are both spelled {a+b}
+        trans = (("i", "x", "a"), ("i", "x", "b"), ("i", "y", "a+b"), ("a", "z", "f"))
+        m = ControlAutomaton(
+            states=("i", "a", "b", "a+b", "f"),
+            alphabet=("x", "y", "z"),
+            transitions=trans,
+            initial="i",
+            finals=("f",),
+        )
+        d = m.determinize_complete()
+        assert d.is_deterministic_complete
+        for w in all_words(("x", "y", "z"), 4, min_len=0):
+            assert d.accepts(w) == nfa_accepts(trans, "i", ("f",), w)
 
 
 def reachable_closure(start, expand, max_steps, max_edges):

@@ -220,6 +220,23 @@ class TestExtractString:
         )
         assert extract_string(g) is None
 
+    def test_edgeless_graphs(self):
+        assert extract_string(hypergraph(nodes=["v"], edges=[], ext=("v", "v"))) == ()
+        assert extract_string(hypergraph(nodes=["u", "v"], edges=[], ext=("u", "v"))) is None
+        assert extract_string(hypergraph(nodes=["u", "v"], edges=[], ext=("u", "u"))) is None
+
+    def test_dangling_references_rejected(self):
+        ab = [("e1", "a", ("u", "v"))]
+        for nodes, edges, ext in (
+            (["u", "v"], [("e1", "a", ("u", "w"))], ("u", "w")),
+            (["u", "v"], ab + [("e2", "a", ("w", "u"))], ("u", "v")),
+            (["u", "v"], ab + [("e2", "a", ("w", "x"))], ("u", "v")),
+            (["u", "v"], ab, ("w", "v")),
+            (["u"], [], ("w", "w")),
+        ):
+            g = hypergraph(nodes=nodes, edges=edges, ext=ext)
+            assert extract_string(g) is None
+
 
 # ------------------------------------------------------ property tests
 

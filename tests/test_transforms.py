@@ -1,11 +1,12 @@
 """Grammar constructions, each checked against a set-level oracle."""
 
+import dataclasses
+
 import pytest
 
 from phrg import (
     ControlAutomaton,
     ET0LGrammar,
-    Homomorphism,
     Limits,
     PHRGrammar,
     Rule,
@@ -183,6 +184,20 @@ class TestEt0lPropagating:
             max_steps=8,
         )
         assert got == {("a",)}
+
+    def test_commitments_that_spell_alike(self):
+        # {a, b} and {a+b} are both spelled "a+b" in table indices
+        letters = ("a", "b", "a+b")
+        rules = {"S": [letters], **{x: [(), (x,)] for x in letters}}
+        t = WordTable(
+            rules=tuple((x, w) for x, ws in rules.items() for w in ws),
+            scope=tuple(rules),
+        )
+        g = ET0LGrammar(
+            alphabet=tuple(rules), terminals=letters, axiom="S", tables=(("1", t),)
+        )
+        want = et0l_words([rules], "S", letters, max_len=3, max_steps=6)
+        assert strings(et0l_to_phr(g), 3, max_steps=6) == want
 
 
 def dict_of(tab: WordTable):
@@ -429,7 +444,7 @@ class TestRationalIntersect:
 class TestApplyHom:
     def test_identity(self):
         g = fixture("dyck_phr").phr()
-        out = apply_hom(g, Homomorphism.of({"a": "a", "b": "b"}))
+        out = apply_hom(g, {"a": "a", "b": "b"})
         assert strings(out, 6) == DYCK6
 
     def test_letter_doubling(self):
@@ -637,6 +652,19 @@ class TestFreeProductWp:
         a = set(enumerate_strings(rebuilt, lim).words)
         b = set(enumerate_strings(fixed, lim).words)
         assert a == b
+
+    def test_table_indices_that_spell_alike(self):
+        # the pairs ("1", "2.3") and ("1.2", "3") both spell "1.2.3"
+        z = fixture("z_wp").phr()
+        zb = relabel_grammar(z, {"a": "b", "A": "B"})
+        [(_, t)], [(_, tb)] = z.tables, zb.tables
+        g = free_product_wp(
+            dataclasses.replace(z, tables=(("1", t), ("1.2", t))),
+            dataclasses.replace(zb, tables=(("2.3", tb), ("3", tb))),
+        )
+        assert len(set(g.table_indices)) == 4
+        want = {w for w in all_words("aAbB", 4) if free_trivial(w, F2_INVERSE)}
+        assert strings(g, 4, max_steps=30, max_nodes=40) == want
 
 
 class TestRelabel:
