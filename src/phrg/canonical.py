@@ -169,7 +169,7 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
 def _memo(h: Hypergraph) -> tuple[_Cert, tuple[int, ...], bytes]:
     """``_canonical_data(h)`` and the key bytes of its certificate."""
     cert, order = _canonical_data(h)
-    return cert, order, repr(cert).encode("ascii")
+    return cert, order, ascii(cert).encode("ascii")  # repr, non-ASCII labels escaped
 
 
 def canonical_key(h: Hypergraph) -> bytes:

@@ -81,10 +81,21 @@ def _limits(args: argparse.Namespace) -> Limits:
     return Limits(**{f.name: getattr(args, f.name) for f in fields(Limits)})
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
-    """One ``--max-...`` flag per ``Limits`` field, with its default."""
+    """One ``--max-...`` flag per ``Limits`` field, with its default; a
+    negative budget is a usage error."""
     for f in fields(Limits):
-        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+        sub.add_argument("--" + f.name.replace("_", "-"), type=_budget, default=f.default)
 
 
 def _parse_word_arg(text: str, labels: set[str]) -> tuple[str, ...]:

@@ -28,14 +28,22 @@ For grammars whose rules never shrink the graph (``node_monotone`` /
 completeness proof for all graphs within that bound, pruned or not.
 
 A ``string_shaped`` grammar is searched over words: every form it
-derives is a string graph plus nullary edges, so the state is a
-``WordForm`` (the word and its sorted nullary labels), which is its own
-key, and no form is replaced or canonicalized.  Only the graphs that
-``enumerate_language`` returns are built.  Results, flags and verdicts
-are those of the search over graphs, as ``parallel_budgeted`` takes the
-edges of a word form and of a graph in the same order, sorted by label;
-a member trace is some shortest witness, which may differ from the one
-the graph search would pick when several tie.
+derives is a string graph plus nullary edges, a ``WordForm`` (the word
+and its sorted nullary labels), and no form is replaced or
+canonicalized.  The grammar's ``code`` gives each label one character,
+and a form's key is a single ``str``: the coded word, NUL, the coded
+nullary labels.  Keys sort as the forms' label tuples do, so the search
+visits forms in the same order as without the code.  A product returns
+its successors' keys; the search turns only the new ones into
+``CodedForm``s, the pair of coded strings that a product takes.  Keys
+are decoded only where results leave the search: the words of
+``enumerate_strings`` and the graphs of ``enumerate_language``, which
+are the only graphs built.  Results, flags and verdicts are those of
+the search over graphs, as
+``parallel_budgeted`` takes the edges of a word form and of a graph in
+the same order, sorted by label; a member trace is some shortest
+witness, which may differ from the one the graph search would pick when
+several tie.
 
 Forms with the same labels share the choice search of their products:
 ``parallel_budgeted`` memoizes it per table object, under the path, the
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .canonical import canonical_graph, canonical_key
@@ -55,7 +64,6 @@ from .grammar import (
     AnyPHR,
     PHRGrammar,
     Word,
-    WordForm,
     parallel_budgeted,
     split_control,
 )
@@ -64,10 +72,17 @@ from .hypergraph import Hypergraph, extract_string, string_graph
 
 @dataclass(frozen=True)
 class Limits:
+    """The budgets of a search; each must be at least 0."""
+
     max_steps: int = 8
     max_nodes: int = 200
     max_edges: int = 200
     max_results: int = 200_000
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, not {value}")
 
 
 @dataclass(frozen=True)
@@ -124,14 +139,18 @@ class _Search:
         if self.hit_nodes or self.hit_edges:
             self.saturated = True
             return
-        if grammar.string_shaped:
-            start = key = WordForm((grammar.start,), ())
+        if grammar.string_shaped:  # keys are coded strings, states their forms
+            form_of = grammar.code.form
+            key = grammar.code.key((grammar.start,))
+            start = form_of(key)
         else:
+            form_of = None
             start = grammar.start_graph()
             key = canonical_key(start)
         start_pair = (key, q0)
-        self.visited[start_pair] = start
-        self.parents[start_pair] = None
+        visited, parents = self.visited, self.parents
+        visited[start_pair] = start
+        parents[start_pair] = None
         labels = start.labels()
         label_sets = {labels: labels}  # forms share few label sets; one copy of each
         if self._accepting(labels, q0, terminals):
@@ -140,8 +159,8 @@ class _Search:
         while frontier and self.steps_taken < limits.max_steps:
             self.steps_taken += 1
             next_frontier = []
-            for pair, labels in sorted(frontier, key=lambda f: (f[0][0], f[0][1] or "")):
-                h = self.visited[pair]
+            for pair, labels in sorted(frontier, key=itemgetter(0)):
+                h = visited[pair]
                 for index, table, blocked in grammar.live_tables:
                     if not labels.isdisjoint(blocked):
                         continue  # every successor holds an unproductive label
@@ -149,7 +168,7 @@ class _Search:
                     if ctrl is not None and q2 not in ctrl.live_states:
                         continue  # no table trace from q2 reaches a final state
                     # idle table: the form is its own sole successor
-                    if not (labels & table.active_labels):
+                    if labels.isdisjoint(table.active_labels):
                         succs = {pair[0]: h}
                     else:
                         succs, hn, he = parallel_budgeted(
@@ -159,14 +178,14 @@ class _Search:
                         self.hit_edges = self.hit_edges or he
                     for key in sorted(succs):
                         new_pair = (key, q2)
-                        if new_pair in self.visited:
+                        if new_pair in visited:
                             continue
-                        if len(self.visited) >= self.limits.max_results:
+                        if len(visited) >= limits.max_results:
                             self.hit_results = True
                             return
-                        graph = succs[key]
-                        self.visited[new_pair] = graph
-                        self.parents[new_pair] = (pair, index)
+                        graph = succs[key] if form_of is None else form_of(key)
+                        visited[new_pair] = graph
+                        parents[new_pair] = (pair, index)
                         reached = graph.labels()
                         reached = label_sets.setdefault(reached, reached)
                         if self._accepting(reached, q2, terminals):
@@ -202,7 +221,7 @@ def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumerat
     """
     search, results = _accepted(g, limits)
     if search.grammar.string_shaped:
-        graphs = (form.graph() for form in results.values())
+        graphs = (search.grammar.code.decoded(key).graph() for key in results)
         results = {canonical_key(h): canonical_graph(h) for h in graphs}
     return LanguageEnumeration(
         graphs=tuple(results[k] for k in sorted(results)),
@@ -228,11 +247,8 @@ def enumerate_strings(
     search, results = _accepted(g, limits)
     empty = frozenset(empty_labels)
     if search.grammar.string_shaped:
-        found = (
-            tuple(a for a in form.word if a not in empty)
-            for form in results.values()
-            if not form.flags
-        )
+        forms = map(search.grammar.code.decoded, results)
+        found = (tuple(a for a in f.word if a not in empty) for f in forms if not f.flags)
     else:
         found = (extract_string(h, empty) for h in results.values())
     words = {w for w in found if w}
@@ -264,7 +280,7 @@ def member_string(
         if a not in terminals or grammar.signature.arity(a) != 2:
             return MemberVerdict("no-within-limits")
     if grammar.string_shaped:
-        target = WordForm(letters, ())
+        target = grammar.code.key(letters)
     else:
         target = canonical_key(string_graph(letters))
 

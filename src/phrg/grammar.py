@@ -41,7 +41,7 @@ _T = TypeVar("_T")
 
 _PRODUCT_GUARD = 10**6
 _CHOICES_CACHE = 1024  # choice searches kept per table
-_new = tuple.__new__  # builds a WordForm without its Python-level __new__
+_new = tuple.__new__  # builds a CodedForm without its Python-level __new__
 
 
 class GrammarError(ValueError):
@@ -52,7 +52,9 @@ class WordForm(NamedTuple):
     """A string graph plus nullary edges, kept as its word and its sorted
     nullary labels.  The pair determines the graph up to isomorphism, so a
     word form is its own key: derivations of a string-shaped grammar run on
-    these without building graphs."""
+    these without building graphs.  The search codes them (see ``_Code``)
+    and decodes only its results; ``parallel_budgeted`` takes and returns
+    them uncoded."""
 
     word: Word
     flags: tuple[str, ...]
@@ -64,6 +66,66 @@ class WordForm(NamedTuple):
         h = string_graph(self.word)
         flags = tuple(Hyperedge(f"f{i}", l, ()) for i, l in enumerate(self.flags))
         return Hypergraph(nodes=h.nodes, edges=h.edges + flags, ext=h.ext)
+
+
+class CodedForm(NamedTuple):
+    """A word form with each label coded as one character by ``code``: the
+    form that a product on the word path takes."""
+
+    word: str
+    flags: str
+    code: _Code
+
+    def labels(self) -> frozenset[str]:
+        return self.code.label_set(self.word + self.flags)
+
+
+_SEP = "\0"  # ends the word of a coded key; below every label's code
+
+
+class _Code:
+    """One character per label: ``chr`` of 1 plus its rank among the sorted
+    labels.  The search keys a word form by one ``str``, the coded word,
+    ``_SEP`` and the coded flags, so a successor is one ``"".join``, its
+    hash is cached and comparisons run over code points.  As ``_SEP`` sorts
+    below every code, keys sort as the ``(word, flags)`` label tuples do:
+    a word that is a prefix of another comes first."""
+
+    def __init__(self, labels: Iterable[str]) -> None:
+        self.names = tuple(sorted(set(labels)))
+        self.chars = {l: chr(i) for i, l in enumerate(self.names, 1)}
+        self._label_sets: dict[frozenset[str], frozenset[str]] = {}
+
+    def encode(self, labels: Iterable[str]) -> str:
+        return "".join(map(self.chars.__getitem__, labels))
+
+    def decode(self, coded: str) -> Word:
+        names = self.names
+        return tuple([names[ord(c) - 1] for c in coded])
+
+    def coded(self, form: WordForm) -> CodedForm:
+        return CodedForm(self.encode(form.word), self.encode(form.flags), self)
+
+    def key(self, word: Sequence[str], flags: Sequence[str] = ()) -> str:
+        """The key of the word form ``(word, flags)``."""
+        return self.encode(word) + _SEP + self.encode(flags)
+
+    def form(self, key: str) -> CodedForm:
+        """The coded form of a key."""
+        word, _, flags = key.partition(_SEP)
+        return _new(CodedForm, (word, flags, self))
+
+    def decoded(self, key: str) -> WordForm:
+        word, _, flags = key.partition(_SEP)
+        return WordForm(self.decode(word), self.decode(flags))
+
+    def label_set(self, coded: str) -> frozenset[str]:
+        """The labels of a coded string, decoded once per set of codes."""
+        chars = frozenset(coded)
+        found = self._label_sets.get(chars)
+        if found is None:
+            found = self._label_sets[chars] = frozenset(self.decode(chars))
+        return found
 
 
 def word_form(rhs: Hypergraph) -> Optional[WordForm]:
@@ -131,6 +193,18 @@ def _options(rows: Iterable[tuple[int, int, object]]) -> tuple[tuple, int, int]:
     first two with ties kept in order, and the least of each increment."""
     opts = tuple(sorted(rows, key=lambda t: (t[0], t[1])))
     return opts, opts[0][0], min(dn for _, dn, _ in opts)
+
+
+def _coded_options(table) -> dict[str, tuple]:
+    """``word_options`` in the table's code: keyed by each label's character,
+    each word coded, or each whole form for a flag label."""
+    code = table.code
+    out = {}
+    for l, (opts, least_edges, least_nodes) in table.word_options.items():
+        encode = code.coded if l in table.flag_labels else code.encode
+        opts = tuple((de, dn, encode(x)) for de, dn, x in opts)
+        out[code.chars[l]] = (opts, least_edges, least_nodes)
+    return out
 
 
 def _choice_memo(table) -> Callable:
@@ -211,6 +285,7 @@ class Table:
     rules: tuple[Rule, ...]
     scope: tuple[str, ...]
     choices = cached_property(_choice_memo)
+    coded_options = cached_property(_coded_options)
 
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
@@ -246,6 +321,12 @@ class Table:
                 opts = tuple((de, dn, x) for (de, dn, _), x in zip(opts, pieces))
                 out[l] = (opts, least_edges, least_nodes)
         return out
+
+    @cached_property
+    def code(self) -> _Code:
+        """The code of the word path: over the scope and the labels of the
+        right-hand sides, unless a grammar gave the table its own."""
+        return _Code(chain(self.scope, *(r.rhs.labels() for r in self.rules)))
 
     @cached_property
     def flag_labels(self) -> frozenset[str]:
@@ -418,14 +499,22 @@ class PHRGrammar:
         form holding such a label has no successor that can still become
         terminal, and the search takes no product for it (an empty row's
         unbounded least increment would set the edge flag).  The cut reuses
-        the table's keyed rules, so it keys none.
+        the table's keyed rules, so it keys none.  Every cut codes labels
+        with the grammar's ``code``, not one of its narrower scope, so a
+        coded form passes from table to table unchanged.
         """
         out = []
         for i, t in self.tables:
             live = tuple(r for r in t.rules if r.rhs.labels() <= self.productive)
             cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
+            object.__setattr__(cut, "code", self.code)
             out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
         return tuple(out)
+
+    @cached_property
+    def code(self) -> _Code:
+        """The code of the word path, over the signature's labels."""
+        return _Code(self.signature.labels)
 
     @property
     def table_indices(self) -> tuple[str, ...]:
@@ -475,6 +564,7 @@ class WordTable:
     scope: tuple[str, ...]
     flag_labels = frozenset()  # words carry no nullary labels
     choices = cached_property(_choice_memo)
+    coded_options = cached_property(_coded_options)
 
     def __post_init__(self) -> None:
         rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
@@ -483,6 +573,11 @@ class WordTable:
     @cached_property
     def by_symbol(self) -> dict[str, tuple[Word, ...]]:
         return _by_lhs(self.scope, self.rules)
+
+    @cached_property
+    def code(self) -> _Code:
+        """The code of the word path: over the scope and the rules' words."""
+        return _Code(chain(self.scope, *(w for _, w in self.rules)))
 
     @cached_property
     def word_options(self) -> dict[str, tuple]:
@@ -658,7 +753,7 @@ def direct_derivations(
 
 
 def parallel_budgeted(
-    h: Hypergraph | WordForm,
+    h: Hypergraph | WordForm | CodedForm,
     table: Table | WordTable,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
@@ -671,11 +766,15 @@ def parallel_budgeted(
     Returns (successors by key, node bound hit, edge bound hit); an
     edge-less graph is its own sole successor.  A graph's successors are
     canonical graphs keyed by canonical key.  A word form's successors
-    are word forms keyed by themselves.  Both paths take the edges
-    stably sorted by label, the order in which a canonical graph numbers
-    them (not its edge order, which sorts ids as strings: ``e10`` before
-    ``e2``), so a word form meets the same option lists in the same
-    order as its canonical graph, and sets the same budget flags.
+    are word forms keyed by themselves: the form is coded by the table's
+    ``code`` on entry, and its successors are assembled as coded keys and
+    decoded on exit.  A ``CodedForm``, the search's own input, gets its
+    successors' coded keys, each keyed by itself.  Both paths take the
+    edges stably sorted by label (the word path by code, the same order),
+    the order in which a canonical graph numbers them (not its edge order,
+    which sorts ids as strings: ``e10`` before ``e2``), so a word form
+    meets the same option lists in the same order as its canonical graph,
+    and sets the same budget flags.
 
     The choices of one option per edge, and both flags, depend only on
     the path, the sorted labels, the node count and the budgets: that is
@@ -686,49 +785,73 @@ def parallel_budgeted(
     fresh search.  A word form's node count is exact in the search; a
     graph's leaf checks the replaced graph.
     """
-    word_path = isinstance(h, WordForm)
-    if word_path:
-        edges = h.word + h.flags
-        order = sorted(range(len(edges)), key=edges.__getitem__)
-        labels = tuple([edges[j] for j in order])
-        nodes = len(h.word) + 1
-    else:
-        edges = sorted(h.edges, key=lambda e: e.label)
-        labels = tuple([e.label for e in edges])
-        nodes = len(h.nodes)
-    choices, hit_nodes, hit_edges = table.choices(word_path, labels, nodes, max_nodes, max_edges)
+    if isinstance(h, CodedForm):
+        return _word_successors(h, table, max_nodes, max_edges)
+    if isinstance(h, WordForm):
+        code = table.code
+        try:
+            coded = code.coded(h)
+        except KeyError:  # a label the code lacks has no row either
+            rowless = (l for l in h.word + h.flags if l not in table.word_options)
+            raise _no_row(table, min(rowless)) from None
+        found, hit_nodes, hit_edges = _word_successors(coded, table, max_nodes, max_edges)
+        return {f: f for f in map(code.decoded, found)}, hit_nodes, hit_edges
+    edges = sorted(h.edges, key=lambda e: e.label)
+    labels = tuple([e.label for e in edges])
+    choices, hit_nodes, hit_edges = table.choices(False, labels, len(h.nodes), max_nodes, max_edges)
     found = {}
-    if word_path:
-        place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
-        join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order
-        flagged = table.flag_labels
-        carry = [p for p, l in enumerate(labels) if l in flagged] if flagged else ()
-        for chosen in choices:
-            words, flags = chosen, ()
-            if carry:  # these positions hold whole word forms
-                words = [c.word if p in carry else c for p, c in enumerate(chosen)]
-                flags = tuple(sorted(chain.from_iterable(chosen[p].flags for p in carry)))
-            form = _new(WordForm, (tuple(chain.from_iterable(join(words))), flags))
-            found[form] = form
-    else:
-        for chosen in choices:
-            result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
-            if max_nodes is not None and len(result.nodes) > max_nodes:
-                hit_nodes = True
-            else:
-                key = canonical_key(result)
-                if key not in found:
-                    found[key] = canonical_graph(result)
+    for chosen in choices:
+        result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
+        if max_nodes is not None and len(result.nodes) > max_nodes:
+            hit_nodes = True
+        else:
+            key = canonical_key(result)
+            if key not in found:
+                found[key] = canonical_graph(result)
     return found, hit_nodes, hit_edges
+
+
+def _word_successors(
+    h: CodedForm, table: Table | WordTable, max_nodes, max_edges
+) -> tuple[dict, bool, bool]:
+    """The word path of ``parallel_budgeted``, on a form and rows coded
+    alike: the successors' keys, each keyed by itself."""
+    edges = h.word + h.flags
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    labels = "".join([edges[j] for j in order])
+    choices, hit_nodes, hit_edges = table.choices(
+        True, labels, len(h.word) + 1, max_nodes, max_edges
+    )
+    place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
+    join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order, _SEP
+    flagged, names = table.flag_labels, table.code.names
+    carry = [p for p, l in enumerate(labels) if names[ord(l) - 1] in flagged] if flagged else ()
+    if carry:  # these positions hold whole coded forms
+        keys = []
+        for chosen in choices:
+            words = [c[0] if p in carry else c for p, c in enumerate(chosen)]
+            flags = "".join(sorted("".join([chosen[p][1] for p in carry])))
+            keys.append("".join(join(words)) + flags)
+    else:
+        keys = list(map("".join, map(join, choices)))
+    return dict(zip(keys, keys)), hit_nodes, hit_edges
+
+
+def _no_row(table: Table | WordTable, label: str) -> GrammarError:
+    """The error for a label without a row of product options."""
+    if label in table.scope:
+        return GrammarError(f"rules for label {label!r} are not all word forms")
+    return GrammarError(f"no rules for label {label!r} in table")
 
 
 def _choices(
     table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges
 ) -> tuple[tuple[tuple, ...], bool, bool]:
     """The choice search of ``parallel_budgeted`` for a form with these
-    sorted edge labels and ``nodes`` nodes: each choice of one option per
-    edge within the budgets, in the order found, as its pieces in label
-    order plus a trailing ``()``; and the node and edge flags.
+    sorted edge labels (coded on the word path) and ``nodes`` nodes: each
+    choice of one option per edge within the budgets, in the order found,
+    as its pieces in label order plus a trailing ``_SEP``; and the node and
+    edge flags.
 
     Options come sorted by edge increment.  Each is checked, edges first,
     against the counts chosen so far plus the least increments to come:
@@ -740,17 +863,15 @@ def _choices(
     the flags are the same.  With neither budget nothing prunes, so more
     than ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
-    rows = table.word_options if word_path else table.graph_options
+    rows = table.coded_options if word_path else table.graph_options
     m = len(labels)
-    chosen: list = [()] * (m + 1)  # the last slot is joined after every word
+    chosen: list = [_SEP] * (m + 1)  # the last slot is joined after every word
     picked, at = [], []  # the rows with a choice, and their positions
     total_edges = 0
     for p, l in enumerate(labels):
         row = rows.get(l)
         if row is None:
-            if l in table.scope:
-                raise GrammarError(f"rules for label {l!r} are not all word forms")
-            raise GrammarError(f"no rules for label {l!r} in table")
+            raise _no_row(table, table.code.names[ord(l) - 1] if word_path else l)
         total_edges += row[1]
         nodes += row[2]
         if len(row[0]) == 1:

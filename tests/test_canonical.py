@@ -85,6 +85,13 @@ def test_label_difference_breaks_iso():
     assert not is_isomorphic(string_graph("a"), string_graph("b"))
 
 
+def test_non_ascii_labels_have_keys():
+    # the key escapes what is not ASCII; an ASCII key keeps its bytes
+    assert canonical_key(string_graph(("ä", "a"))) != canonical_key(string_graph(("a", "ä")))
+    assert canonical_key(string_graph(("ä",))) == canonical_key(handle("ä", 2))
+    assert b"\\xe4" in canonical_key(string_graph(("ä",)))
+
+
 def test_canonical_graph_is_stable():
     h = string_graph("aab")
     c = canonical_graph(h)

@@ -1,6 +1,9 @@
 """Bounded enumeration, membership search, reachability trimming."""
 
+import dataclasses
 import itertools
+
+import pytest
 
 import phrg.engine
 import phrg.grammar
@@ -183,6 +186,19 @@ class TestResultBudget:
         assert member_string(g, "aabb", self.LIMITS).verdict == "unknown"
         uncapped = Limits(max_steps=8, max_edges=6)
         assert member_string(g, "aabb", uncapped).verdict == "yes"
+
+
+class TestLimits:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Limits)])
+    def test_negative_budget_is_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, not -1$"):
+            Limits(**{name: -1})
+
+    def test_zero_budgets_are_allowed(self):
+        zero = Limits(max_steps=0, max_nodes=0, max_edges=0, max_results=0)
+        out = enumerate_strings(fixture("dyck_phr").phr(), zero)
+        assert out.words == ()
+        assert not out.exhaustive  # the start handle alone exceeds the budgets
 
 
 class TestLayerHooks:

@@ -408,6 +408,27 @@ class TestEt0lStep:
         assert len(got) == 2**10
         assert got == subst_set([tuple(word)], images)
 
+    def test_multi_character_symbols_match_the_substitution_oracle(self):
+        # symbols that share prefixes, one beyond ASCII, and images outside the scope
+        images = {
+            "S": [("S", "S.2"), ("ä",)],
+            "S.2": [(), ("~a", "@a", "S")],
+            "~a": [("~a",), ("a", "ä", "a")],
+            "@a": [("S.2",)],
+        }
+        t = WordTable(
+            rules=tuple((l, w) for l, ws in images.items() for w in ws), scope=tuple(images)
+        )
+        rng = random.Random(11)
+        for _ in range(40):
+            word = tuple(rng.choices(sorted(images), k=rng.randint(0, 7)))
+            assert et0l_step(t, word) == subst_set([word], images), word
+
+    def test_symbol_only_on_right_hand_sides(self):
+        t = WordTable(rules=(("a", ("b",)),), scope=("a",))
+        with pytest.raises(GrammarError, match="no rules for label 'b' in table"):
+            et0l_step(t, ("a", "b"))
+
     def test_unknown_symbol(self):
         t = WordTable(rules=(("a", ("a",)),), scope=("a",))
         with pytest.raises(GrammarError, match="no rules for label 'x' in table"):

@@ -627,6 +627,25 @@ class TestCli:
         assert obj["verdict"] == "yes"
         assert len(obj["trace"]) == 2
 
+    @pytest.mark.parametrize("flag", "--max-steps --max-nodes --max-edges --max-results".split())
+    def test_negative_budget_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(["strings", "fixtures/dyck_phr", flag, "-1"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 0, not -1" in err
+
+    def test_non_integer_budget_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["strings", "fixtures/dyck_phr", "--max-steps", "x"])
+        assert exit_.value.code == 2
+        assert "argument --max-steps: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_budget_is_allowed(self, capsys):
+        code, obj, _ = run_json(capsys, "strings", "fixtures/dyck_phr", "--max-steps", "0")
+        assert code == 0
+        assert obj["words"] == [] and obj["exhaustive"] is True
+
     def test_validate_good_fixture(self, capsys):
         code, obj, _ = run_json(capsys, "validate", "fixtures/dyck_phr")
         assert code == 0

@@ -473,3 +473,168 @@ def grammars(draw):
 def test_generated_paths_agree(g, steps, nodes, edges):
     limits = Limits(max_steps=steps, max_nodes=nodes, max_edges=edges, max_results=50_000)
     check_equivalent(g, limits, all_words(("a", "b"), 3))
+
+
+# ------------------------------------------------------ result-budget cuts
+
+# Words, flags, verdicts and traces under a result budget that cuts the
+# search, recorded from the search over uncoded label tuples.  Which
+# states a cut search keeps depends on the order of its keys, so these
+# pin that order; ``check_equivalent`` cannot compare them with the graph
+# path.  Words are spelled as strings: every terminal here is one letter.
+CUT_LIMITS = dict(max_steps=8, max_edges=6)
+CUT_QUERIES = {
+    "dyck_phr": ("ab", "aabb", "abab"),
+    "f2_wp": ("aA", "Aa", "abBA", "aAbB"),
+    "ctl_plus0": ("ab", "aabb", "abab"),
+    "closure intersect (ab)*": ("ab", "abab"),
+}
+CUT_PINS = {
+    ("dyck_phr", 3): (
+        ((), False, False),
+        {"ab": ("yes", ("1",)), "aabb": ("unknown", None), "abab": ("unknown", None)},
+    ),
+    ("dyck_phr", 10): (
+        (("ab",), False, False),
+        {"ab": ("yes", ("1",)), "aabb": ("unknown", None), "abab": ("unknown", None)},
+    ),
+    ("dyck_phr", 50): (
+        (("ab", "aabb", "abab", "ababab"), False, False),
+        {"ab": ("yes", ("1",)), "aabb": ("yes", ("1", "1")), "abab": ("yes", ("1", "1"))},
+    ),
+    ("f2_wp", 3): (
+        ((), False, False),
+        {
+            "aA": ("unknown", None),
+            "Aa": ("unknown", None),
+            "abBA": ("unknown", None),
+            "aAbB": ("unknown", None),
+        },
+    ),
+    ("f2_wp", 10): (
+        ((), False, False),
+        {
+            "aA": ("yes", ("1.1", "1.1")),
+            "Aa": ("yes", ("1.1", "1.1")),
+            "abBA": ("unknown", None),
+            "aAbB": ("unknown", None),
+        },
+    ),
+    ("f2_wp", 50): (
+        (("Aa",), False, False),
+        {
+            "aA": ("yes", ("1.1", "1.1")),
+            "Aa": ("yes", ("1.1", "1.1")),
+            "abBA": ("unknown", None),
+            "aAbB": ("unknown", None),
+        },
+    ),
+    ("ctl_plus0", 3): (
+        ((), False, False),
+        {"ab": ("unknown", None), "aabb": ("unknown", None), "abab": ("unknown", None)},
+    ),
+    ("ctl_plus0", 10): (
+        (("ab", "bb"), False, False),
+        {"ab": ("yes", ("1", "0")), "aabb": ("unknown", None), "abab": ("unknown", None)},
+    ),
+    ("ctl_plus0", 50): (
+        (
+            (
+                "ab", "bb", "aab", "abb", "bab", "bbb", "aaab", "aabb", "abab", "abbb",
+                "baab", "babb", "bbab", "bbbb", "aaaab",
+            ),
+            False,
+            False,
+        ),
+        {
+            "ab": ("yes", ("1", "0")),
+            "aabb": ("yes", ("1", "1", "2", "0")),
+            "abab": ("yes", ("1", "2", "1", "0")),
+        },
+    ),
+    ("closure intersect (ab)*", 3): (
+        ((), False, False),
+        {"ab": ("unknown", None), "abab": ("unknown", None)},
+    ),
+    ("closure intersect (ab)*", 10): (
+        ((), False, False),
+        {"ab": ("yes", (".0", "1", "1", "0", ".0")), "abab": ("unknown", None)},
+    ),
+    ("closure intersect (ab)*", 50): (
+        (("ab", "abab"), False, True),
+        {
+            "ab": ("yes", (".0", "1", "1", "0", ".0")),
+            "abab": ("yes", (".0", "1", "1", "1", "0", ".0")),
+        },
+    ),
+}
+
+
+def _cut_grammar(name):
+    if name in CASES:
+        build, args, kwargs = CASES[name]
+        return build(*args, **kwargs)
+    return fixture(name).phr()
+
+
+@pytest.mark.parametrize("name, max_results", sorted(CUT_PINS))
+def test_result_budget_cuts_are_pinned(name, max_results):
+    g = _cut_grammar(name)
+    limits = Limits(**CUT_LIMITS, max_results=max_results)
+    words = enumerate_strings(g, limits)
+    verdicts = {}
+    for word in CUT_QUERIES[name]:
+        v = member_string(g, word, limits)
+        verdicts[word] = (v.verdict, v.trace)
+    got = (tuple("".join(w) for w in words.words), words.exhaustive, words.saturated)
+    assert (got, verdicts) == CUT_PINS[name, max_results]
+
+
+# ------------------------------------------------------- code order
+
+def _wide_grammar() -> PHRGrammar:
+    """A string-shaped grammar over 300 labels, so that codes pass one byte:
+    ``~a``, ``~x`` and ``ä`` sort after the 291 fillers, ``S`` before
+    ``S.2``, and ``@a`` first."""
+    fillers = [f"l{i:03d}" for i in range(291)]
+    binary = ["S", "S.2", "a", "~a", "@a", "ä", "z", *fillers]
+    sig = Signature.of({**dict.fromkeys(binary, 2), "~x": 0, "@x": 0})
+    grow = {
+        "S": [("a", "S.2"), ("S", "ä"), ("@a", "S", "~a")],
+        "S.2": [("~a", "S"), ("@a",), ("l150",)],
+        "a": [("a",), ("ä",)],
+    }
+    stop = {"S": [("ä",), ("z", "S.2")], "S.2": [("a",), ("l289", "~a")]}
+    tables = []
+    for index, words in (("1", grow), ("2", stop)):
+        rules = [Rule(l, string_graph(w)) for l, ws in words.items() for w in ws]
+        rules += [Rule(l, handle(l, sig)) for l in sig.labels if l not in words]
+        if index == "1":  # S.2 also raises a nullary flag; table 2 drops it
+            rules.append(Rule("S.2", _rhs(("S",), ("~x", "@x"))))
+        else:
+            rules = [r for r in rules if r.lhs not in ("~x", "@x")]
+            rules += [Rule("~x", _rhs(None, ())), Rule("@x", _rhs(None, ()))]
+        tables.append((index, Table(rules=tuple(rules), scope=sig.labels)))
+    terminals = ("a", "~a", "@a", "ä", "z", "l150", "l289")
+    return PHRGrammar(signature=sig, terminals=terminals, start="S", tables=tuple(tables), order=2)
+
+
+def test_codes_past_one_byte_keep_the_label_order():
+    g = _wide_grammar()
+    assert len(g.signature.labels) == 300
+    assert max(map(ord, g.code.chars.values())) > 255
+    # keys sort as the label tuples do, prefixes and flags included
+    rng = random.Random(7)
+    names = ["S", "S.2", "a", "~a", "@a", "ä", *rng.sample(g.signature.labels, 20)]
+    forms = set()
+    for _ in range(300):
+        word = tuple(rng.choices(names, k=rng.randint(0, 4)))
+        flags = tuple(sorted(rng.choices(["~x", "@x"], k=rng.randint(0, 2))))
+        forms |= {WordForm(word, flags), WordForm(word[:-1], flags)}
+    assert sorted(forms, key=lambda f: g.code.key(*f)) == sorted(forms)
+    limits = Limits(max_steps=4, max_nodes=8, max_edges=5, max_results=20_000)
+    queries = [("ä",), ("a", "ä"), ("@a", "ä", "~a"), ("z", "a"), ("a", "l150")]
+    queries.append(("z", "l289", "~a"))
+    check_equivalent(g, limits, queries)
+    words = enumerate_strings(g, limits).words
+    assert ("@a", "ä", "~a") in words and ("z", "l289", "~a") in words
