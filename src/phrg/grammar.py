@@ -29,6 +29,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     Signature,
+    _graph,
     extract_string,
     handle,
     replace,
@@ -138,7 +139,9 @@ def word_form(rhs: Hypergraph) -> Optional[WordForm]:
     if rhs.type == 0:
         nullary_only = len(flags) == len(rhs.edges) and not rhs.nodes
         return WordForm((), flags) if nullary_only else None
-    path = Hypergraph(rhs.nodes, tuple(e for e in rhs.edges if e.att), rhs.ext)
+    path = rhs
+    if flags:  # the graph without its nullary edges, still in normal form
+        path = _graph(rhs.nodes, tuple(e for e in rhs.edges if e.att), rhs.ext)
     word = extract_string(path)
     return None if word is None else WordForm(word, flags)
 
@@ -227,6 +230,16 @@ class Rule:
     def form(self) -> Optional[WordForm]:
         """The right-hand side's ``word_form``, computed once per rule."""
         return word_form(self.rhs)
+
+    @cached_property
+    def arities(self) -> Optional[frozenset[tuple[str, int]]]:
+        """The ``(label, arity)`` pair of each right-hand-side edge, or None
+        when ``validate`` finds the right-hand side structurally broken;
+        found once per rule.  The right-hand side then conforms to a
+        signature exactly when these pairs are among the signature's."""
+        if validate(self.rhs):
+            return None
+        return frozenset((e.label, len(e.att)) for e in self.rhs.edges)
 
 
 def is_identity_rule(rule: Rule) -> bool:
@@ -391,6 +404,9 @@ def _invalid_rhs(rule: Rule, problems: Iterable) -> GrammarError:
 
 
 def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) -> None:
+    """Each rule's left-hand side, type and right-hand side against ``sig``:
+    a set test on the rule's cached checks, with ``validate`` run again
+    only to spell a failure."""
     for r in rules:
         if r.lhs not in lhs_domain:
             raise GrammarError(f"rule for label {r.lhs!r} outside its domain")
@@ -399,9 +415,8 @@ def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) ->
                 f"rule for {r.lhs!r}: right-hand side has type {len(r.rhs.ext)}, "
                 f"label has arity {sig.arity(r.lhs)}"
             )
-        problems = validate(r.rhs, sig)
-        if problems:
-            raise _invalid_rhs(r, problems)
+        if r.arities is None or not r.arities <= sig.pairs:
+            raise _invalid_rhs(r, validate(r.rhs, sig))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
+
+_GRAPH_CACHE = 1024  # string graphs, handles and discrete graphs kept, each
 
 
 class HypergraphError(ValueError):
@@ -53,6 +56,11 @@ class Signature:
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[str, int]]:
+        """The ``(label, arity)`` pairs, as a set."""
+        return frozenset(self.arities)
 
     def arity(self, label: str) -> int:
         try:
@@ -172,42 +180,84 @@ def validate(h: Hypergraph, sig: Optional[Signature] = None) -> list[Violation]:
     return out
 
 
+_set = object.__setattr__
+
+
+def _edge(id: str, label: str, att: tuple[str, ...]) -> Hyperedge:
+    """A Hyperedge from a tuple of string nodes, without ``__post_init__``."""
+    e = object.__new__(Hyperedge)
+    _set(e, "id", id)
+    _set(e, "label", label)
+    _set(e, "att", att)
+    return e
+
+
+def _graph(
+    nodes: tuple[str, ...], edges: tuple[Hyperedge, ...], ext: tuple[str, ...]
+) -> Hypergraph:
+    """A Hypergraph from parts already in its normal form (string nodes
+    sorted, edges sorted by id, string ext), without ``__post_init__``."""
+    h = object.__new__(Hypergraph)
+    _set(h, "nodes", nodes)
+    _set(h, "edges", edges)
+    _set(h, "ext", ext)
+    return h
+
+
 def string_graph(word: Sequence[str] | str, sig: Optional[Signature] = None) -> Hypergraph:
     """The path graph spelling ``word``: n+1 nodes, one arity-2 edge per letter.
 
     The empty word gives the one-node graph whose two external nodes
-    coincide; note that graph is not repetition-free.
+    coincide; note that graph is not repetition-free.  Equal words may
+    return one shared graph, immutable like every other.
     """
     letters = tuple(word)
     if sig is not None:
         for a in letters:
             if sig.arity(a) != 2:
                 raise HypergraphError(f"letter {a!r} has arity {sig.arity(a)}, need 2")
+    return _string_graph(letters)
+
+
+@lru_cache(maxsize=_GRAPH_CACHE)
+def _string_graph(letters: tuple[str, ...]) -> Hypergraph:
     n = len(letters)
-    nodes = tuple(f"v{i}" for i in range(n + 1))
-    edges = tuple(
-        Hyperedge(f"e{i + 1}", a, (f"v{i}", f"v{i + 1}")) for i, a in enumerate(letters)
-    )
-    return Hypergraph(nodes=nodes, edges=edges, ext=("v0", f"v{n}"))
+    names = [f"v{i}" for i in range(n + 1)]
+    edges = [_edge(f"e{i + 1}", a, (names[i], names[i + 1])) for i, a in enumerate(letters)]
+    # sorted as __post_init__ sorts: "v10" before "v2", "e10" before "e2"
+    edges.sort(key=attrgetter("id"))
+    return _graph(tuple(sorted(names)), tuple(edges), (names[0], names[n]))
 
 
 def handle(label: str, arity_or_sig: int | Signature) -> Hypergraph:
-    """The graph with one ``label`` edge attached to fresh external nodes."""
+    """The graph with one ``label`` edge attached to fresh external nodes.
+
+    Equal arguments may return one shared immutable graph.
+    """
     arity = (
         arity_or_sig.arity(label)
         if isinstance(arity_or_sig, Signature)
         else int(arity_or_sig)
     )
+    return _handle(label, arity)
+
+
+@lru_cache(maxsize=_GRAPH_CACHE)
+def _handle(label: str, arity: int) -> Hypergraph:
     nodes = tuple(f"v{i + 1}" for i in range(arity))
-    return Hypergraph(
-        nodes=nodes, edges=(Hyperedge("e", label, nodes),), ext=nodes
-    )
+    return _graph(tuple(sorted(nodes)), (_edge("e", label, nodes),), nodes)
 
 
 def discrete_graph(n: int) -> Hypergraph:
-    """n isolated nodes, all external."""
+    """n isolated nodes, all external.  Equal ``n`` may return one shared
+    immutable graph."""
+    return _discrete_graph(n)
+
+
+@lru_cache(maxsize=_GRAPH_CACHE)
+def _discrete_graph(n: int) -> Hypergraph:
     nodes = tuple(f"v{i + 1}" for i in range(n))
-    return Hypergraph(nodes=nodes, edges=(), ext=nodes)
+    return _graph(tuple(sorted(nodes)), (), nodes)
 
 
 class _UnionFind:

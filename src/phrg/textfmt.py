@@ -39,6 +39,7 @@ from .grammar import (
     Rule,
     Table,
     Word,
+    WordForm,
     WordTable,
     _check_rules,
 )
@@ -47,7 +48,6 @@ from .hypergraph import (
     HypergraphError,
     Signature,
     discrete_graph,
-    extract_string,
     from_json_obj,
     handle,
     string_graph,
@@ -183,40 +183,57 @@ def _word_text(word: Word, labels: set[str]) -> Optional[str]:
     return " ".join(word)
 
 
-def _graph_literal(h: Hypergraph, labels: set[str]) -> str:
-    word = extract_string(h)
-    if word is not None and h == string_graph(word):
-        text = _word_text(word, labels)
-        if text is not None:
-            return f'str("{text}")'
+def _graph_literal(rule: Rule, labels: set[str]) -> str:
+    """The literal that spells ``rule``'s right-hand side.  No graph fits
+    two of the named literals, so the order of the tests only saves work:
+    the memoized ``handle`` and ``discrete_graph`` first, the word form last."""
+    h = rule.rhs
     if len(h.edges) == 1:
         e = h.edges[0]
         if h == handle(e.label, len(e.att)) and "(" not in e.label and ")" not in e.label:
             return f"handle({e.label})"
     if not h.edges and h == discrete_graph(len(h.nodes)):
         return f"empty({len(h.nodes)})"
+    form = rule.form
+    if form is not None and h == string_graph(form.word):
+        text = _word_text(form.word, labels)
+        if text is not None:
+            return f'str("{text}")'
     return json.dumps(to_json_obj(h), separators=(",", ":"), sort_keys=True)
 
 
-def _parse_graph_literal(text: str, sig: Signature, line: int) -> Hypergraph:
+def _parse_graph_literal(text: str, sig: Signature, line: int) -> tuple[Hypergraph, dict]:
+    """The graph a right-hand side literal spells, and what a ``Rule``
+    caches about that graph which a str(), handle() or empty() literal
+    already tells: its ``form`` and its ``arities``."""
     m = _STR_RE.match(text)
     if m:
-        return string_graph(_parse_word(m.group(1), sig))
+        word = _parse_word(m.group(1), sig)
+        known = {"form": WordForm(word, ()), "arities": frozenset((a, 2) for a in word)}
+        return string_graph(word), known
     m = _HANDLE_RE.match(text)
     if m:
-        if m.group(1) not in sig:
-            raise ParseError(f"unknown label {m.group(1)!r} in handle()", line)
-        return handle(m.group(1), sig)
+        label = m.group(1)
+        if label not in sig:
+            raise ParseError(f"unknown label {label!r} in handle()", line)
+        arity = sig.arity(label)
+        if arity == 2:
+            form = WordForm((label,), ())
+        else:
+            form = WordForm((), (label,)) if arity == 0 else None
+        return handle(label, arity), {"form": form, "arities": frozenset({(label, arity)})}
     m = _EMPTY_RE.match(text)
     if m:
-        return discrete_graph(int(m.group(1)))
+        n = int(m.group(1))
+        form = WordForm((), ()) if n == 0 else None
+        return discrete_graph(n), {"form": form, "arities": frozenset()}
     if text.startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON literal: {exc.msg}", line) from None
         try:
-            return from_json_obj(obj)
+            return from_json_obj(obj), {}
         except HypergraphError as exc:
             raise ParseError(str(exc), line) from None
     raise ParseError(f"unrecognized right-hand side {text!r}", line)
@@ -233,7 +250,9 @@ def _rule_line(no: int, text: str) -> tuple[int, str, str]:
 
 
 def _rule(sig: Signature, domain: set[str], no: int, lhs: str, rhs: str) -> Rule:
-    rule = Rule(lhs, _parse_graph_literal(rhs, sig, no))
+    graph, known = _parse_graph_literal(rhs, sig, no)
+    rule = Rule(lhs, graph)
+    vars(rule).update(known)  # as if its cached properties had run
     _at(no, _check_rules, (rule,), sig, domain)
     return rule
 
@@ -497,14 +516,14 @@ def serialize_document(doc: GrammarDocument) -> str:
     if isinstance(g, HRGrammar):
         out.append(" ".join(("nonterminals", *g.nonterminals)))
         out += [f"start {g.start}", "rules"]
-        out += [f"{r.lhs} -> {_graph_literal(r.rhs, labels)}" for r in g.rules]
+        out += [f"{r.lhs} -> {_graph_literal(r, labels)}" for r in g.rules]
         return "\n".join(out) + "\n"
 
     assert isinstance(g, PHRGrammar)
     out += [" ".join(("terminals", *g.terminals)), f"start {g.start}"]
     for index, t in g.tables:
         out.append(f"table {_spelled('table index', index)}")
-        out += [f"{r.lhs} -> {_graph_literal(r.rhs, labels)}" for r in t.rules]
+        out += [f"{r.lhs} -> {_graph_literal(r, labels)}" for r in t.rules]
     if doc.control is not None:
         out += ["control"] + _automaton_lines(doc.control)
     return "\n".join(out) + "\n"

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phrg import (
+    Hyperedge,
+    Hypergraph,
     HypergraphError,
     Signature,
     canonical_key,
+    discrete_graph,
     disjoint_union,
     extract_string,
     handle,
@@ -125,6 +128,49 @@ class TestHandle:
     def test_unknown_label(self):
         with pytest.raises(HypergraphError):
             handle("zz", SIG)
+
+
+def assert_same(g, h):
+    """Equal, with equal hashes and canonical keys."""
+    assert g == h
+    assert hash(g) == hash(h)
+    assert canonical_key(g) == canonical_key(h)
+
+
+class TestSharedConstructors:
+    """``string_graph``, ``handle`` and ``discrete_graph`` build their parts
+    in normal form and may share one graph between calls; what they return
+    equals what the public constructor builds from the same parts."""
+
+    @pytest.mark.parametrize(
+        "word", ["", (), "a", "ab", ("a", "b"), ("ab", "c"), "abcdefghijk", tuple("xy" * 7)]
+    )
+    def test_string_graph(self, word):
+        letters = tuple(word)
+        n = len(letters)
+        # 11+ letters: node "v10" sorts before "v2" and edge "e10" before "e2"
+        public = Hypergraph(
+            nodes=tuple(f"v{i}" for i in reversed(range(n + 1))),
+            edges=tuple(
+                Hyperedge(f"e{i + 1}", a, (f"v{i}", f"v{i + 1}")) for i, a in enumerate(letters)
+            ),
+            ext=("v0", f"v{n}"),
+        )
+        assert_same(string_graph(word), public)
+        assert_same(string_graph(word), string_graph(letters))
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3, 11])
+    def test_handle(self, arity):
+        nodes = tuple(f"v{i + 1}" for i in range(arity))
+        public = Hypergraph(nodes=nodes, edges=(Hyperedge("e", "X", nodes),), ext=nodes)
+        assert_same(handle("X", arity), public)
+        sig = Signature.of({"X": arity})
+        assert_same(handle("X", sig), public)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 11])
+    def test_discrete_graph(self, n):
+        nodes = tuple(f"v{i + 1}" for i in range(n))
+        assert_same(discrete_graph(n), Hypergraph(nodes=nodes, edges=(), ext=nodes))
 
 
 class TestReplace:

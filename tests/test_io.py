@@ -7,13 +7,22 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phrg import (
     ControlAutomaton,
+    Hyperedge,
     Hypergraph,
     Limits,
+    PHRGrammar,
     ParseError,
+    Rule,
+    Signature,
+    Table,
+    discrete_graph,
     enumerate_strings,
+    extract_string,
     fixture,
     fixture_names,
     handle,
@@ -117,6 +126,50 @@ class TestDocumentRoundTrip:
         }[token]
         with pytest.raises(ValueError, match=re.escape(token)):
             write()
+
+
+ROUND_SIG = Signature.of({"S": 2, "a": 2, "b": 2, "c": 0})
+NODE_NAMES = ["v0", "v1", "v2", "v3", "v4", "v10", "u", "x"]
+EDGE_NAMES = ["e1", "e2", "e3", "e4", "e10", "f", "e", "x"]
+
+
+@st.composite
+def path_rhs(draw):
+    """A path spelling a word over S, a and b, maybe with nullary c edges;
+    its nodes and edges are named v0..vn and e1..en, or drawn at random."""
+    word = draw(st.lists(st.sampled_from(["a", "b", "S"]), max_size=4))
+    flags = draw(st.lists(st.just("c"), max_size=2))
+    n = len(word)
+    nodes = [f"v{i}" for i in range(n + 1)]
+    if draw(st.booleans()):
+        nodes = draw(st.permutations(NODE_NAMES))[: n + 1]
+    ids = [f"e{i + 1}" for i in range(n)] + [f"f{i}" for i in range(len(flags))]
+    if draw(st.booleans()):
+        ids = draw(st.permutations(EDGE_NAMES))[: len(ids)]
+    letters = word + flags
+    atts = [(nodes[i], nodes[i + 1]) for i in range(n)] + [()] * len(flags)
+    edges = tuple(Hyperedge(i, l, att) for i, l, att in zip(ids, letters, atts))
+    return Hypergraph(nodes=tuple(nodes), edges=edges, ext=(nodes[0], nodes[n]))
+
+
+@given(
+    st.lists(path_rhs(), min_size=1, max_size=4),
+    st.lists(st.sampled_from([handle("c", 0), discrete_graph(0)]), min_size=1, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_documents_round_trip(paths, nullary):
+    """serialize, parse, serialize is byte-identical, and a right-hand side
+    is a str() literal exactly when it is the string graph of its word."""
+    rules = [Rule("S", h) for h in paths] + [Rule("c", h) for h in nullary]
+    rules += [Rule(l, handle(l, 2)) for l in "ab"]
+    table = Table(tuple(rules), ROUND_SIG.labels)
+    g = PHRGrammar(ROUND_SIG, ("a", "b", "c"), "S", (("1", table),), 2)
+    text = serialize_document(GrammarDocument(kind="phr", grammar=g))
+    assert serialize_document(parse_document(text)) == text
+    literals = [line.split(" -> ", 1)[1] for line in text.splitlines() if " -> " in line]
+    for r, lit in zip(table.rules, literals, strict=True):
+        word = extract_string(r.rhs)
+        assert lit.startswith("str(") == (word is not None and r.rhs == string_graph(word))
 
 
 # Small valid documents; each diagnostic case below breaks one line of one.
@@ -736,6 +789,21 @@ class TestCli:
         assert code == 0
         words = {tuple(w) for w in obj["words"]}
         assert words == {("a", "b"), ("a", "a", "b", "b"), ("a", "b", "a", "b")}
+
+    def test_readme_file_pipeline(self, capsys, monkeypatch, tmp_path):
+        """README's "Constructions chain through files", command by command."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "astar_bstar.fsa").write_text((GOLDEN / "astar_bstar.fsa").read_text())
+        for argv in (
+            "fixtures emit dyck_hr -o dyck.phrg",
+            "transform hr-to-phr dyck.phrg -o dyck_phr.phrg",
+            "transform intersect dyck_phr.phrg --fsa astar_bstar.fsa -o meet.phrg",
+        ):
+            assert run_cli(capsys, *argv.split())[0] == 0
+        code, obj, _ = run_json(capsys, "strings", "meet.phrg", "--max-edges", "5")
+        assert code == 0
+        assert obj["words"] == [["a", "b"], ["a", "a", "b", "b"]]
+        assert (obj["saturated"], obj["exhaustive"]) == (True, False)
 
     def test_transform_remove_unreachable(self, capsys, tmp_path):
         head = ["kind phr", "order 2", "signature", "S/2"]
