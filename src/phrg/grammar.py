@@ -7,7 +7,8 @@ every edge of the current graph simultaneously with rules from it, so
 each table must be left-total (at least one rule per label).  Sequential
 hyperedge replacement grammars and tabled word grammars are carried as
 separate types; the transformation module embeds both into the parallel
-formalism.
+formalism.  A word table enters the parallel product only as its
+``graph_table``, the table of its rules read as string-graph rules.
 
 Derivation control is an automaton over table indices: a derivation
 counts only if the sequence of applied table indices is accepted.
@@ -191,31 +192,6 @@ def _least_fixpoint(
     return done
 
 
-def _options(rows: Iterable[tuple[int, int, object]]) -> tuple[tuple, int, int]:
-    """Product options (edges added, nodes added, piece), sorted by the
-    first two with ties kept in order, and the least of each increment."""
-    opts = tuple(sorted(rows, key=lambda t: (t[0], t[1])))
-    return opts, opts[0][0], min(dn for _, dn, _ in opts)
-
-
-def _coded_options(table) -> dict[str, tuple]:
-    """``word_options`` in the table's code: keyed by each label's character,
-    each word coded, or each whole form for a flag label."""
-    code = table.code
-    out = {}
-    for l, (opts, least_edges, least_nodes) in table.word_options.items():
-        encode = code.coded if l in table.flag_labels else code.encode
-        opts = tuple((de, dn, encode(x)) for de, dn, x in opts)
-        out[code.chars[l]] = (opts, least_edges, least_nodes)
-    return out
-
-
-def _choice_memo(table) -> Callable:
-    """``_choices`` on ``table``, memoized for that table object."""
-    ref = weakref.ref(table)  # the memo, stored on the table, must not keep it alive
-    return lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
-
-
 @dataclass(frozen=True)
 class Rule:
     lhs: str
@@ -297,8 +273,6 @@ class Table:
 
     rules: tuple[Rule, ...]
     scope: tuple[str, ...]
-    choices = cached_property(_choice_memo)
-    coded_options = cached_property(_coded_options)
 
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
@@ -316,11 +290,15 @@ class Table:
 
     @cached_property
     def graph_options(self) -> dict[str, tuple]:
-        """Per label, its rules as product options of the graph path."""
-        return {
-            l: _options((len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type, r) for r in rs)
-            for l, rs in self.by_label.items()
-        }
+        """Per label, its rules as product options of the graph path: (edges
+        added, nodes added, rule), sorted by the first two with ties kept in
+        order; then the least of each increment."""
+        out = {}
+        for l, rs in self.by_label.items():
+            opts = [(len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type, r) for r in rs]
+            opts.sort(key=itemgetter(0, 1))
+            out[l] = (tuple(opts), opts[0][0], min(dn for _, dn, _ in opts))
+        return out
 
     @cached_property
     def word_options(self) -> dict[str, tuple]:
@@ -334,6 +312,24 @@ class Table:
                 opts = tuple((de, dn, x) for (de, dn, _), x in zip(opts, pieces))
                 out[l] = (opts, least_edges, least_nodes)
         return out
+
+    @cached_property
+    def coded_options(self) -> dict[str, tuple]:
+        """``word_options`` in the table's code: keyed by each label's
+        character, each word coded, or each whole form for a flag label."""
+        code = self.code
+        out = {}
+        for l, (opts, least_edges, least_nodes) in self.word_options.items():
+            encode = code.coded if l in self.flag_labels else code.encode
+            opts = tuple((de, dn, encode(x)) for de, dn, x in opts)
+            out[code.chars[l]] = (opts, least_edges, least_nodes)
+        return out
+
+    @cached_property
+    def choices(self) -> Callable:
+        """``_choices`` on this table, memoized for this table object."""
+        ref = weakref.ref(self)  # the memo, stored on the table, must not keep it alive
+        return lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
 
     @cached_property
     def code(self) -> _Code:
@@ -501,7 +497,7 @@ class PHRGrammar:
         synchronization of parallel steps and any control, so it may call
         a label productive that is not, never the reverse.
         """
-        rules = ((r.lhs, r.rhs.labels()) for _, t in self.tables for r in t.rules)
+        rules = ((r.lhs, [l for l, _ in r.arities]) for _, t in self.tables for r in t.rules)
         return frozenset(_least_fixpoint(self.terminals, rules))
 
     @cached_property
@@ -514,13 +510,14 @@ class PHRGrammar:
         form holding such a label has no successor that can still become
         terminal, and the search takes no product for it (an empty row's
         unbounded least increment would set the edge flag).  The cut reuses
-        the table's keyed rules, so it keys none.  Every cut codes labels
+        the table's keyed and checked rules, so it keys none and reads
+        labels off ``Rule.arities``.  Every cut codes labels
         with the grammar's ``code``, not one of its narrower scope, so a
         coded form passes from table to table unchanged.
         """
         out = []
         for i, t in self.tables:
-            live = tuple(r for r in t.rules if r.rhs.labels() <= self.productive)
+            live = tuple(r for r in t.rules if all(l in self.productive for l, _ in r.arities))
             cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
             object.__setattr__(cut, "code", self.code)
             out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
@@ -577,9 +574,6 @@ class WordTable:
 
     rules: tuple[tuple[str, Word], ...]
     scope: tuple[str, ...]
-    flag_labels = frozenset()  # words carry no nullary labels
-    choices = cached_property(_choice_memo)
-    coded_options = cached_property(_coded_options)
 
     def __post_init__(self) -> None:
         rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
@@ -590,17 +584,10 @@ class WordTable:
         return _by_lhs(self.scope, self.rules)
 
     @cached_property
-    def code(self) -> _Code:
-        """The code of the word path: over the scope and the rules' words."""
-        return _Code(chain(self.scope, *(w for _, w in self.rules)))
-
-    @cached_property
-    def word_options(self) -> dict[str, tuple]:
-        """Per symbol, its words as product options of the word path."""
-        return {
-            l: _options((len(w), len(w) - 1, w) for w in ws)
-            for l, ws in self.by_symbol.items()
-        }
+    def graph_table(self) -> Table:
+        """The rules read as string-graph rules: the table by which a word
+        steps, and by which ``et0l_to_phr`` embeds the grammar."""
+        return Table(tuple(Rule(l, string_graph(w)) for l, w in self.rules), self.scope)
 
 
 @dataclass(frozen=True)
@@ -769,15 +756,16 @@ def direct_derivations(
 
 def parallel_budgeted(
     h: Hypergraph | WordForm | CodedForm,
-    table: Table | WordTable,
+    table: Table,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
 ) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
-    The search passes a plain ``Table`` cut to its live rules (see
-    ``PHRGrammar.live_tables``); a label of ``h`` without a rule in
-    ``table`` raises ``GrammarError``.
+    The search passes a ``Table`` cut to its live rules (see
+    ``PHRGrammar.live_tables``), ``et0l_step`` a word table's
+    ``graph_table``; a label of ``h`` without a rule in ``table`` raises
+    ``GrammarError``.
     Returns (successors by key, node bound hit, edge bound hit); an
     edge-less graph is its own sole successor.  A graph's successors are
     canonical graphs keyed by canonical key.  A word form's successors
@@ -827,7 +815,7 @@ def parallel_budgeted(
 
 
 def _word_successors(
-    h: CodedForm, table: Table | WordTable, max_nodes, max_edges
+    h: CodedForm, table: Table, max_nodes, max_edges
 ) -> tuple[dict, bool, bool]:
     """The word path of ``parallel_budgeted``, on a form and rows coded
     alike: the successors' keys, each keyed by itself."""
@@ -852,7 +840,7 @@ def _word_successors(
     return dict(zip(keys, keys)), hit_nodes, hit_edges
 
 
-def _no_row(table: Table | WordTable, label: str) -> GrammarError:
+def _no_row(table: Table, label: str) -> GrammarError:
     """The error for a label without a row of product options."""
     if label in table.scope:
         return GrammarError(f"rules for label {label!r} are not all word forms")
@@ -860,13 +848,14 @@ def _no_row(table: Table | WordTable, label: str) -> GrammarError:
 
 
 def _choices(
-    table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges
+    table: Table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges
 ) -> tuple[tuple[tuple, ...], bool, bool]:
-    """The choice search of ``parallel_budgeted`` for a form with these
-    sorted edge labels (coded on the word path) and ``nodes`` nodes: each
-    choice of one option per edge within the budgets, in the order found,
-    as its pieces in label order plus a trailing ``_SEP``; and the node and
-    edge flags.
+    """The choice search of ``parallel_budgeted`` over the table's
+    ``coded_options`` (the word path) or ``graph_options``, for a form with
+    these sorted edge labels (coded on the word path) and ``nodes`` nodes:
+    each choice of one option per edge within the budgets, in the order
+    found, as its pieces in label order plus a trailing ``_SEP``; and the
+    node and edge flags.
 
     Options come sorted by edge increment.  Each is checked, edges first,
     against the counts chosen so far plus the least increments to come:
@@ -969,6 +958,7 @@ def trace_successors(
 
 def et0l_step(table: WordTable, word: Word) -> set[Word]:
     """All parallel rewrites of ``word`` by the word table: the word path
-    of ``parallel_budgeted`` on a word without nullary labels."""
-    found, _, _ = parallel_budgeted(WordForm(tuple(word), ()), table)
+    of ``parallel_budgeted``, on a word without nullary labels, by the
+    table's ``graph_table``."""
+    found, _, _ = parallel_budgeted(WordForm(tuple(word), ()), table.graph_table)
     return {form.word for form in found}

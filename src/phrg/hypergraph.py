@@ -248,14 +248,10 @@ def _handle(label: str, arity: int) -> Hypergraph:
     return _graph(tuple(sorted(nodes)), (_edge("e", label, nodes),), nodes)
 
 
+@lru_cache(maxsize=_GRAPH_CACHE)
 def discrete_graph(n: int) -> Hypergraph:
     """n isolated nodes, all external.  Equal ``n`` may return one shared
     immutable graph."""
-    return _discrete_graph(n)
-
-
-@lru_cache(maxsize=_GRAPH_CACHE)
-def _discrete_graph(n: int) -> Hypergraph:
     nodes = tuple(f"v{i + 1}" for i in range(n))
     return _graph(tuple(sorted(nodes)), (), nodes)
 

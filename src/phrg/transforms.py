@@ -287,21 +287,11 @@ def et0l_to_phr(g: ET0LGrammar) -> PHRGrammar:
     """Embed a tabled word grammar as a string-graph grammar of order 2."""
     p = et0l_propagating(g)
     sig = Signature.of({a: 2 for a in p.alphabet})
-    tables = tuple(
-        (
-            index,
-            Table(
-                rules=tuple(Rule(l, string_graph(w)) for l, w in t.rules),
-                scope=sig.labels,
-            ),
-        )
-        for index, t in p.tables
-    )
     return PHRGrammar(
         signature=sig,
         terminals=p.terminals,
         start=p.axiom,
-        tables=tables,
+        tables=tuple((index, t.graph_table) for index, t in p.tables),
         order=2,
     )
 

@@ -1,6 +1,7 @@
 """Grammar constructions, each checked against a set-level oracle."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -18,7 +19,9 @@ from phrg import (
     canonical_key,
     enumerate_strings,
     et0l_propagating,
+    et0l_step,
     et0l_to_phr,
+    extract_string,
     fixture,
     free_product_wp,
     handle,
@@ -30,6 +33,7 @@ from phrg import (
     iterate_substitution,
     member_string,
     override_table,
+    parallel_successors,
     rational_concat,
     rational_intersect,
     rational_plus,
@@ -244,6 +248,63 @@ class TestEt0lToPhr:
     def test_repetition_free(self):
         phr = et0l_to_phr(fixture("a_pow2_et0l").grammar)
         assert phr.repetition_free
+
+
+# symbols that share prefixes, look like construction names, or lie beyond ASCII
+SYMBOLS = ("a", "b", "S", "S.2", "~a", "@a|-", "ä")
+
+
+def _word_table(rng, scope, letters) -> tuple[WordTable, dict]:
+    """A random word table over ``scope`` whose words use ``letters``, one
+    in four of them empty, and its images as the substitution oracle's."""
+    def words():
+        return {tuple(rng.choices(letters, k=rng.randint(0, 3))) for _ in range(rng.randint(1, 3))}
+
+    images = {l: sorted(words()) for l in scope}
+    rules = tuple((l, w) for l, ws in images.items() for w in ws)
+    return WordTable(rules=rules, scope=tuple(scope)), images
+
+
+def test_word_tables_step_as_their_graph_tables():
+    """Seeded random word tables, some with symbols only on right-hand
+    sides: ``et0l_step`` gives the words of the graph path under the
+    table's ``graph_table`` and of the substitution oracle."""
+    rng = random.Random(19)
+    for case in range(120):
+        letters = rng.sample(SYMBOLS, rng.randint(2, 5))
+        scope = letters[: rng.randint(1, len(letters))]
+        t, images = _word_table(rng, scope, letters)
+        for _ in range(3):
+            word = tuple(rng.choices(scope, k=rng.randint(0, 5)))
+            want = subst_set([word], images)
+            graphs = parallel_successors(string_graph(word), t.graph_table)
+            assert {extract_string(h) for h in graphs} == want, (case, word)
+            assert et0l_step(t, word) == want, (case, word)
+
+
+def test_et0l_to_phr_tables_are_the_string_graph_tables():
+    """Seeded random ET0L grammars, erasing ones included: each table of
+    the embedding is, rule for rule, the propagating grammar's table read
+    as string-graph rules."""
+    rng = random.Random(20)
+    for case in range(30):
+        alphabet = rng.sample(SYMBOLS, rng.randint(2, 4))
+        tables = tuple(
+            (str(i), _word_table(rng, alphabet, alphabet)[0]) for i in range(rng.randint(1, 3))
+        )
+        g = ET0LGrammar(
+            alphabet=tuple(alphabet),
+            terminals=tuple(rng.sample(alphabet, rng.randint(1, len(alphabet)))),
+            axiom=rng.choice(alphabet),
+            tables=tables,
+        )
+        p = et0l_propagating(g)
+        sig = Signature.of({a: 2 for a in p.alphabet})
+        former = tuple(
+            (i, Table(rules=tuple(Rule(l, string_graph(w)) for l, w in t.rules), scope=sig.labels))
+            for i, t in p.tables
+        )
+        assert et0l_to_phr(g).tables == former, case
 
 
 class TestRemoveControl:

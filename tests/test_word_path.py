@@ -283,14 +283,11 @@ def _reference(subject, table, max_nodes, max_edges):
     """``budgeted_product`` on a word form or a graph, with each label's
     options read off the table's rules: a rule's edges and nodes added,
     stably sorted."""
-    if isinstance(table, WordTable):
-        options = [(l, (len(w), len(w) - 1, WordForm(w, ()))) for l, w in table.rules]
-    else:
-        word = isinstance(subject, WordForm)
-        options = []
-        for r in table.rules:
-            de, dn = len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type
-            options.append((r.lhs, (de, dn, word_form(r.rhs) if word else r)))
+    word = isinstance(subject, WordForm)
+    options = []
+    for r in table.rules:
+        de, dn = len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type
+        options.append((r.lhs, (de, dn, word_form(r.rhs) if word else r)))
     if isinstance(subject, WordForm):
         symbols = subject.word + subject.flags
         order = sorted(range(len(symbols)), key=lambda j: symbols[j])
@@ -319,8 +316,8 @@ def _reference(subject, table, max_nodes, max_edges):
 
 
 def test_product_matches_the_reference_product():
-    """Seeded sweep over Table rows, whole or cut to live rules, and
-    WordTable rows, with nullary labels, identity rules and budgets from
+    """Seeded sweep over Table rows, whole, cut to live rules, or the
+    ``graph_table`` of a WordTable, with nullary labels, identity rules and budgets from
     0 to the form's size + 6 or None: on word forms and on their
     canonical graphs the product gives the reference's successors in its
     order, and both flags.  Each case asks one table object about
@@ -340,7 +337,7 @@ def test_product_matches_the_reference_product():
                 for l in letters
                 for _ in range(rng.choice((1, 1, 2, 3)))
             ]
-            table = WordTable(rules=tuple(rules), scope=tuple(letters))
+            table = WordTable(rules=tuple(rules), scope=tuple(letters)).graph_table
             form = WordForm(word, ())
         else:
             rules = []
@@ -369,7 +366,7 @@ def test_product_matches_the_reference_product():
         queries = [
             (subject, *pair)
             for f in forms
-            for subject in ([f] if kind == "word" else [f, canonical_graph(f.graph())])
+            for subject in (f, canonical_graph(f.graph()))
             for pair in pairs
         ]
         reuse.shuffle(queries)
