@@ -1,6 +1,8 @@
 """Hypergraph values: construction, replacement, encoding, validation."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from phrg import (
     hypergraph,
     replace,
     string_graph,
+    to_json,
     validate,
 )
 from oracles import all_words, brute_force_isomorphic, union_find_classes
@@ -222,6 +225,46 @@ class TestReplace:
     def test_unknown_edge(self):
         with pytest.raises(HypergraphError):
             replace(fig_h(), {"nope": fig_r()})
+
+    def test_output_pinned(self):
+        # The exact graphs, names and order included, that replace returns
+        # on 300 seeded well-formed cases, as one SHA-256 of their JSON.
+        rng = random.Random(20)
+        text = "".join(to_json(replace(*replace_case(rng))) for _ in range(300))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPLACE_DIGEST
+
+
+# the digest of TestReplace.test_output_pinned's 300 results
+REPLACE_DIGEST = "cd5ad79faf45da62e3e1f1390ddb46236558d234400fea6e51a32dd5b877fcc5"
+
+
+def random_graph(rng, n_nodes, n_edges, ext_len):
+    """Node ids drawn from v0..v99, so that "v10" sorts before "v9", and
+    edge ids from x0..x999; labels carry their arity."""
+    nodes = [f"v{i}" for i in rng.sample(range(100), n_nodes)]
+    edges = []
+    for i in rng.sample(range(1000), n_edges):
+        att = tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
+        edges.append((f"x{i}", f"{rng.choice('abX')}{len(att)}", att))
+    return hypergraph(nodes, edges, [rng.choice(nodes) for _ in range(ext_len)])
+
+
+def replace_case(rng):
+    """A well-formed host and images for 1-3 of its edges: merging images
+    ``string_graph("")`` for some binary edges, otherwise images whose
+    external nodes may repeat and which may have internal nodes."""
+    n = rng.randint(1, 8)
+    host = random_graph(rng, n, rng.randint(1, 8), rng.randint(0, 3))
+    images = {}
+    for e in rng.sample(host.edges, min(len(host.edges), rng.randint(1, 3))):
+        k = len(e.att)
+        if k == 2 and rng.random() < 0.3:
+            images[e.id] = string_graph("")
+        else:
+            img = random_graph(rng, rng.randint(max(k, 1), k + 3), rng.randint(0, 3), 0)
+            ext = tuple(rng.choice(img.nodes) for _ in range(k))
+            images[e.id] = Hypergraph(img.nodes, img.edges, ext)
+    return host, images
 
 
 class TestDisjointUnion:
