@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hypergraph import Hyperedge, Hypergraph, _UnionFind
+from .hypergraph import Hypergraph, _numbered, _UnionFind
 
 _Cert = tuple
 
@@ -184,14 +184,7 @@ def canonical_graph(h: Hypergraph) -> Hypergraph:
     isomorphic inputs.
     """
     n, ext, edge_cert = _memo(h)[0]
-    return Hypergraph(
-        nodes=tuple(f"n{i}" for i in range(n)),
-        edges=tuple(
-            Hyperedge(f"e{i}", lab, tuple(f"n{p}" for p in att))
-            for i, (lab, att) in enumerate(edge_cert)
-        ),
-        ext=tuple(f"n{p}" for p in ext),
-    )
+    return _numbered(n, edge_cert, ext)
 
 
 def isomorphism(g: Hypergraph, h: Hypergraph) -> IsoWitness | None:

@@ -282,70 +282,63 @@ def replace(host: Hypergraph, images: Mapping[str, Hypergraph]) -> Hypergraph:
 
     For each edge id in ``images`` the edge is removed and its image is
     glued in, identifying the image's k-th external node with the edge's
-    k-th attached node.  The image's type must equal the edge's arity.
-    Nodes are renumbered ``n0, n1, ...`` by ordinal (host nodes first,
-    then image nodes grouped by replaced edge id); edges ``e0, e1, ...``
-    (surviving host edges first, then image edges in the same grouping).
+    k-th attached node; the image's type must equal the edge's arity.
+    ``_numbered`` names the result as it names ``canonical_graph``'s: node
+    classes ``n0, ...`` by least ordinal (host nodes, then image nodes by
+    replaced edge id), and edges ``e0, ...`` (surviving host edges, then
+    image edges in that order).  Raises ``HypergraphError`` on an unknown
+    edge id, an image of the wrong type, a node id repeated in the host or
+    an image, an edge id repeated in the host, or a missing attachment or
+    external node.
     """
-    host_edges = {e.id: e for e in host.edges}
-    for eid in images:
-        if eid not in host_edges:
-            raise HypergraphError(f"no edge with id {eid!r} in host")
+    att = {e.id: e.att for e in host.edges}
+    if len(att) < len(host.edges):
+        raise HypergraphError("an edge id is repeated in the host")
     replaced = sorted(images)
     for eid in replaced:
-        edge = host_edges[eid]
-        img = images[eid]
-        if img.type != len(edge.att):
+        if eid not in att:
+            raise HypergraphError(f"no edge with id {eid!r} in host")
+        if images[eid].type != len(att[eid]):
             raise HypergraphError(
-                f"edge {eid!r} has arity {len(edge.att)}, image has type {img.type}"
+                f"edge {eid!r} has arity {len(att[eid])}, image has type {images[eid].type}"
             )
+    parts = [(None, host)] + [(eid, images[eid]) for eid in replaced]  # None: the host
+    scoped = [(scope, v) for scope, g in parts for v in g.nodes]
+    ordinal = {sv: i for i, sv in enumerate(scoped)}
+    if len(ordinal) < len(scoped):
+        raise HypergraphError("a node id is repeated in the host or an image")
 
-    # ordinals: host nodes, then each image's nodes in replaced-id order
-    ordinal: dict[tuple[str, str], int] = {}
-    for v in host.nodes:
-        ordinal[("", v)] = len(ordinal)
+    def ordinal_of(scope: Optional[str], v: str) -> int:
+        try:
+            return ordinal[(scope, v)]
+        except KeyError:
+            where = "the host" if scope is None else f"the image of edge {scope!r}"
+            raise HypergraphError(f"node {v!r} is missing from {where}") from None
+
+    uf = _UnionFind(len(scoped))
     for eid in replaced:
-        for v in images[eid].nodes:
-            ordinal[(eid, v)] = len(ordinal)
+        for x, v in zip(images[eid].ext, att[eid]):
+            uf.union(ordinal_of(None, v), ordinal_of(eid, x))
+    cls: dict[int, int] = {}  # class root -> its number, by least ordinal
+    number = [cls.setdefault(uf.find(i), len(cls)) for i in range(len(scoped))]
+    edges = [
+        (e.label, [number[ordinal_of(scope, v)] for v in e.att])
+        for scope, g in parts for e in g.edges if scope is not None or e.id not in images
+    ]
+    return _numbered(len(cls), edges, [number[ordinal_of(None, v)] for v in host.ext])
 
-    uf = _UnionFind(len(ordinal))
-    for eid in replaced:
-        edge = host_edges[eid]
-        img = images[eid]
-        for ext_node, att_node in zip(img.ext, edge.att):
-            uf.union(ordinal[("", att_node)], ordinal[(eid, ext_node)])
 
-    rep_name: dict[int, str] = {}
-    for _, idx in sorted(ordinal.items(), key=lambda kv: kv[1]):
-        root = uf.find(idx)
-        if root not in rep_name:
-            rep_name[root] = f"n{len(rep_name)}"
-
-    def node_of(scope: str, v: str) -> str:
-        return rep_name[uf.find(ordinal[(scope, v)])]
-
-    new_edges: list[Hyperedge] = []
-    for e in host.edges:
-        if e.id in images:
-            continue
-        new_edges.append(
-            Hyperedge(f"e{len(new_edges)}", e.label, tuple(node_of("", v) for v in e.att))
-        )
-    for eid in replaced:
-        for e in images[eid].edges:
-            new_edges.append(
-                Hyperedge(
-                    f"e{len(new_edges)}",
-                    e.label,
-                    tuple(node_of(eid, v) for v in e.att),
-                )
-            )
-
-    return Hypergraph(
-        nodes=tuple(rep_name.values()),
-        edges=tuple(new_edges),
-        ext=tuple(node_of("", v) for v in host.ext),
-    )
+def _numbered(n: int, edges: Sequence[tuple[str, Sequence[int]]], ext: Sequence[int]) -> Hypergraph:
+    """The graph on nodes ``n0 .. n{n-1}`` whose edge ``e{i}`` is the i-th
+    ``(label, node indices)`` of ``edges``; ``ext`` holds node indices.
+    ``replace`` and ``canonical_graph`` both name their result here."""
+    names = [f"n{i}" for i in range(n)]
+    es = [
+        _edge(f"e{i}", label, tuple([names[p] for p in att]))
+        for i, (label, att) in enumerate(edges)
+    ]
+    es.sort(key=attrgetter("id"))  # as __post_init__ sorts: "e10" before "e2"
+    return _graph(tuple(sorted(names)), tuple(es), tuple([names[p] for p in ext]))
 
 
 def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:

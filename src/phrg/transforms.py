@@ -750,22 +750,16 @@ def _annotated_product(
             enc[(x, assignment)] = _fresh(used, f"@{x}({'|'.join(assignment)})")
 
     def annotate(rule: Rule) -> list[Rule]:
-        ar = g.signature.arity(rule.lhs)
         rhs = rule.rhs
-        internal = [v for v in rhs.nodes if v not in set(rhs.ext)]
+        outer = dict.fromkeys(rhs.ext)  # distinct, in first-appearance order
+        internal = [v for v in rhs.nodes if v not in outer]
         if len(states) ** len(internal) > _STATE_GUARD:
             raise TransformError("state-annotation blowup")
         out = []
-        for boundary in itertools.product(states, repeat=ar):
-            node_state: dict[str, str] = {}
-            consistent = True
-            for node, q in zip(rhs.ext, boundary):
-                if node_state.setdefault(node, q) != q:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            if (rule.lhs, boundary) not in enc:
+        for ext_states in itertools.product(states, repeat=len(outer)):
+            node_state = dict(zip(outer, ext_states))
+            lhs = enc.get((rule.lhs, tuple([node_state[v] for v in rhs.ext])))
+            if lhs is None:
                 continue
             for inner in itertools.product(states, repeat=len(internal)):
                 assign = {**node_state, **dict(zip(internal, inner))}
@@ -776,15 +770,8 @@ def _annotated_product(
                         break
                     labels.append(enc[key])
                 else:
-                    image = Hypergraph(
-                        nodes=rhs.nodes,
-                        edges=tuple(
-                            Hyperedge(e.id, lab, e.att)
-                            for e, lab in zip(rhs.edges, labels)
-                        ),
-                        ext=rhs.ext,
-                    )
-                    out.append(Rule(enc[(rule.lhs, boundary)], image))
+                    edges = tuple(Hyperedge(e.id, lab, e.att) for e, lab in zip(rhs.edges, labels))
+                    out.append(Rule(lhs, Hypergraph(rhs.nodes, edges, rhs.ext)))
         return out
 
     seeds = [
@@ -863,11 +850,7 @@ def rational_intersect_controlled(
     both = sorted(set(g.terminals) & set(m.alphabet))
 
     fwd = _reachable([d.initial], lambda q: (d.step(q, a) for a in d.alphabet))
-    rev: dict[str, set[str]] = {q: set() for q in d.states}
-    for q, _, nq in d.transitions:
-        rev[nq].add(q)
-    back = _reachable(d.finals, lambda q: rev[q])
-    useful = tuple(sorted(fwd & back))
+    useful = tuple(sorted(fwd & d.live_states))
 
     rel = {
         (q, a): {(d.step(q, a), a)}

@@ -176,6 +176,9 @@ class TestSharedConstructors:
         assert_same(discrete_graph(n), Hypergraph(nodes=nodes, edges=(), ext=nodes))
 
 
+CD = string_graph("cd")
+
+
 class TestReplace:
     def test_ternary_edge_example(self):
         got = replace(fig_h(), {"e2": fig_r()})
@@ -225,6 +228,52 @@ class TestReplace:
     def test_unknown_edge(self):
         with pytest.raises(HypergraphError):
             replace(fig_h(), {"nope": fig_r()})
+
+    @pytest.mark.parametrize("where", ["host", "image"])
+    def test_repeated_node_id(self, where):
+        # host nodes (a, a, b) once gave a and b one ordinal, so Y became a loop
+        host = hypergraph(
+            ["a", "a", "b"] if where == "host" else ["a", "b"],
+            [("x", "X", ("a", "b")), ("y", "Y", ("b", "a"))],
+            (),
+        )
+        image = string_graph("cd")
+        if where == "image":
+            image = Hypergraph(image.nodes + image.nodes[:1], image.edges, image.ext)
+        with pytest.raises(HypergraphError, match="node id is repeated"):
+            replace(host, {"x": image})
+
+    def test_repeated_edge_id(self):
+        # both edges x were once dropped, and the image glued at the last one
+        host = hypergraph(
+            ["a", "b", "c"], [("x", "X", ("a", "b")), ("x", "Y", ("b", "c"))], ()
+        )
+        with pytest.raises(HypergraphError, match="edge id is repeated"):
+            replace(host, {"x": string_graph("cd")})
+
+    @pytest.mark.parametrize(
+        "edges, ext, image, where",
+        [
+            # a surviving host edge, the replaced edge, the host's ext
+            ([("x", "X", ("a", "b")), ("y", "Y", ("b", "z"))], (), CD, "the host"),
+            ([("x", "X", ("a", "z"))], (), CD, "the host"),
+            ([("x", "X", ("a", "b"))], ("z",), CD, "the host"),
+            # the image's ext, an image edge
+            ([("x", "X", ("a", "b"))], (), Hypergraph(CD.nodes, CD.edges, ("z", "v2")), "x"),
+            (
+                [("x", "X", ("a", "b"))],
+                (),
+                Hypergraph(CD.nodes, CD.edges + (Hyperedge("f", "c", ("z",)),), CD.ext),
+                "x",
+            ),
+        ],
+        ids=["host edge", "replaced edge", "host ext", "image ext", "image edge"],
+    )
+    def test_missing_node(self, edges, ext, image, where):
+        # a dangling attachment or external node once raised a bare KeyError
+        host = hypergraph(["a", "b"], edges, ext)
+        with pytest.raises(HypergraphError, match=f"node 'z' is missing from .*{where}"):
+            replace(host, {"x": image})
 
     def test_output_pinned(self):
         # The exact graphs, names and order included, that replace returns
