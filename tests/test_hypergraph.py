@@ -275,6 +275,13 @@ class TestReplace:
         with pytest.raises(HypergraphError, match=f"node 'z' is missing from .*{where}"):
             replace(host, {"x": image})
 
+    def test_empty_edge_id(self):
+        # the image of edge "" once shared the host's node scope ("", v)
+        edges = [("", "X", ("v0", "v1")), ("y", "Y", ("v1", "v2"))]
+        host = hypergraph(["v0", "v1", "v2"], edges, ("v0", "v2"))
+        named = hypergraph(["v0", "v1", "v2"], [("x", *edges[0][1:]), edges[1]], host.ext)
+        assert replace(host, {"": string_graph("ab")}) == replace(named, {"x": string_graph("ab")})
+
     def test_output_pinned(self):
         # The exact graphs, names and order included, that replace returns
         # on 300 seeded well-formed cases, as one SHA-256 of their JSON.
