@@ -30,16 +30,15 @@ completeness proof for all graphs within that bound, pruned or not.
 A ``string_shaped`` grammar is searched over words: every form it
 derives is a string graph plus nullary edges, a ``WordForm`` (the word
 and its sorted nullary labels), and no form is replaced or
-canonicalized.  The grammar's ``code`` gives each label one character,
-and a form's key is a single ``str``: the coded word, NUL, the coded
-nullary labels.  Keys sort as the forms' label tuples do, so the search
-visits forms in the same order as without the code.  A product returns
-its successors' keys; the search turns only the new ones into
-``CodedForm``s, the pair of coded strings that a product takes.  Keys
-are decoded only where results leave the search: the words of
-``enumerate_strings`` and the graphs of ``enumerate_language``, which
-are the only graphs built.  Results, flags and verdicts are those of
-the search over graphs, as
+canonicalized.  The path is chosen once per search, as a codec that
+gives the start, the key of a word and the state of a successor's key,
+and decodes its own results: the grammar's ``code`` on the word path,
+``_Graphs`` on the graph path.  On the word path a label is one
+character and a form's key one ``str``: the coded word, NUL, the coded
+nullary labels.  Keys sort as the forms' label tuples do, so forms are
+visited in the same order as without the code.  Only new keys become
+``CodedForm``s, the coded pairs that a product takes.  Results, flags
+and verdicts are those of the search over graphs, as
 ``parallel_budgeted`` takes the edges of a word form and of a graph in
 the same order, sorted by label; a member trace is some shortest
 witness, which may differ from the one the graph search would pick when
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .canonical import canonical_graph, canonical_key
+from .canonical import canonical_key
 from .grammar import (
     AnyPHR,
     PHRGrammar,
@@ -109,6 +108,26 @@ class MemberVerdict:
     trace: Optional[tuple[str, ...]] = None
 
 
+class _Graphs:
+    """The graph path's codec: canonical graphs, keyed by canonical key."""
+
+    def start(self, grammar: PHRGrammar) -> tuple[bytes, Hypergraph]:
+        start = grammar.start_graph()
+        return canonical_key(start), start
+
+    def key(self, word: Word) -> bytes:
+        return canonical_key(string_graph(word))
+
+    def state(self, key: bytes, succs: dict) -> Hypergraph:
+        return succs[key]
+
+    def graphs(self, found: dict) -> dict:
+        return found
+
+    def words(self, found: dict, empty: frozenset[str]) -> Iterator[Optional[Word]]:
+        return (extract_string(h, empty) for h in found.values())
+
+
 @dataclass
 class _Search:
     grammar: PHRGrammar
@@ -121,6 +140,9 @@ class _Search:
     hit_results: bool = False
     steps_taken: int = 0
     saturated: bool = False
+
+    def __post_init__(self) -> None:
+        self.codec = self.grammar.code if self.grammar.string_shaped else _Graphs()
 
     def accepted(self) -> Iterator[tuple[tuple, object]]:
         """BFS; yields ``(pair, form)`` for each accepted state in the
@@ -139,14 +161,8 @@ class _Search:
         if self.hit_nodes or self.hit_edges:
             self.saturated = True
             return
-        if grammar.string_shaped:  # keys are coded strings, states their forms
-            form_of = grammar.code.form
-            key = grammar.code.key((grammar.start,))
-            start = form_of(key)
-        else:
-            form_of = None
-            start = grammar.start_graph()
-            key = canonical_key(start)
+        state = self.codec.state
+        key, start = self.codec.start(grammar)
         start_pair = (key, q0)
         visited, parents = self.visited, self.parents
         visited[start_pair] = start
@@ -183,7 +199,7 @@ class _Search:
                         if len(visited) >= limits.max_results:
                             self.hit_results = True
                             return
-                        graph = succs[key] if form_of is None else form_of(key)
+                        graph = state(key, succs)
                         visited[new_pair] = graph
                         parents[new_pair] = (pair, index)
                         reached = graph.labels()
@@ -220,9 +236,7 @@ def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumerat
     automaton.
     """
     search, results = _accepted(g, limits)
-    if search.grammar.string_shaped:
-        graphs = (search.grammar.code.decoded(key).graph() for key in results)
-        results = {canonical_key(h): canonical_graph(h) for h in graphs}
+    results = search.codec.graphs(results)
     return LanguageEnumeration(
         graphs=tuple(results[k] for k in sorted(results)),
         exhaustive=search.exhaustive,
@@ -245,13 +259,7 @@ def enumerate_strings(
     modulo the empty word throughout.
     """
     search, results = _accepted(g, limits)
-    empty = frozenset(empty_labels)
-    if search.grammar.string_shaped:
-        forms = map(search.grammar.code.decoded, results)
-        found = (tuple(a for a in f.word if a not in empty) for f in forms if not f.flags)
-    else:
-        found = (extract_string(h, empty) for h in results.values())
-    words = {w for w in found if w}
+    words = {w for w in search.codec.words(results, frozenset(empty_labels)) if w}
     return StringEnumeration(
         words=tuple(sorted(words, key=lambda w: (len(w), w))),
         exhaustive=search.exhaustive,
@@ -279,11 +287,6 @@ def member_string(
     for a in letters:
         if a not in terminals or grammar.signature.arity(a) != 2:
             return MemberVerdict("no-within-limits")
-    if grammar.string_shaped:
-        target = grammar.code.key(letters)
-    else:
-        target = canonical_key(string_graph(letters))
-
     cap_nodes = len(letters) + 1 if grammar.node_monotone else limits.max_nodes
     cap_edges = len(letters) if grammar.edge_monotone else limits.max_edges
     bounded = dataclasses.replace(
@@ -292,6 +295,7 @@ def member_string(
         max_edges=min(limits.max_edges, cap_edges),
     )
     search = _Search(grammar=grammar, control=ctrl, limits=bounded)
+    target = search.codec.key(letters)
     pair = next((p for p, _ in search.accepted() if p[0] == target), None)
     if pair is not None:
         trace = []

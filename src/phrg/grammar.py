@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from math import inf, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .canonical import canonical_graph, canonical_key
 from .hypergraph import (
@@ -61,9 +61,6 @@ class WordForm(NamedTuple):
     word: Word
     flags: tuple[str, ...]
 
-    def labels(self) -> frozenset[str]:
-        return frozenset(self.word).union(self.flags)
-
     def graph(self) -> Hypergraph:
         h = string_graph(self.word)
         flags = tuple(Hyperedge(f"f{i}", l, ()) for i, l in enumerate(self.flags))
@@ -91,7 +88,7 @@ class _Code:
     ``_SEP`` and the coded flags, so a successor is one ``"".join``, its
     hash is cached and comparisons run over code points.  As ``_SEP`` sorts
     below every code, keys sort as the ``(word, flags)`` label tuples do:
-    a word that is a prefix of another comes first."""
+    a word that is a prefix of another comes first.  It is the word path's codec."""
 
     def __init__(self, labels: Iterable[str]) -> None:
         self.names = tuple(sorted(set(labels)))
@@ -112,10 +109,22 @@ class _Code:
         """The key of the word form ``(word, flags)``."""
         return self.encode(word) + _SEP + self.encode(flags)
 
-    def form(self, key: str) -> CodedForm:
-        """The coded form of a key."""
+    def start(self, grammar: PHRGrammar) -> tuple[str, CodedForm]:
+        key = self.key((grammar.start,))
+        return key, self.state(key)
+
+    def state(self, key: str, succs: object = None) -> CodedForm:
+        """The coded form of a key; ``succs`` is not read."""
         word, _, flags = key.partition(_SEP)
         return _new(CodedForm, (word, flags, self))
+
+    def graphs(self, found: Iterable[str]) -> dict[bytes, Hypergraph]:
+        graphs = (self.decoded(key).graph() for key in found)
+        return {canonical_key(h): canonical_graph(h) for h in graphs}
+
+    def words(self, found: Iterable[str], empty: frozenset[str]) -> Iterator[Word]:
+        forms = map(self.decoded, found)
+        return (tuple(a for a in f.word if a not in empty) for f in forms if not f.flags)
 
     def decoded(self, key: str) -> WordForm:
         word, _, flags = key.partition(_SEP)
@@ -301,28 +310,17 @@ class Table:
         return out
 
     @cached_property
-    def word_options(self) -> dict[str, tuple]:
-        """Per label whose rules all have word forms, their words (whole forms
-        for ``flag_labels``) as product options, in ``graph_options`` order."""
-        out = {}
-        for l, (opts, least_edges, least_nodes) in self.graph_options.items():
-            forms = [r.form for _, _, r in opts]
-            if None not in forms:
-                pieces = forms if l in self.flag_labels else [f.word for f in forms]
-                opts = tuple((de, dn, x) for (de, dn, _), x in zip(opts, pieces))
-                out[l] = (opts, least_edges, least_nodes)
-        return out
-
-    @cached_property
     def coded_options(self) -> dict[str, tuple]:
-        """``word_options`` in the table's code: keyed by each label's
-        character, each word coded, or each whole form for a flag label."""
-        code = self.code
-        out = {}
-        for l, (opts, least_edges, least_nodes) in self.word_options.items():
-            encode = code.coded if l in self.flag_labels else code.encode
-            opts = tuple((de, dn, encode(x)) for de, dn, x in opts)
-            out[code.chars[l]] = (opts, least_edges, least_nodes)
+        """Per label whose rules all have word forms, keyed by its character
+        in the table's code: its rules as product options of the word path,
+        in ``graph_options`` order, each rule's word coded (its whole form
+        for ``flag_labels``)."""
+        code, out = self.code, {}
+        for l, (opts, least_edges, least_nodes) in self.graph_options.items():
+            if all(r.form is not None for _, _, r in opts):
+                encode = code.coded if l in self.flag_labels else lambda f: code.encode(f.word)
+                opts = tuple((de, dn, encode(r.form)) for de, dn, r in opts)
+                out[code.chars[l]] = (opts, least_edges, least_nodes)
         return out
 
     @cached_property
@@ -464,7 +462,7 @@ class PHRGrammar:
         """
         sig = self.signature
         return sig.arity(self.start) == 2 and all(
-            sig.arity(l) in (0, 2) and l in t.word_options
+            sig.arity(l) in (0, 2) and all(r.form is not None for r in t.by_label[l])
             for l in self.reachable
             for _, t in self.tables
         )
@@ -765,19 +763,17 @@ def parallel_budgeted(
     The search passes a ``Table`` cut to its live rules (see
     ``PHRGrammar.live_tables``), ``et0l_step`` a word table's
     ``graph_table``; a label of ``h`` without a rule in ``table`` raises
-    ``GrammarError``.
-    Returns (successors by key, node bound hit, edge bound hit); an
-    edge-less graph is its own sole successor.  A graph's successors are
-    canonical graphs keyed by canonical key.  A word form's successors
-    are word forms keyed by themselves: the form is coded by the table's
-    ``code`` on entry, and its successors are assembled as coded keys and
-    decoded on exit.  A ``CodedForm``, the search's own input, gets its
-    successors' coded keys, each keyed by itself.  Both paths take the
-    edges stably sorted by label (the word path by code, the same order),
-    the order in which a canonical graph numbers them (not its edge order,
-    which sorts ids as strings: ``e10`` before ``e2``), so a word form
-    meets the same option lists in the same order as its canonical graph,
-    and sets the same budget flags.
+    ``GrammarError``.  Returns (successors by key, node bound hit, edge
+    bound hit); an edge-less graph is its own sole successor.  A graph's
+    successors are canonical graphs keyed by canonical key; a
+    ``WordForm``'s are word forms keyed by themselves (coded by the
+    table's ``code`` on entry, decoded on exit); a ``CodedForm``'s, the
+    search's own input, are coded keys keyed by themselves.  Both paths
+    take the edges stably sorted by label (the word path by code, the same
+    order), the order in which a canonical graph numbers them (not its
+    edge order, which sorts ids as strings: ``e10`` before ``e2``), so a
+    word form meets the same option lists in the same order as its
+    canonical graph, and sets the same budget flags.
 
     The choices of one option per edge, and both flags, depend only on
     the path, the sorted labels, the node count and the budgets: that is
@@ -795,7 +791,7 @@ def parallel_budgeted(
         try:
             coded = code.coded(h)
         except KeyError:  # a label the code lacks has no row either
-            rowless = (l for l in h.word + h.flags if l not in table.word_options)
+            rowless = (l for l in h.word + h.flags if code.chars.get(l) not in table.coded_options)
             raise _no_row(table, min(rowless)) from None
         found, hit_nodes, hit_edges = _word_successors(coded, table, max_nodes, max_edges)
         return {f: f for f in map(code.decoded, found)}, hit_nodes, hit_edges

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from contextlib import nullcontext
 
 import pytest
 
@@ -28,7 +29,11 @@ from phrg import (
     string_graph,
     trace_successors,
 )
+from phrg.grammar import CodedForm, split_control
+from phrg.hypergraph import Hypergraph
 from oracles import cfg_words, et0l_words, is_dyck, nfa_accepts
+from test_productive import fresh, unpruned
+from test_word_path import graph_path
 
 GENEROUS = Limits(max_steps=6, max_nodes=120, max_edges=120, max_results=100_000)
 
@@ -291,6 +296,40 @@ class TestLayerHooks:
         member_calls = calls["phrg.engine.parallel_budgeted"]
         assert enumerate_strings(g, limits).words == (("a", "b"),)
         assert member_calls < calls["phrg.engine.parallel_budgeted"] - member_calls
+
+    @pytest.mark.parametrize(
+        "name, word",
+        [("dyck_phr", "ab"), ("copy_dyck_K", ("a", "b", "abar", "bbar")), ("ctl_plus0", "aab")],
+    )
+    def test_product_takes_the_search_states(self, monkeypatch, name, word):
+        # the benchmark wraps the product and reads labels() off its first
+        # argument: a CodedForm on the word path, a Hypergraph on the graph
+        # path.  With nothing pruned, ctl_plus0 reaches new pairs through
+        # idle tables, whose states come from the form, not from a product.
+        g = fixture(name).phr()
+        forms, product = [], phrg.engine.parallel_budgeted
+
+        def recording(h, *args):
+            forms.append(h)
+            return product(h, *args)
+
+        monkeypatch.setattr(phrg.engine, "parallel_budgeted", recording)
+        limits = Limits(max_steps=4, max_edges=6)
+        coded = CodedForm if split_control(g)[0].string_shaped else Hypergraph
+        for path, form_type in ((nullcontext, coded), (graph_path, Hypergraph)):
+            for pruning in (nullcontext, unpruned):
+                forms.clear()
+                with path(), pruning():
+                    enumerate_language(fresh(g), limits)
+                    enumerate_strings(fresh(g), limits)
+                    assert member_string(fresh(g), word, limits).verdict == "yes"
+                assert forms
+                for h in forms:
+                    assert type(h) is form_type
+                    if form_type is CodedForm:
+                        assert h.labels() == set(h.code.decode(h.word + h.flags))
+                    else:
+                        assert h.labels() == {e.label for e in h.edges}
 
     def test_choice_searches_are_reused(self, monkeypatch):
         # dyck_phr's word forms repeat their label multisets; the choice

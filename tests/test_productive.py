@@ -39,7 +39,7 @@ from phrg import (
     member_string,
     string_graph,
 )
-from phrg.grammar import split_control
+from phrg.grammar import CodedForm, WordForm, split_control
 from phrg.hypergraph import Hyperedge, Hypergraph
 from phrg.transforms import rational_intersect, remove_control
 from oracles import all_words
@@ -275,6 +275,22 @@ def _former_cut(table: Table, productive, rows: dict) -> dict:
     return out
 
 
+def _word_rows(table: Table) -> dict:
+    """``table.coded_options`` decoded through the table's own code: keyed
+    by label, each coded word or whole form decoded."""
+    code = table.code
+
+    def piece(x):
+        if isinstance(x, CodedForm):
+            return WordForm(code.decode(x.word), code.decode(x.flags))
+        return code.decode(x)
+
+    return {
+        code.names[ord(c) - 1]: (tuple((de, dn, piece(x)) for de, dn, x in opts), le, ln)
+        for c, (opts, le, ln) in table.coded_options.items()
+    }
+
+
 def test_live_tables_keep_the_former_cut():
     grammars = [split_control(fixture(n).phr())[0] for n in fixture_names()]
     grammars += [build(*args, **kw) for build, args, kw in CASES.values()]
@@ -283,9 +299,9 @@ def test_live_tables_keep_the_former_cut():
         live = g.productive
         for (_, table), (_, cut, blocked) in zip(g.tables, g.live_tables):
             assert cut.graph_options == _former_cut(table, live, table.graph_options)
-            want = _former_cut(table, live, table.word_options)
-            assert {l: cut.word_options[l] for l in want if l in cut.word_options} == {
-                l: row for l, row in want.items() if l in cut.word_options
+            want, got = _former_cut(table, live, _word_rows(table)), _word_rows(cut)
+            assert {l: got[l] for l in want if l in got} == {
+                l: row for l, row in want.items() if l in got
             }
             rows = table.by_label.items()
             assert blocked == {l for l, rs in rows if not any(r.rhs.labels() <= live for r in rs)}
