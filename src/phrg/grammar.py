@@ -209,6 +209,7 @@ class Rule:
     @cached_property
     def key(self) -> bytes:
         """The right-hand side's canonical key, computed once per rule."""
+        self.arities  # keys only a right-hand side found sound
         return canonical_key(self.rhs)
 
     @cached_property
@@ -217,13 +218,14 @@ class Rule:
         return word_form(self.rhs)
 
     @cached_property
-    def arities(self) -> Optional[frozenset[tuple[str, int]]]:
-        """The ``(label, arity)`` pair of each right-hand-side edge, or None
-        when ``validate`` finds the right-hand side structurally broken;
-        found once per rule.  The right-hand side then conforms to a
-        signature exactly when these pairs are among the signature's."""
-        if validate(self.rhs):
-            return None
+    def arities(self) -> frozenset[tuple[str, int]]:
+        """The ``(label, arity)`` pairs of the right-hand side's edges, found
+        once per rule.  The rule's one structural check: it raises
+        ``_invalid_rhs`` with every fault ``validate`` finds.  A sound graph
+        conforms to a signature exactly when its pairs are among the signature's."""
+        problems = validate(self.rhs)
+        if problems:
+            raise _invalid_rhs(self, problems)
         return frozenset((e.label, len(e.att)) for e in self.rhs.edges)
 
 
@@ -285,11 +287,8 @@ class Table:
 
     def __post_init__(self) -> None:
         first: dict[tuple[str, bytes], Rule] = {}
-        try:
-            for r in self.rules:
-                first.setdefault((r.lhs, r.key), r)
-        except KeyError:  # keying met a node that the right-hand side lacks
-            raise _invalid_rhs(r, validate(r.rhs)) from None
+        for r in self.rules:
+            first.setdefault((r.lhs, r.key), r)
         rules = tuple(first[k] for k in sorted(first))
         _set_total(self, rules, {r.lhs for r in rules}, "")
 
@@ -398,10 +397,11 @@ def _invalid_rhs(rule: Rule, problems: Iterable) -> GrammarError:
 
 
 def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) -> None:
-    """Each rule's left-hand side, type and right-hand side against ``sig``:
-    a set test on the rule's cached checks, with ``validate`` run again
-    only to spell a failure."""
+    """Each rule's structure (``Rule.arities``), then its left-hand side,
+    type and labels against ``sig``: a set test on the rule's cached pairs,
+    with ``validate`` run again only to spell signature faults."""
     for r in rules:
+        arities = r.arities
         if r.lhs not in lhs_domain:
             raise GrammarError(f"rule for label {r.lhs!r} outside its domain")
         if len(r.rhs.ext) != sig.arity(r.lhs):
@@ -409,7 +409,7 @@ def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) ->
                 f"rule for {r.lhs!r}: right-hand side has type {len(r.rhs.ext)}, "
                 f"label has arity {sig.arity(r.lhs)}"
             )
-        if r.arities is None or not r.arities <= sig.pairs:
+        if not arities <= sig.pairs:
             raise _invalid_rhs(r, validate(r.rhs, sig))
 
 
@@ -788,12 +788,10 @@ def parallel_budgeted(
         return _word_successors(h, table, max_nodes, max_edges)
     if isinstance(h, WordForm):
         code = table.code
-        try:
-            coded = code.coded(h)
-        except KeyError:  # a label the code lacks has no row either
+        if not code.chars.keys() >= {*h.word, *h.flags}:  # a label the code lacks has no row
             rowless = (l for l in h.word + h.flags if code.chars.get(l) not in table.coded_options)
-            raise _no_row(table, min(rowless)) from None
-        found, hit_nodes, hit_edges = _word_successors(coded, table, max_nodes, max_edges)
+            raise _no_row(table, min(rowless))
+        found, hit_nodes, hit_edges = _word_successors(code.coded(h), table, max_nodes, max_edges)
         return {f: f for f in map(code.decoded, found)}, hit_nodes, hit_edges
     edges = sorted(h.edges, key=lambda e: e.label)
     labels = tuple([e.label for e in edges])

@@ -204,19 +204,14 @@ def _graph(
     return h
 
 
-def string_graph(word: Sequence[str] | str, sig: Optional[Signature] = None) -> Hypergraph:
+def string_graph(word: Sequence[str] | str) -> Hypergraph:
     """The path graph spelling ``word``: n+1 nodes, one arity-2 edge per letter.
 
     The empty word gives the one-node graph whose two external nodes
     coincide; note that graph is not repetition-free.  Equal words may
     return one shared graph, immutable like every other.
     """
-    letters = tuple(word)
-    if sig is not None:
-        for a in letters:
-            if sig.arity(a) != 2:
-                raise HypergraphError(f"letter {a!r} has arity {sig.arity(a)}, need 2")
-    return _string_graph(letters)
+    return _string_graph(tuple(word))
 
 
 @lru_cache(maxsize=_GRAPH_CACHE)

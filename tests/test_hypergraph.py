@@ -108,10 +108,6 @@ class TestStringGraph:
         for w in all_words(("a", "b"), 4, min_len=0):
             assert extract_string(string_graph(w)) == w
 
-    def test_rejects_wrong_arity(self):
-        with pytest.raises(HypergraphError):
-            string_graph(("X",), SIG)
-
 
 class TestHandle:
     def test_arity_two_is_string_graph(self):

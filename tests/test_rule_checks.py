@@ -2,6 +2,7 @@
 built, and cached per-rule facts that never outlive their signature."""
 
 import json
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from phrg import (
 )
 from phrg import transforms as tf
 from phrg.grammar import word_form
-from phrg.hypergraph import Hyperedge, to_json_obj
+from phrg.hypergraph import Hyperedge, to_json_obj, validate
 from phrg.textfmt import GrammarDocument, parse_document, serialize_document
 
 SIG = Signature.of({"S": 2, "a": 2, "b": 2})
@@ -61,16 +62,11 @@ FAULTS = {
     ),
 }
 
-# one right-hand side with three faults; the message lists them in edge order
+# one right-hand side with a structural fault and two signature faults
 MIXED = Hypergraph(("u", "v"), (E("e1", "Z", ("u", "w")), E("e2", "a", ("u",))), ("u", "v"))
-MIXED_ALL = INVALID + (
-    "dangling-ref(e1): attachment node 'w' missing; "
-    "unknown-label(e1): label 'Z' not in signature; "
-    "arity-mismatch(e2): label 'a' has arity 2, attachment has length 1"
-)
-# a table keys its rules before a grammar checks them, and keying stops at
-# the dangling node, so a table reports the structural fault alone
-MIXED_KEYED = INVALID + "dangling-ref(e1): attachment node 'w' missing"
+# a rule's structure is checked first, and alone, by every route: a table
+# has no signature, so structure is all that it can report
+MIXED_STRUCTURAL = INVALID + "dangling-ref(e1): attachment node 'w' missing"
 
 
 def phr(rhs: Hypergraph) -> PHRGrammar:
@@ -117,10 +113,18 @@ class TestViolationMessages:
         assert message(lambda: parse_document(hr_text(rule))) == f"line 10, col 1: {want}"
 
     def test_mixed_faults(self):
-        assert message(lambda: phr(MIXED)) == MIXED_KEYED
-        assert message(lambda: hr(Rule("S", MIXED))) == MIXED_ALL
-        text = phr_text("S -> " + literal(MIXED))
-        assert message(lambda: parse_document(text)) == f"line 10, col 1: {MIXED_ALL}"
+        assert message(lambda: phr(MIXED)) == MIXED_STRUCTURAL
+        assert message(lambda: hr(Rule("S", MIXED))) == MIXED_STRUCTURAL
+        for text in (phr_text, hr_text):
+            doc = text("S -> " + literal(MIXED))
+            assert message(lambda: parse_document(doc)) == f"line 10, col 1: {MIXED_STRUCTURAL}"
+
+    @pytest.mark.parametrize("kind", ["duplicate-node", "duplicate-edge"])
+    def test_table_refuses_a_repeated_id(self, kind):
+        """A table has no signature but checks structure: keying alone would
+        let a repeated node or edge id through."""
+        rhs, want = FAULTS[kind]
+        assert message(lambda: Table((Rule("S", rhs),) + IDS, SIG.labels)) == want
 
     def test_left_hand_side_outside_domain(self):
         assert message(lambda: hr(Rule("a", string_graph("b")))) == (
@@ -141,6 +145,67 @@ class TestViolationMessages:
         assert message(lambda: parse_document(text('S -> str("a c")'))) == (
             "line 10, col 1: " + INVALID + "unknown-label(e2): label 'c' not in signature"
         )
+
+
+def random_rhs(rng: random.Random) -> Hypergraph:
+    """A right-hand side for ``S`` that may dangle (node ``q``), repeat a
+    node or edge id, use the unknown label ``Z``, mismatch an arity or
+    have type 3."""
+    nodes = rng.sample(["u", "v", "w"], rng.randint(1, 3))
+    if rng.random() < 0.15:
+        nodes.append(rng.choice(nodes))
+
+    def node() -> str:
+        return "q" if rng.random() < 0.07 else rng.choice(nodes)
+
+    edges = tuple(
+        E(f"e{rng.randint(1, 4)}", rng.choice("abSabZ"), tuple(node() for _ in range(arity)))
+        for arity in rng.choices((2, 2, 2, 2, 1, 3), k=rng.randint(0, 3))
+    )
+    ext = tuple(node() for _ in range(rng.choice((2, 2, 2, 2, 2, 3))))
+    return Hypergraph(tuple(nodes), edges, ext)
+
+
+def expected(rhs: Hypergraph) -> str | None:
+    """Structural faults alone when there are any, then the type, then the
+    signature faults; None when the rule is sound."""
+    structural = validate(rhs)
+    if not structural and rhs.type != 2:
+        return f"rule for 'S': right-hand side has type {rhs.type}, label has arity 2"
+    faults = structural or validate(rhs, SIG)
+    if not faults:
+        return None
+    return INVALID + "; ".join(f"{v.kind}({v.subject}): {v.detail}" for v in faults)
+
+
+def outcome(build) -> str | None:
+    try:
+        build()
+    except (GrammarError, ParseError) as err:
+        return str(err).removeprefix("line 10, col 1: ")
+    return None
+
+
+def test_every_route_gives_one_message():
+    """300 seeded right-hand sides for ``S``: direct ``Table`` and
+    ``PHRGrammar``, direct ``HRGrammar`` and both parsed document kinds
+    refuse each with one message, or all accept it."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        rhs = random_rhs(rng)
+        rule = "S -> " + literal(rhs)
+        routes = (
+            lambda: phr(rhs),
+            lambda: hr(Rule("S", rhs), order=3),
+            lambda: parse_document(phr_text(rule)),
+            lambda: parse_document(hr_text(rule)),
+        )
+        want = expected(rhs)
+        assert [outcome(build) for build in routes] == [want] * 4, rhs
+        seen |= {"ext" if v.subject.startswith("ext") else v.kind for v in validate(rhs, SIG)}
+        seen |= {"type"} if rhs.type != 2 else {"sound"} if want is None else set()
+    assert seen == {"ext", "type", "sound"} | {k for k in FAULTS if "-" in k}
 
 
 def phr_of(rule: Rule, sig: Signature = SIG) -> PHRGrammar:

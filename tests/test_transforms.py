@@ -36,6 +36,7 @@ from phrg import (
     parallel_successors,
     rational_concat,
     rational_intersect,
+    rational_intersect_controlled,
     rational_plus,
     rational_union,
     regular_to_phr,
@@ -500,6 +501,48 @@ class TestRationalIntersect:
         )
         want = {w for w in DYCK6 if w.count("a") % 2 == 0}
         assert self.meet_words(fixture("dyck_phr").phr(), m, 6) == want
+
+
+def cycle(n: int) -> ControlAutomaton:
+    """The ``n``-state cycle over ``a``; every state is reachable and live."""
+    states = [f"q{i}" for i in range(n)]
+    steps = [(q, "a", states[(i + 1) % n]) for i, q in enumerate(states)]
+    return fsa(states, ("a",), steps, "q0", ("q0",))
+
+
+class TestConstructionGuards:
+    """Each size guard of a construction refuses an input beyond its bound
+    with ``TransformError`` and the guard's own message."""
+
+    def test_erasable_symbols(self):
+        symbols = tuple(f"s{i}" for i in range(9))
+        t = WordTable(rules=tuple((x, ()) for x in symbols), scope=symbols)
+        g = ET0LGrammar(alphabet=symbols, terminals=symbols, axiom="s0", tables=(("1", t),))
+        blowup = "^9 erasable symbols; commitment sets would blow up$"
+        with pytest.raises(TransformError, match=blowup):
+            et0l_propagating(g)
+
+    def test_commitment_tables(self):
+        t = WordTable(rules=(("a", ("a", "e")), ("e", ())), scope=("a", "e"))
+        tables = tuple((str(i), t) for i in range(5_000))
+        g = ET0LGrammar(alphabet=("a", "e"), terminals=("a",), axiom="a", tables=tables)
+        with pytest.raises(TransformError, match="^commitment-set construction too large$"):
+            et0l_propagating(g)
+
+    def test_annotated_labels(self):
+        # an arity-3 label takes 101 ** 3 annotations
+        sig = Signature.of({"S": 2, "a": 2, "T": 3})
+        rules = (Rule("S", string_graph("a")),) + tuple(Rule(l, handle(l, sig)) for l in "aT")
+        table = Table(rules=rules, scope=sig.labels)
+        g = PHRGrammar(sig, ("T", "a"), "S", (("1", table),), 3)
+        with pytest.raises(TransformError, match="^state-annotation blowup$"):
+            rational_intersect_controlled(g, cycle(101))
+
+    def test_annotated_rule(self):
+        # seven internal nodes take 10 ** 7 state assignments
+        g = word_grammar(("a",), ["aaaaaaaa"])
+        with pytest.raises(TransformError, match="^state-annotation blowup$"):
+            rational_intersect_controlled(g, cycle(10))
 
 
 class TestApplyHom:
