@@ -9,10 +9,16 @@ hold ``PHRGrammar.productive`` labels alone, skips a table in which some
 label of the form keeps no rule, and ends at once when the start label is
 unproductive.  Likewise a pair whose control state is not in
 ``ControlAutomaton.live_states`` is dropped, and a search whose initial
-state is not ends at once.  Such a pair could never be accepted, so the
-languages are those of the unpruned search.  All searches are
-bounded; the result records say exactly which budget, if any, cut the
-search:
+state is not ends at once.  A form that is dead within the edge budget
+is never built either: ``PHRGrammar.least_edges`` gives each label the
+least number of edges of a terminal graph derived from it, and the
+product drops every choice whose least sizes sum past ``max_edges``,
+without a flag.  That sum never falls along a derivation, so the kept
+states are exactly the states of the search without the drop that fit,
+visited in the same order with the same parents.  Such a pair could
+never be accepted, so the languages are those of the unpruned search.
+All searches are bounded; the result records say exactly which budget,
+if any, cut the search:
 
 * ``exhaustive`` is True iff no node, edge or result budget pruned a
   live form.  The step horizon does not clear it: the enumeration is
@@ -21,7 +27,8 @@ search:
   i.e. more steps would add nothing within the same bounds.
 
 Both flags, the ``hit_*`` flags and ``no-within-limits`` verdicts are
-only ever more precise than those of a search that kept dead forms.
+only ever more precise than those of a search that kept dead forms:
+``steps`` may be lower and ``saturated`` true earlier.
 
 For grammars whose rules never shrink the graph (``node_monotone`` /
 ``edge_monotone``) a saturated run with an edge or node bound is a

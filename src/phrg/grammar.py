@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import inf, prod
 from operator import itemgetter
@@ -30,6 +31,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     Signature,
+    _cached,
     _graph,
     extract_string,
     handle,
@@ -184,21 +186,41 @@ def _fresh(used: set[str], base: str) -> str:
     return name
 
 
-def _least_fixpoint(
-    seeds: Iterable[str], rules: Iterable[tuple[str, Iterable[str]]]
-) -> set[str]:
-    """The least set holding the seeds and the left-hand side of every
-    rule ``(lhs, labels)`` whose labels all lie in it."""
-    done = set(seeds)
-    rules = [(l, frozenset(rhs)) for l, rhs in rules]
-    changed = True
-    while changed:
-        changed = False
-        for l, rhs in rules:
-            if l not in done and rhs <= done:
-                done.add(l)
-                changed = True
-    return done
+def _least_sizes(
+    seeds: Iterable[str], rules: Iterable[tuple[str, Sequence[str]]]
+) -> dict[str, int]:
+    """The least size of a derivation from each label that has one: a seed
+    has size 1, and a rule ``(lhs, labels)`` gives ``lhs`` the sum of the
+    sizes of its labels, each occurrence counted.  A label with no finite
+    size is left out, so the keys are the least set holding the seeds and
+    the left-hand side of every rule whose labels all lie in it.
+
+    Sums never fall below a summand, so sizes are final in the order they
+    leave a heap: Knuth's generalization of Dijkstra's algorithm ("A
+    generalization of Dijkstra's algorithm", IPL 1977), one pass over the
+    rules."""
+    heap = [(1, l) for l in seeds]
+    waiting: dict[str, list[list]] = {}  # per label, the rules it still holds up
+    for lhs, labels in rules:
+        rule = [len(labels), 0, lhs]  # labels without a size yet, their sizes' sum
+        if labels:
+            for l in labels:
+                waiting.setdefault(l, []).append(rule)
+        else:
+            heap.append((0, lhs))
+    heapify(heap)
+    least: dict[str, int] = {}
+    while heap:
+        size, l = heappop(heap)
+        if l in least:
+            continue
+        least[l] = size
+        for rule in waiting.pop(l, ()):
+            rule[0] -= 1
+            rule[1] += size
+            if not rule[0] and rule[2] not in least:
+                heappush(heap, (rule[1], rule[2]))
+    return least
 
 
 @dataclass(frozen=True)
@@ -206,18 +228,18 @@ class Rule:
     lhs: str
     rhs: Hypergraph
 
-    @cached_property
+    @_cached
     def key(self) -> bytes:
         """The right-hand side's canonical key, computed once per rule."""
         self.arities  # keys only a right-hand side found sound
         return canonical_key(self.rhs)
 
-    @cached_property
+    @_cached
     def form(self) -> Optional[WordForm]:
         """The right-hand side's ``word_form``, computed once per rule."""
         return word_form(self.rhs)
 
-    @cached_property
+    @_cached
     def arities(self) -> frozenset[tuple[str, int]]:
         """The ``(label, arity)`` pairs of the right-hand side's edges, found
         once per rule.  The rule's one structural check: it raises
@@ -292,54 +314,71 @@ class Table:
         rules = tuple(first[k] for k in sorted(first))
         _set_total(self, rules, {r.lhs for r in rules}, "")
 
-    @cached_property
+    @_cached
     def by_label(self) -> dict[str, tuple[Rule, ...]]:
         return _by_lhs(self.scope, ((r.lhs, r) for r in self.rules))
 
-    @cached_property
+    @_cached
+    def least_edges(self) -> Mapping[str, float]:
+        """Per label, a lower bound on the edges of a terminal graph derived
+        from it, by which the product sizes its options: none (0 each),
+        unless a grammar's ``live_tables`` gave the table its own."""
+        return {}
+
+    @_cached
     def graph_options(self) -> dict[str, tuple]:
         """Per label, its rules as product options of the graph path: (edges
-        added, nodes added, rule), sorted by the first two with ties kept in
-        order; then the least of each increment."""
-        out = {}
+        added, nodes added, least size, rule), sorted by the first two with
+        ties kept in order; then the least of each of the first three.  A
+        rule's least size is the sum of ``least_edges`` over its
+        right-hand side's edges."""
+        least, out = self.least_edges, {}
         for l, rs in self.by_label.items():
-            opts = [(len(r.rhs.edges), len(r.rhs.nodes) - r.rhs.type, r) for r in rs]
+            opts = [
+                (
+                    len(r.rhs.edges),
+                    len(r.rhs.nodes) - r.rhs.type,
+                    sum([least.get(e.label, 0) for e in r.rhs.edges]),
+                    r,
+                )
+                for r in rs
+            ]
             opts.sort(key=itemgetter(0, 1))
-            out[l] = (tuple(opts), opts[0][0], min(dn for _, dn, _ in opts))
+            out[l] = (tuple(opts), opts[0][0], *(min(o[k] for o in opts) for k in (1, 2)))
         return out
 
-    @cached_property
+    @_cached
     def coded_options(self) -> dict[str, tuple]:
         """Per label whose rules all have word forms, keyed by its character
         in the table's code: its rules as product options of the word path,
         in ``graph_options`` order, each rule's word coded (its whole form
         for ``flag_labels``)."""
         code, out = self.code, {}
-        for l, (opts, least_edges, least_nodes) in self.graph_options.items():
-            if all(r.form is not None for _, _, r in opts):
+        for l, (opts, *least) in self.graph_options.items():
+            if all(r.form is not None for *_, r in opts):
                 encode = code.coded if l in self.flag_labels else lambda f: code.encode(f.word)
-                opts = tuple((de, dn, encode(r.form)) for de, dn, r in opts)
-                out[code.chars[l]] = (opts, least_edges, least_nodes)
+                opts = tuple((de, dn, ds, encode(r.form)) for de, dn, ds, r in opts)
+                out[code.chars[l]] = (opts, *least)
         return out
 
-    @cached_property
+    @_cached
     def choices(self) -> Callable:
         """``_choices`` on this table, memoized for this table object."""
         ref = weakref.ref(self)  # the memo, stored on the table, must not keep it alive
         return lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
 
-    @cached_property
+    @_cached
     def code(self) -> _Code:
         """The code of the word path: over the scope and the labels of the
         right-hand sides, unless a grammar gave the table its own."""
         return _Code(chain(self.scope, *(r.rhs.labels() for r in self.rules)))
 
-    @cached_property
+    @_cached
     def flag_labels(self) -> frozenset[str]:
         """Labels whose rules can add nullary edges."""
         return frozenset(r.lhs for r in self.rules if not all(e.att for e in r.rhs.edges))
 
-    @cached_property
+    @_cached
     def active_labels(self) -> frozenset[str]:
         """Labels whose rewriting can change the graph."""
         return frozenset(
@@ -433,25 +472,25 @@ class PHRGrammar:
         labels = set(sig.labels)
         _set_tables(self, labels, "signature", lambda _, t: _check_rules(t.rules, sig, labels))
 
-    @cached_property
+    @_cached
     def repetition_free(self) -> bool:
         return all(
             r.rhs.repetition_free for _, t in self.tables for r in t.rules
         )
 
-    @cached_property
+    @_cached
     def node_monotone(self) -> bool:
         """No replacement can shrink the node count."""
         return all(
             len(r.rhs.nodes) >= r.rhs.type for _, t in self.tables for r in t.rules
         )
 
-    @cached_property
+    @_cached
     def edge_monotone(self) -> bool:
         """No replacement can shrink the edge count."""
         return all(len(r.rhs.edges) >= 1 for _, t in self.tables for r in t.rules)
 
-    @cached_property
+    @_cached
     def string_shaped(self) -> bool:
         """Every graph derived from the start handle is a word form.
 
@@ -467,7 +506,7 @@ class PHRGrammar:
             for _, t in self.tables
         )
 
-    @cached_property
+    @_cached
     def reachable(self) -> frozenset[str]:
         """Labels some derivation from the start handle can touch, over
         rule structure only."""
@@ -483,22 +522,38 @@ class PHRGrammar:
             )
         )
 
-    @cached_property
+    @_cached
+    def least_edges(self) -> dict[str, float]:
+        """Per label, the least number of edges of a terminal graph derived
+        from its handle, over rule structure only; ``inf`` when there is
+        none.  A terminal's handle is such a graph, of one edge, but the
+        terminal's rules count too: ``a -> ()`` gives ``a`` 0.
+
+        The sizes ignore the synchronization of parallel steps and any
+        control, taking every table's rules at once, so each is a lower
+        bound.  A form's least size, the sum over its edges, never falls
+        along a derivation (a rule's right-hand side sums to at least its
+        left-hand side's size), and a terminal graph's is at most its
+        edge count.  So a form whose least size exceeds an edge budget
+        derives no terminal graph within it.
+        """
+        rules = ((r.lhs, [e.label for e in r.rhs.edges]) for _, t in self.tables for r in t.rules)
+        least = _least_sizes(self.terminals, rules)
+        return {l: least.get(l, inf) for l in self.signature.labels}
+
+    @_cached
     def productive(self) -> frozenset[str]:
         """Labels from which a terminal graph can be derived, over rule
-        structure only: the least fixpoint of "some rule for the label, in
-        some table, has a right-hand side whose labels are all
-        productive", seeded with the terminals.
+        structure only: those of finite ``least_edges``.
 
         Every label of a derivation that ends in a terminal graph is
         productive, by induction from the last step.  The test ignores the
         synchronization of parallel steps and any control, so it may call
         a label productive that is not, never the reverse.
         """
-        rules = ((r.lhs, [l for l, _ in r.arities]) for _, t in self.tables for r in t.rules)
-        return frozenset(_least_fixpoint(self.terminals, rules))
+        return frozenset(l for l, size in self.least_edges.items() if size < inf)
 
-    @cached_property
+    @_cached
     def live_tables(self) -> tuple[tuple[str, Table, frozenset[str]], ...]:
         """The tables as the search takes them: ``(index, table, blocked)``.
 
@@ -511,17 +566,21 @@ class PHRGrammar:
         the table's keyed and checked rules, so it keys none and reads
         labels off ``Rule.arities``.  Every cut codes labels
         with the grammar's ``code``, not one of its narrower scope, so a
-        coded form passes from table to table unchanged.
+        coded form passes from table to table unchanged, and sizes its
+        options by the grammar's ``least_edges``, so that the product drops
+        a choice that is dead within the edge budget.
         """
         out = []
+        productive = self.productive
         for i, t in self.tables:
-            live = tuple(r for r in t.rules if all(l in self.productive for l, _ in r.arities))
+            live = tuple(r for r in t.rules if all(l in productive for l, _ in r.arities))
             cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
             object.__setattr__(cut, "code", self.code)
+            object.__setattr__(cut, "least_edges", self.least_edges)
             out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
         return tuple(out)
 
-    @cached_property
+    @_cached
     def code(self) -> _Code:
         """The code of the word path, over the signature's labels."""
         return _Code(self.signature.labels)
@@ -577,11 +636,11 @@ class WordTable:
         rules = tuple(sorted(set((str(l), tuple(w)) for l, w in self.rules)))
         _set_total(self, rules, {l for l, _ in rules}, "word ")
 
-    @cached_property
+    @_cached
     def by_symbol(self) -> dict[str, tuple[Word, ...]]:
         return _by_lhs(self.scope, self.rules)
 
-    @cached_property
+    @_cached
     def graph_table(self) -> Table:
         """The rules read as string-graph rules: the table by which a word
         steps, and by which ``et0l_to_phr`` embeds the grammar."""
@@ -635,7 +694,7 @@ class ControlAutomaton:
             if a not in set(self.alphabet):
                 raise GrammarError(f"transition on unknown symbol {a!r}")
 
-    @cached_property
+    @_cached
     def _step_map(self) -> dict[tuple[str, str], frozenset[str]]:
         out: dict[tuple[str, str], set[str]] = {}
         for q, a, p in self.transitions:
@@ -654,7 +713,7 @@ class ControlAutomaton:
                 return False
         return bool(current & set(self.finals))
 
-    @cached_property
+    @_cached
     def live_states(self) -> frozenset[str]:
         """The states from which some word leads to a final state."""
         back: dict[str, list[str]] = {}
@@ -662,7 +721,7 @@ class ControlAutomaton:
             back.setdefault(p, []).append(q)
         return frozenset(_reachable(self.finals, lambda p: back.get(p, ())))
 
-    @cached_property
+    @_cached
     def is_deterministic_complete(self) -> bool:
         return all(
             len(self._step_map.get((q, a), frozenset())) == 1
@@ -851,29 +910,34 @@ def _choices(
     found, as its pieces in label order plus a trailing ``_SEP``; and the
     node and edge flags.
 
-    Options come sorted by edge increment.  Each is checked, edges first,
-    against the counts chosen so far plus the least increments to come:
-    past the edge budget no later option fits, past the node budget one
-    may.  A position with one option leaves the search, its increments
-    added to the starting counts; its check could fail only at the first
-    position, against the least totals, so it runs once up front.  Other
-    checks sum the same increments as with every position searched, so
-    the flags are the same.  With neither budget nothing prunes, so more
-    than ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
+    Options come sorted by edge increment.  Each is checked against the
+    counts chosen so far plus the least increments to come: edges first
+    (past the budget no later option fits, and the edge flag is set), then
+    least sizes (see ``Table.least_edges``; past the edge budget the
+    choice can derive no terminal graph within it, so it is dropped
+    without a flag, as ``PHRGrammar.live_tables`` drops a dead rule), then
+    nodes (past the budget a later option may fit).  A position with one
+    option leaves the search, its increments added to the starting counts;
+    its check could fail only at the first position, against the least
+    totals, so it runs once up front.  Other checks sum the same
+    increments as with every position searched, so the flags are the
+    same.  With neither budget nothing prunes, so more than
+    ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
     rows = table.coded_options if word_path else table.graph_options
     m = len(labels)
     chosen: list = [_SEP] * (m + 1)  # the last slot is joined after every word
     picked, at = [], []  # the rows with a choice, and their positions
-    total_edges = 0
+    total_edges = total_size = 0
     for p, l in enumerate(labels):
         row = rows.get(l)
         if row is None:
             raise _no_row(table, table.code.names[ord(l) - 1] if word_path else l)
         total_edges += row[1]
         nodes += row[2]
+        total_size += row[3]
         if len(row[0]) == 1:
-            chosen[p] = row[0][0][2]
+            chosen[p] = row[0][0][3]
         else:
             picked.append(row)
             at.append(p)
@@ -883,19 +947,26 @@ def _choices(
     if not at or at[0]:  # the first position is folded, or there is none
         if m and max_edges is not None and total_edges > max_edges:
             return (), False, True
+        if max_edges is not None and total_size > max_edges:
+            return (), False, False
         if max_nodes is not None and nodes > max_nodes:
             return (), True, False
-    room_edges = inf if max_edges is None else max_edges - total_edges
+    if max_edges is None:
+        room_edges = room_size = inf
+    else:
+        room_edges, room_size = max_edges - total_edges, max_edges - total_size
     room_nodes = inf if max_nodes is None else max_nodes - nodes
     rooms = []  # the budgets less the least increments of every other position
-    for _, de, dn in picked:
+    for _, de, dn, ds in picked:
         room_edges += de
         room_nodes += dn
-        rooms.append((room_edges, room_nodes))
+        room_size += ds
+        rooms.append((room_edges, room_size, room_nodes))
 
     out, hit_nodes, hit_edges = [], False, False
     k = len(picked)
-    edges_to, nodes_to = [0] * (k + 1), [0] * (k + 1)  # added by the choices before i
+    # added by the choices before i: edges, least sizes, nodes
+    edges_to, sizes_to, nodes_to = [0] * (k + 1), [0] * (k + 1), [0] * (k + 1)
     rest = [iter(r[0]) for r in picked]  # the options of position i not tried yet
     i = 0
     while i >= 0:
@@ -903,19 +974,22 @@ def _choices(
             out.append(tuple(chosen))
             i -= 1
             continue
-        e, n = edges_to[i], nodes_to[i]
-        room_e, room_n = rooms[i]
-        for de, dn, piece in rest[i]:
+        e, s, n = edges_to[i], sizes_to[i], nodes_to[i]
+        room_e, room_s, room_n = rooms[i]
+        for de, dn, ds, piece in rest[i]:
             if e + de > room_e:
                 hit_edges = True
                 i -= 1
                 break  # options sorted by edge increment
+            if s + ds > room_s:
+                continue
             if n + dn > room_n:
                 hit_nodes = True
                 continue
             chosen[at[i]] = piece
             i += 1
             edges_to[i] = e + de
+            sizes_to[i] = s + ds
             nodes_to[i] = n + dn
             if i < k:
                 rest[i] = iter(picked[i][0])

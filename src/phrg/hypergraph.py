@@ -14,11 +14,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 _GRAPH_CACHE = 1024  # string graphs, handles and discrete graphs kept, each
+
+
+class _cached:
+    """A property computed on its first read and stored in the instance's
+    ``__dict__``, where later reads find it before this descriptor:
+    ``functools.cached_property`` without the lock that Python 3.11 takes
+    on each first read.  A value stored beforehand, as by
+    ``object.__setattr__`` on a frozen dataclass, is read as if computed."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj: object, owner: Optional[type] = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class HypergraphError(ValueError):
@@ -57,7 +74,7 @@ class Signature:
     def __contains__(self, label: str) -> bool:
         return label in self._index
 
-    @cached_property
+    @_cached
     def pairs(self) -> frozenset[tuple[str, int]]:
         """The ``(label, arity)`` pairs, as a set."""
         return frozenset(self.arities)

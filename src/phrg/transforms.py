@@ -35,7 +35,7 @@ from .grammar import (
     Word,
     WordTable,
     _fresh,
-    _least_fixpoint,
+    _least_sizes,
     _reachable,
     identity_table,
     is_identity_rule,
@@ -190,7 +190,7 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
     """
     if all(w for _, t in g.tables for _, w in t.rules):
         return g
-    erasable = _least_fixpoint((), (r for _, t in g.tables for r in t.rules))
+    erasable = _least_sizes((), (r for _, t in g.tables for r in t.rules))
     if len(erasable) > _ERASABLE_GUARD:
         raise TransformError(
             f"{len(erasable)} erasable symbols; commitment sets would blow up"
@@ -232,25 +232,30 @@ def et0l_propagating(g: ET0LGrammar) -> ET0LGrammar:
             if kept:
                 yield kept
 
-    def steps(e_set: frozenset[str]) -> Iterator[frozenset[str]]:
-        """The commitments one step from ``e_set``, each step's table
-        appended to ``tables2`` as it is found."""
+    steps: list[tuple[frozenset[str], str, WordTable, frozenset[str]]] = []
+
+    def step(e_set: frozenset[str]) -> Iterator[frozenset[str]]:
+        """The commitments one step from ``e_set``, each step ``(e_set,
+        index, table, e_next)`` appended to ``steps`` as it is found; each
+        step takes one table, so their count is checked before any is
+        built."""
         for index, t in g.tables:
             for e_next in subsets:
-                if not all(any(set(w) <= e_next for w in t.by_symbol[x]) for x in e_set):
-                    continue
-                rules = [
-                    (sym[(x, e_set)], v)
-                    for x in g.alphabet
-                    for v in sorted({v for w in t.by_symbol[x] for v in images(w, e_next)})
-                ]
-                name = _fresh(indices, f"t.{index}.{enc(e_set)}.{enc(e_next)}")
-                tables2.append((name, fill(rules)))
-                if len(tables2) > _TABLE_GUARD:
-                    raise TransformError("commitment-set construction too large")
-                yield e_next
+                if all(any(set(w) <= e_next for w in t.by_symbol[x]) for x in e_set):
+                    steps.append((e_set, index, t, e_next))
+                    if len(tables2) + len(steps) > _TABLE_GUARD:
+                        raise TransformError("commitment-set construction too large")
+                    yield e_next
 
-    _reachable([frozenset()], steps)
+    _reachable([frozenset()], step)
+    for e_set, index, t, e_next in steps:
+        rules = [
+            (sym[(x, e_set)], v)
+            for x in g.alphabet
+            for v in sorted({v for w in t.by_symbol[x] for v in images(w, e_next)})
+        ]
+        name = _fresh(indices, f"t.{index}.{enc(e_set)}.{enc(e_next)}")
+        tables2.append((name, fill(rules)))
     out = ET0LGrammar(
         alphabet=alphabet2,
         terminals=g.terminals,
@@ -753,7 +758,7 @@ def _annotated_product(
         rhs = rule.rhs
         outer = dict.fromkeys(rhs.ext)  # distinct, in first-appearance order
         internal = [v for v in rhs.nodes if v not in outer]
-        if len(states) ** len(internal) > _STATE_GUARD:
+        if len(states) ** (len(outer) + len(internal)) > _STATE_GUARD:  # assignments tried
             raise TransformError("state-annotation blowup")
         out = []
         for ext_states in itertools.product(states, repeat=len(outer)):

@@ -234,6 +234,39 @@ def nfa_accepts(
     return bool(current & set(finals))
 
 
+# ---------------------------------------------------- least sizes
+
+def least_terminal_sizes(
+    rules: Iterable[tuple[str, Sequence[str]]],
+    terminals: Iterable[str],
+    labels: Iterable[str],
+) -> dict[str, float]:
+    """Per label, the least number of edges of a terminal graph derived
+    from its handle in the relaxed grammar: every rule ``(lhs, labels of
+    its right-hand side)`` of every table applies to any edge at any
+    time, and a terminal edge may also stay.  So it is the least size of
+    a derivation tree, whose leaves are terminal edges (1 each) and whose
+    inner nodes are rules; ``inf`` when there is no tree.
+
+    Trees are taken by height, one level per round.  A least tree never
+    needs a label twice on one path (the lower subtree may replace the
+    upper one, which is no smaller), so after one round per label no tree
+    is missing.
+    """
+    rules = [(lhs, list(rhs)) for lhs, rhs in rules]
+    terminals = set(terminals)
+    best = {l: float("inf") for l in labels}
+    for _ in range(len(best) + 1):
+        best = {
+            l: min(
+                [1 if l in terminals else float("inf")]
+                + [sum(best[x] for x in rhs) for lhs, rhs in rules if lhs == l]
+            )
+            for l in best
+        }
+    return best
+
+
 # ---------------------------------------------------- parallel product
 
 def budgeted_product(
@@ -242,6 +275,7 @@ def budgeted_product(
     leaf: Callable[[list], tuple],
     max_nodes: int | None = None,
     max_edges: int | None = None,
+    size: Callable[[object], int] = lambda piece: 0,
 ) -> tuple[dict, bool, bool]:
     """Every choice of one option per position, pruned by the budgets.
 
@@ -249,14 +283,16 @@ def budgeted_product(
     piece) in the order they are tried, sorted by edge increment.  Each
     option is checked against the increments chosen before it plus the
     least increments of the positions after it: edges first (past the
-    budget, no later option of the position is tried), then nodes (past
-    the budget, the next option is).  ``leaf(pieces)`` gives a full
-    choice's (key, value, node count); the count is checked once more,
-    and the first value per key is kept.  Returns (values by key, node
-    budget hit, edge budget hit).
+    budget, no later option of the position is tried), then the pieces'
+    ``size`` against the edge budget (past it, the next option is tried
+    and no flag is set), then nodes (past the budget, the next option
+    is).  ``leaf(pieces)`` gives a full choice's (key, value, node
+    count); the count is checked once more, and the first value per key
+    is kept.  Returns (values by key, node budget hit, edge budget hit).
     """
     least_edges = [min(o[0] for o in opts) for opts in rows]
     least_nodes = [min(o[1] for o in opts) for opts in rows]
+    least_sizes = [min(size(o[2]) for o in opts) for opts in rows]
     found: dict = {}
     hit = {"nodes": False, "edges": False}
 
@@ -272,6 +308,9 @@ def budgeted_product(
             if max_edges is not None and edges + de + sum(least_edges[i + 1 :]) > max_edges:
                 hit["edges"] = True
                 break
+            chosen_size = sum(map(size, pieces + [piece])) + sum(least_sizes[i + 1 :])
+            if max_edges is not None and chosen_size > max_edges:
+                continue
             if max_nodes is not None and nodes + dn + sum(least_nodes[i + 1 :]) > max_nodes:
                 hit["nodes"] = True
                 continue

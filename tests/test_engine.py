@@ -287,14 +287,15 @@ class TestLayerHooks:
 
     def test_member_stops_at_its_word(self, monkeypatch):
         # dyck_phr never shrinks a form, so member lowers its budgets to
-        # |ab|+1 nodes and |ab| edges; these limits are those already,
+        # |abab|+1 nodes and |abab| edges; these limits are those already,
         # and both searches run under the same bounds.
         g = fixture("dyck_phr").phr()
-        limits = Limits(max_steps=4, max_nodes=3, max_edges=2)
+        limits = Limits(max_steps=4, max_nodes=5, max_edges=4)
         calls = self.count_calls(monkeypatch)
-        assert member_string(g, "ab", limits).verdict == "yes"
+        assert member_string(g, "abab", limits).verdict == "yes"
         member_calls = calls["phrg.engine.parallel_budgeted"]
-        assert enumerate_strings(g, limits).words == (("a", "b"),)
+        words = enumerate_strings(g, limits).words
+        assert words == (("a", "b"), ("a", "a", "b", "b"), ("a", "b", "a", "b"))
         assert member_calls < calls["phrg.engine.parallel_budgeted"] - member_calls
 
     @pytest.mark.parametrize(

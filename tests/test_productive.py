@@ -58,13 +58,15 @@ def _tracing():
 
 @contextmanager
 def unpruned():
-    """Searches inside count every label as productive and every control
-    state as live: nothing is trimmed."""
+    """Searches inside count every label as productive, of least size 0,
+    and every control state as live: nothing is trimmed."""
     every = property(lambda self: frozenset(self.signature.labels))
+    none = property(lambda self: dict.fromkeys(self.signature.labels, 0))
     live = property(lambda self: frozenset(self.states))
     with mock.patch.object(PHRGrammar, "productive", every):
-        with mock.patch.object(ControlAutomaton, "live_states", live):
-            yield
+        with mock.patch.object(PHRGrammar, "least_edges", none):
+            with mock.patch.object(ControlAutomaton, "live_states", live):
+                yield
 
 
 def fresh(g):
@@ -261,17 +263,23 @@ def test_blocked_label_has_no_successors(monkeypatch):
     assert len(calls) == 3  # S in both tables, A in table 2
 
 
-def _former_cut(table: Table, productive, rows: dict) -> dict:
+def _former_cut(table: Table, g: PHRGrammar, rows: dict) -> dict:
     """The reference cut: each row filtered to the options whose rule's
-    right-hand side holds productive labels alone, then stably re-sorted
-    by increments, with its least increments; a row left empty is gone."""
+    right-hand side holds productive labels alone, each sized by the sum
+    of ``g.least_edges`` over that right-hand side's edges, then stably
+    re-sorted by increments, with its least increments and least size; a
+    row left empty is gone."""
     out = {}
-    for l, (opts, _, _) in rows.items():
+    for l, (opts, *_) in rows.items():
         rules = table.graph_options[l][0]  # aligned with opts
-        kept = [o for o, (_, _, r) in zip(opts, rules) if r.rhs.labels() <= productive]
+        kept = [
+            (de, dn, sum(g.least_edges[e.label] for e in r.rhs.edges), piece)
+            for (de, dn, _, piece), (*_, r) in zip(opts, rules)
+            if r.rhs.labels() <= g.productive
+        ]
         if kept:
             kept.sort(key=lambda o: o[:2])
-            out[l] = (tuple(kept), kept[0][0], min(dn for _, dn, _ in kept))
+            out[l] = (tuple(kept), kept[0][0], *(min(o[k] for o in kept) for k in (1, 2)))
     return out
 
 
@@ -286,8 +294,8 @@ def _word_rows(table: Table) -> dict:
         return code.decode(x)
 
     return {
-        code.names[ord(c) - 1]: (tuple((de, dn, piece(x)) for de, dn, x in opts), le, ln)
-        for c, (opts, le, ln) in table.coded_options.items()
+        code.names[ord(c) - 1]: (tuple((*o[:3], piece(o[3])) for o in opts), *least)
+        for c, (opts, *least) in table.coded_options.items()
     }
 
 
@@ -298,8 +306,8 @@ def test_live_tables_keep_the_former_cut():
     for g in grammars:
         live = g.productive
         for (_, table), (_, cut, blocked) in zip(g.tables, g.live_tables):
-            assert cut.graph_options == _former_cut(table, live, table.graph_options)
-            want, got = _former_cut(table, live, _word_rows(table)), _word_rows(cut)
+            assert cut.graph_options == _former_cut(table, g, table.graph_options)
+            want, got = _former_cut(table, g, _word_rows(table)), _word_rows(cut)
             assert {l: got[l] for l in want if l in got} == {
                 l: row for l, row in want.items() if l in got
             }

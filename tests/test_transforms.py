@@ -544,6 +544,13 @@ class TestConstructionGuards:
         with pytest.raises(TransformError, match="^state-annotation blowup$"):
             rational_intersect_controlled(g, cycle(10))
 
+    def test_annotated_rule_counts_its_external_nodes(self):
+        # five internal and two external nodes take 10 ** 7 assignments;
+        # counting the internal ones alone let this run for tens of seconds
+        g = word_grammar(("a",), ["a" * 6])
+        with pytest.raises(TransformError, match="^state-annotation blowup$"):
+            rational_intersect_controlled(g, cycle(10))
+
 
 class TestApplyHom:
     def test_identity(self):

@@ -279,10 +279,11 @@ def test_edgeless_form_over_no_node_budget():
     assert parallel_budgeted(form, table, 1, 0) == ({form: form}, False, False)
 
 
-def _reference(subject, table, max_nodes, max_edges):
+def _reference(subject, table, max_nodes, max_edges, least=None):
     """``budgeted_product`` on a word form or a graph, with each label's
     options read off the table's rules: a rule's edges and nodes added,
-    stably sorted."""
+    stably sorted; each piece sized by ``least`` per label of its
+    right-hand side, if given."""
     word = isinstance(subject, WordForm)
     options = []
     for r in table.rules:
@@ -312,7 +313,14 @@ def _reference(subject, table, max_nodes, max_edges):
     rows = [sorted((o for l2, o in options if l2 == l), key=lambda o: o[:2]) for l in labels]
     if not all(rows):
         return None  # a label without rules in the table has no product
-    return budgeted_product(rows, start, leaf, max_nodes, max_edges)
+    if least is None:
+        return budgeted_product(rows, start, leaf, max_nodes, max_edges)
+
+    def size(piece):
+        labels = piece.word + piece.flags if word else [e.label for e in piece.rhs.edges]
+        return sum(least[l] for l in labels)
+
+    return budgeted_product(rows, start, leaf, max_nodes, max_edges, size)
 
 
 def test_product_matches_the_reference_product():
@@ -479,6 +487,10 @@ def test_generated_paths_agree(g, steps, nodes, edges):
 # states a cut search keeps depends on the order of its keys, so these
 # pin that order; ``check_equivalent`` cannot compare them with the graph
 # path.  Words are spelled as strings: every terminal here is one letter.
+# Forms dead within the edge budget take no state, so dyck_phr at 10 and
+# 50 and f2_wp at 50 read more than the search that kept them; the added
+# words and verdicts were checked against ``cfg_words``, ``is_dyck`` and
+# ``free_trivial``.
 CUT_LIMITS = dict(max_steps=8, max_edges=6)
 CUT_QUERIES = {
     "dyck_phr": ("ab", "aabb", "abab"),
@@ -493,10 +505,14 @@ CUT_PINS = {
     ),
     ("dyck_phr", 10): (
         (("ab",), False, False),
-        {"ab": ("yes", ("1",)), "aabb": ("unknown", None), "abab": ("unknown", None)},
+        {"ab": ("yes", ("1",)), "aabb": ("yes", ("1", "1")), "abab": ("yes", ("1", "1"))},
     ),
     ("dyck_phr", 50): (
-        (("ab", "aabb", "abab", "ababab"), False, False),
+        (
+            ("ab", "aabb", "abab", "aaabbb", "aababb", "aabbab", "abaabb", "ababab"),
+            False,
+            True,
+        ),
         {"ab": ("yes", ("1",)), "aabb": ("yes", ("1", "1")), "abab": ("yes", ("1", "1"))},
     ),
     ("f2_wp", 3): (
@@ -518,7 +534,7 @@ CUT_PINS = {
         },
     ),
     ("f2_wp", 50): (
-        (("Aa",), False, False),
+        (("Aa", "Bb", "aA"), False, False),
         {
             "aA": ("yes", ("1.1", "1.1")),
             "Aa": ("yes", ("1.1", "1.1")),
