@@ -3,20 +3,19 @@
 Exploration is breadth-first over canonical forms, or word forms (see
 below), paired with control states when a control automaton is present,
 so each isomorphism class is expanded once.  Dead forms are never
-built: the search takes each table as a plain ``Table`` cut to its
-live rules (``PHRGrammar.live_tables``), those whose right-hand sides
-hold ``PHRGrammar.productive`` labels alone, skips a table in which some
-label of the form keeps no rule, and ends at once when the start label is
-unproductive.  Likewise a pair whose control state is not in
-``ControlAutomaton.live_states`` is dropped, and a search whose initial
-state is not ends at once.  A form that is dead within the edge budget
-is never built either: ``PHRGrammar.least_edges`` gives each label the
-least number of edges of a terminal graph derived from it, and the
-product drops every choice whose least sizes sum past ``max_edges``,
-without a flag.  That sum never falls along a derivation, so the kept
-states are exactly the states of the search without the drop that fit,
-visited in the same order with the same parents.  Such a pair could
-never be accepted, so the languages are those of the unpruned search.
+built.  ``PHRGrammar.least_edges`` gives each label the least number of
+edges of a terminal graph derived from it (``inf`` if none), and a
+form's least size, the sum over its labels, never falls along a
+derivation, so no form past ``max_edges`` is kept: the search ends at
+once when the start label is past it, takes each table cut to its rules
+without an ``inf`` label (``PHRGrammar.live_tables``), skips a table in
+which some label of the form keeps no rule, and the product drops every
+choice past the budget, without a flag.  Under a control automaton a
+pair whose state is not in ``ControlAutomaton.live_states`` is dropped
+too, and a search whose initial state is not ends at once.  A dropped
+pair could never be accepted, so the languages are those of the
+unpruned search.  The size drop keeps exactly the states that fit of
+the search without it, visited in the same order with the same parents.
 All searches are bounded; the result records say exactly which budget,
 if any, cut the search:
 
@@ -157,7 +156,7 @@ class _Search:
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
         q0 = ctrl.initial if ctrl is not None else None
-        if grammar.start not in grammar.productive or (
+        if grammar.least_edges[grammar.start] > limits.max_edges or (
             ctrl is not None and q0 not in ctrl.live_states
         ):
             self.saturated = True  # no derivation can end in an accepted graph
@@ -186,7 +185,7 @@ class _Search:
                 h = visited[pair]
                 for index, table, blocked in grammar.live_tables:
                     if not labels.isdisjoint(blocked):
-                        continue  # every successor holds an unproductive label
+                        continue  # every successor holds a label of size inf
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
                     if ctrl is not None and q2 not in ctrl.live_states:
                         continue  # no table trace from q2 reaches a final state

@@ -535,48 +535,39 @@ class PHRGrammar:
         along a derivation (a rule's right-hand side sums to at least its
         left-hand side's size), and a terminal graph's is at most its
         edge count.  So a form whose least size exceeds an edge budget
-        derives no terminal graph within it.
+        derives no terminal graph within it, and one of size ``inf`` none
+        at all.  This is all the search knows of dead labels: it ends at
+        once when the start's size exceeds ``max_edges``, takes tables
+        without the rules that hold an ``inf`` label (``live_tables``) and
+        drops each product choice whose size exceeds ``max_edges``.
         """
         rules = ((r.lhs, [e.label for e in r.rhs.edges]) for _, t in self.tables for r in t.rules)
         least = _least_sizes(self.terminals, rules)
         return {l: least.get(l, inf) for l in self.signature.labels}
 
     @_cached
-    def productive(self) -> frozenset[str]:
-        """Labels from which a terminal graph can be derived, over rule
-        structure only: those of finite ``least_edges``.
-
-        Every label of a derivation that ends in a terminal graph is
-        productive, by induction from the last step.  The test ignores the
-        synchronization of parallel steps and any control, so it may call
-        a label productive that is not, never the reverse.
-        """
-        return frozenset(l for l, size in self.least_edges.items() if size < inf)
-
-    @_cached
     def live_tables(self) -> tuple[tuple[str, Table, frozenset[str]], ...]:
         """The tables as the search takes them: ``(index, table, blocked)``.
 
-        Each table is cut to its live rules, whose right-hand sides hold
-        ``productive`` labels alone, which tightens its rows' least
+        Each table is cut to its live rules, those with no label of size
+        ``inf`` (see ``least_edges``), which tightens its rows' least
         increments.  ``blocked``, the rest of the scope, keeps no rule: a
         form holding such a label has no successor that can still become
         terminal, and the search takes no product for it (an empty row's
         unbounded least increment would set the edge flag).  The cut reuses
         the table's keyed and checked rules, so it keys none and reads
-        labels off ``Rule.arities``.  Every cut codes labels
-        with the grammar's ``code``, not one of its narrower scope, so a
-        coded form passes from table to table unchanged, and sizes its
-        options by the grammar's ``least_edges``, so that the product drops
-        a choice that is dead within the edge budget.
+        labels off ``Rule.arities``.  Every cut codes labels with the
+        grammar's ``code``, not one of its narrower scope, so a coded form
+        passes from table to table unchanged, and sizes its options by the
+        grammar's ``least_edges``.
         """
         out = []
-        productive = self.productive
+        least = self.least_edges
         for i, t in self.tables:
-            live = tuple(r for r in t.rules if all(l in productive for l, _ in r.arities))
+            live = tuple(r for r in t.rules if all(least[l] < inf for l, _ in r.arities))
             cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
             object.__setattr__(cut, "code", self.code)
-            object.__setattr__(cut, "least_edges", self.least_edges)
+            object.__setattr__(cut, "least_edges", least)
             out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
         return tuple(out)
 
@@ -913,9 +904,8 @@ def _choices(
     Options come sorted by edge increment.  Each is checked against the
     counts chosen so far plus the least increments to come: edges first
     (past the budget no later option fits, and the edge flag is set), then
-    least sizes (see ``Table.least_edges``; past the edge budget the
-    choice can derive no terminal graph within it, so it is dropped
-    without a flag, as ``PHRGrammar.live_tables`` drops a dead rule), then
+    least sizes (past the edge budget the choice is dead, see
+    ``PHRGrammar.least_edges``, and is dropped without a flag), then
     nodes (past the budget a later option may fit).  A position with one
     option leaves the search, its increments added to the starting counts;
     its check could fail only at the first position, against the least

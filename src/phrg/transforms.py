@@ -755,28 +755,33 @@ def _annotated_product(
             enc[(x, assignment)] = _fresh(used, f"@{x}({'|'.join(assignment)})")
 
     def annotate(rule: Rule) -> list[Rule]:
+        # Depth first, so instances come in the order of the full product:
+        # nodes get states one at a time, distinct external ones first, and
+        # a label without an annotation drops the assignment once all its
+        # nodes have states.
         rhs = rule.rhs
-        outer = dict.fromkeys(rhs.ext)  # distinct, in first-appearance order
-        internal = [v for v in rhs.nodes if v not in outer]
-        if len(states) ** (len(outer) + len(internal)) > _STATE_GUARD:  # assignments tried
+        outer = dict.fromkeys(rhs.ext)
+        order = [*outer, *(v for v in rhs.nodes if v not in outer)]
+        if len(states) ** len(order) > _STATE_GUARD:  # assignments bounded
             raise TransformError("state-annotation blowup")
-        out = []
-        for ext_states in itertools.product(states, repeat=len(outer)):
-            node_state = dict(zip(outer, ext_states))
-            lhs = enc.get((rule.lhs, tuple([node_state[v] for v in rhs.ext])))
-            if lhs is None:
+        at = {v: k for k, v in enumerate(order)}
+        due = [[] for _ in range(len(order) + 1)]  # the lookups that k states decide
+        for l, vs in [(rule.lhs, rhs.ext), *((e.label, e.att) for e in rhs.edges)]:
+            due[max([at[v] + 1 for v in vs], default=0)].append((l, vs))
+
+        def on(s: tuple, l: str, vs: Sequence[str]) -> tuple[str, tuple[str, ...]]:
+            return (l, tuple([s[at[v]] for v in vs]))
+
+        out, todo = [], [()]  # a stack of partial assignments: states of order's first nodes
+        while todo:
+            s = todo.pop()
+            if not all(on(s, l, vs) in enc for l, vs in due[len(s)]):
                 continue
-            for inner in itertools.product(states, repeat=len(internal)):
-                assign = {**node_state, **dict(zip(internal, inner))}
-                labels = []
-                for e in rhs.edges:
-                    key = (e.label, tuple(assign[v] for v in e.att))
-                    if key not in enc:
-                        break
-                    labels.append(enc[key])
-                else:
-                    edges = tuple(Hyperedge(e.id, lab, e.att) for e, lab in zip(rhs.edges, labels))
-                    out.append(Rule(lhs, Hypergraph(rhs.nodes, edges, rhs.ext)))
+            if len(s) < len(order):
+                todo += [s + (q,) for q in reversed(states)]
+                continue
+            edges = tuple(Hyperedge(e.id, enc[on(s, e.label, e.att)], e.att) for e in rhs.edges)
+            out.append(Rule(enc[on(s, rule.lhs, rhs.ext)], Hypergraph(rhs.nodes, edges, rhs.ext)))
         return out
 
     seeds = [

@@ -202,8 +202,9 @@ class TestLimits:
     def test_zero_budgets_are_allowed(self):
         zero = Limits(max_steps=0, max_nodes=0, max_edges=0, max_results=0)
         out = enumerate_strings(fixture("dyck_phr").phr(), zero)
-        assert out.words == ()
-        assert not out.exhaustive  # the start handle alone exceeds the budgets
+        # dyck_phr's start has least size 2: no terminal graph fits, and no
+        # live form is cut
+        assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
 
 
 class TestLayerHooks:

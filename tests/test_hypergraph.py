@@ -361,6 +361,12 @@ class TestExtractString:
         )
         assert extract_string(g) is None
 
+    def test_cycles_rejected(self):
+        loop = hypergraph(nodes=["u"], edges=[("e1", "a", ("u", "u"))], ext=("u", "u"))
+        assert extract_string(loop) is None
+        back = [("e1", "a", ("u", "v")), ("e2", "b", ("v", "u"))]
+        assert extract_string(hypergraph(nodes=["u", "v"], edges=back, ext=("u", "v"))) is None
+
     def test_edgeless_graphs(self):
         assert extract_string(hypergraph(nodes=["v"], edges=[], ext=("v", "v"))) == ()
         assert extract_string(hypergraph(nodes=["u", "v"], edges=[], ext=("u", "v"))) is None

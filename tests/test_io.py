@@ -674,6 +674,19 @@ class TestCli:
         assert code == 1
         assert obj["verdict"] == "no-within-limits"
 
+    def test_member_word_with_commas(self, capsys):
+        # commas split the word into the fixture's multi-letter symbols
+        code, obj, _ = run_json(
+            capsys, "member", "fixtures/copy_dyck_K", "a,b,abar,bbar", "--max-steps", "3"
+        )
+        assert (code, obj["verdict"], obj["trace"]) == (0, "yes", ["1", "1"])
+
+    def test_hom_word_with_commas(self, capsys):
+        argv = ["fixtures/dyck_phr", "--map", "a=x,yy", "--map", "b=z"]
+        code, out, _ = run_cli(capsys, "transform", "apply-hom", *argv)
+        g = tf.apply_hom(fixture("dyck_phr").phr(), {"a": ("x", "yy"), "b": ("z",)})
+        assert (code, out) == (0, serialize_document(GrammarDocument(kind="phr", grammar=g)))
+
     def test_member_positive(self, capsys):
         code, obj, _ = run_json(capsys, "member", "fixtures/a_pow2", "aaaa")
         assert code == 0

@@ -36,7 +36,14 @@ from phrg import (
 )
 from phrg.grammar import WordForm, parallel_budgeted, split_control
 from oracles import all_words, least_terminal_sizes
-from test_productive import _grammar, fresh, graph_grammars, string_grammars
+from test_productive import (
+    _grammar,
+    count_products,
+    fresh,
+    graph_grammars,
+    productive,
+    string_grammars,
+)
 from test_word_path import _reference, _rhs, graph_path
 
 
@@ -114,6 +121,22 @@ def test_a_terminal_relaxes_through_its_rules():
     check_against_zeroed(g, limits, [("b", "b"), ("a", "b", "b")])
 
 
+def test_a_start_past_the_edge_budget_ends_at_once(monkeypatch):
+    # S has least size 2, so no terminal graph fits in one edge.  The
+    # start handle's product used to run, drop every successor for its
+    # size and set the edge flag on the way.
+    g = _erasing_terminal_grammar()
+    limits = Limits(max_steps=4, max_edges=1)
+    calls = count_products(monkeypatch)
+    out = enumerate_strings(g, limits)
+    assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
+    lang = enumerate_language(g, limits)
+    assert (lang.graphs, lang.steps, lang.hit_edge_bound) == ((), 0, False)
+    assert member_string(g, "bb", limits).verdict == "no-within-limits"
+    assert calls == []
+    check_against_zeroed(g, limits, [("b", "b")])
+
+
 def test_nullary_and_unproductive_labels():
     # x erases, y stays as a terminal of one edge, z never terminates
     sig = Signature.of({"S": 2, "a": 2, "x": 0, "y": 0, "z": 0})
@@ -127,7 +150,7 @@ def test_nullary_and_unproductive_labels():
     )
     g = _grammar(sig, [(1, rules)], ("a", "y"))
     assert g.least_edges == {"S": 2, "a": 1, "x": 0, "y": 1, "z": inf} == oracle_sizes(g)
-    assert g.productive == {"S", "a", "x", "y"}
+    assert productive(g) == {"S", "a", "x", "y"}
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -141,7 +164,7 @@ def test_fixture_sizes_match_the_oracle(name):
 def test_generated_sizes_match_the_oracle(g):
     grammar, _ = split_control(g)
     assert grammar.least_edges == oracle_sizes(g)
-    assert grammar.productive == {l for l, size in oracle_sizes(g).items() if size < inf}
+    assert productive(grammar) == {l for l, size in oracle_sizes(g).items() if size < inf}
 
 
 # ------------------------------------------------------------ product

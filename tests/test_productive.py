@@ -1,12 +1,12 @@
 """Productive labels, and the search that never builds a dead form.
 
 A label is productive when some terminal graph derives from it, over
-rule structure only.  The search drops every product option whose piece
-holds an unproductive label, so it never builds a form that cannot become
-terminal, nor a pair whose control state can reach no final state.  The
-oracle is the unpruned search: inside ``unpruned()`` every label counts
-as productive and every control state as live, which is the search
-without the trim.
+rule structure only: when its ``least_edges`` is finite.  The search
+drops every product option whose piece holds an unproductive label, so
+it never builds a form that cannot become terminal, nor a pair whose
+control state can reach no final state.  The oracle is the unpruned
+search: inside ``unpruned()`` every label has least size 0 and every
+control state is live, which is the search without the trim.
 Graphs, words and ``yes`` verdicts (with traces of one length) must be
 equal on both sides; the flags may only become more precise.
 """
@@ -14,6 +14,7 @@ equal on both sides; the flags may only become more precise.
 import dataclasses
 import importlib.util
 from contextlib import contextmanager, nullcontext
+from math import inf
 from pathlib import Path
 from unittest import mock
 
@@ -58,15 +59,19 @@ def _tracing():
 
 @contextmanager
 def unpruned():
-    """Searches inside count every label as productive, of least size 0,
-    and every control state as live: nothing is trimmed."""
-    every = property(lambda self: frozenset(self.signature.labels))
+    """Searches inside give every label least size 0, so every label is
+    productive, and count every control state as live: nothing is
+    trimmed."""
     none = property(lambda self: dict.fromkeys(self.signature.labels, 0))
     live = property(lambda self: frozenset(self.states))
-    with mock.patch.object(PHRGrammar, "productive", every):
-        with mock.patch.object(PHRGrammar, "least_edges", none):
-            with mock.patch.object(ControlAutomaton, "live_states", live):
-                yield
+    with mock.patch.object(PHRGrammar, "least_edges", none):
+        with mock.patch.object(ControlAutomaton, "live_states", live):
+            yield
+
+
+def productive(g: PHRGrammar) -> set[str]:
+    """The labels of finite least size."""
+    return {l for l, size in g.least_edges.items() if size < inf}
 
 
 def fresh(g):
@@ -139,9 +144,9 @@ class TestProductive:
         to_a = Rule("S", string_graph("A"))
         idle = (to_a, Rule("A", handle("A", 2)), keep)
         grow = (to_a, Rule("A", string_graph("a")), keep)
-        assert _grammar(sig, [(1, idle)], ("a",)).productive == {"a"}
+        assert productive(_grammar(sig, [(1, idle)], ("a",))) == {"a"}
         g = _grammar(sig, [(1, idle), (2, grow)], ("a",))
-        assert g.productive == {"S", "A", "a"}
+        assert productive(g) == {"S", "A", "a"}
         assert enumerate_strings(g, Limits(max_steps=3)).words == (("a",),)
 
     def test_nullary_labels(self):
@@ -155,7 +160,7 @@ class TestProductive:
             Rule("y", handle("y", 0)),
         )
         g = _grammar(sig, [(1, rules)], ("a",))
-        assert g.productive == {"S", "a", "x"}
+        assert productive(g) == {"S", "a", "x"}
         assert g.string_shaped
         check_pruning(g, Limits(max_steps=3), [("a",), ("a", "a")])
         assert enumerate_strings(g, Limits(max_steps=3)).words == (("a",),)
@@ -165,7 +170,7 @@ class TestProductive:
             g = remove_control(fixture(name).phr())
             dead = {l for l in g.signature.labels if l.startswith("@dead")}
             assert dead, name
-            assert not dead & g.productive, name
+            assert not dead & productive(g), name
 
     def test_agrees_with_the_benchmark_tracer(self):
         tracing = _tracing()
@@ -173,7 +178,7 @@ class TestProductive:
         grammars += [build(*args, **kw) for build, args, kw in CASES.values()]
         for g in grammars:
             grammar, _ = split_control(g)
-            unproductive = frozenset(grammar.signature.labels) - grammar.productive
+            unproductive = {l for l, size in grammar.least_edges.items() if size == inf}
             assert unproductive == tracing.unproductive_labels(g)
 
 
@@ -185,7 +190,7 @@ class TestDeadStart:
 
     def test_no_search(self, monkeypatch):
         g = self.grammar()
-        assert "S" not in g.productive
+        assert "S" not in productive(g)
         calls = count_products(monkeypatch)
         # the start handle alone is over this node budget
         for limits in (Limits(), Limits(max_nodes=1)):
@@ -202,7 +207,7 @@ class TestDeadStart:
         # and its chain rule keep instances.  The unpruned search took over
         # 10 s to come out empty at these limits, with the edge flag set.
         g = rational_intersect(fixture("copy_dyck_K").phr(), AUTOMATA["ends_ab"])
-        assert g.start not in g.productive
+        assert g.start not in productive(g)
         calls = count_products(monkeypatch)
         out = enumerate_strings(g, Limits(max_steps=30, max_nodes=30, max_edges=5))
         assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
@@ -248,7 +253,7 @@ def test_blocked_label_has_no_successors(monkeypatch):
     to_dead = common + (Rule("A", string_graph("DD")),)
     to_a = common + (Rule("A", string_graph("a")),)
     g = _grammar(sig, [(1, to_dead), (2, to_a)], ("a",))
-    assert g.productive == {"S", "A", "a"}
+    assert productive(g) == {"S", "A", "a"}
     assert [blocked for _, _, blocked in g.live_tables] == [{"A", "D"}, {"D"}]
     limits = Limits(max_steps=4, max_edges=1)
     for path in (nullcontext, graph_path):
@@ -269,13 +274,13 @@ def _former_cut(table: Table, g: PHRGrammar, rows: dict) -> dict:
     of ``g.least_edges`` over that right-hand side's edges, then stably
     re-sorted by increments, with its least increments and least size; a
     row left empty is gone."""
-    out = {}
+    out, live = {}, productive(g)
     for l, (opts, *_) in rows.items():
         rules = table.graph_options[l][0]  # aligned with opts
         kept = [
             (de, dn, sum(g.least_edges[e.label] for e in r.rhs.edges), piece)
             for (de, dn, _, piece), (*_, r) in zip(opts, rules)
-            if r.rhs.labels() <= g.productive
+            if r.rhs.labels() <= live
         ]
         if kept:
             kept.sort(key=lambda o: o[:2])
@@ -304,7 +309,7 @@ def test_live_tables_keep_the_former_cut():
     grammars += [build(*args, **kw) for build, args, kw in CASES.values()]
     cuts = 0
     for g in grammars:
-        live = g.productive
+        live = productive(g)
         for (_, table), (_, cut, blocked) in zip(g.tables, g.live_tables):
             assert cut.graph_options == _former_cut(table, g, table.graph_options)
             want, got = _former_cut(table, g, _word_rows(table)), _word_rows(cut)

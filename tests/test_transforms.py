@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -362,6 +363,21 @@ class TestSubstitute:
         got = strings(substitute(outer, {"a": inner}), 16, max_steps=12)
         assert got == {("a",) * n for n in (1, 2, 4, 8, 16)}
 
+    def test_image_nonterminal_named_like_a_target_letter(self):
+        # c is a nonterminal of a's image but a letter of b's, so a's c is
+        # renamed; kept, it would be padded into a terminal and derive c
+        sig = Signature.of({"S": 2, "c": 2, "d": 2})
+        rules = (
+            Rule("S", string_graph("c")),
+            Rule("c", string_graph("dd")),
+            Rule("d", handle("d", 2)),
+        )
+        image_a = PHRGrammar(sig, ("d",), "S", (("1", Table(rules, sig.labels)),), 2)
+        image_b = word_grammar(("c",), [("c",)])
+        out = substitute(word_grammar(("a", "b"), ["ab"]), {"a": image_a, "b": image_b})
+        want = subst_set([("a", "b")], {"a": [("d", "d")], "b": [("c",)]})
+        assert strings(out, 4) == want == {("d", "d", "c")}
+
     def test_preserves_validity_and_rf(self):
         g = fixture("dyck_phr").phr()
         image = word_grammar(("c",), [("c",), ("c", "c")])
@@ -491,6 +507,17 @@ class TestRationalIntersect:
             ("a", "a", "a", "b", "b", "b"),
         }
 
+    def test_annotation_prunes_as_it_assigns(self):
+        # the path a^5 fixes each node's state from the one before it: its
+        # rule has 10 instances of 10 ** 6 assignments, which took seconds
+        # to try one by one
+        g = word_grammar(("a",), ["a" * 5])
+        t0 = time.perf_counter()
+        out = rational_intersect_controlled(g, cycle(10))
+        assert time.perf_counter() - t0 < 0.5
+        paths = [r.lhs for r in out.grammar.table("1").rules if len(r.rhs.edges) == 5]
+        assert paths == [f"@S(q{i}|q{(i + 5) % 10})" for i in range(10)]
+
     def test_against_word_level_oracle(self):
         m = fsa(
             ("e", "o"),
@@ -581,6 +608,11 @@ class TestApplyHom:
 
 
 class TestInverseHom:
+    def test_only_erased_letters(self):
+        out = inverse_hom(fixture("dyck_phr").phr(), {"x": ()})
+        res = enumerate_strings(out, Limits(max_steps=10))
+        assert (res.words, res.exhaustive, res.saturated) == ((), True, True)
+
     def test_identity(self):
         g = fixture("dyck_phr").phr()
         out = inverse_hom(g, {"a": ("a",), "b": ("b",)})
@@ -712,6 +744,11 @@ class TestRegularToPhr:
         m = fsa(("s",), ("a",), (), "s", ())
         g = regular_to_phr(m)
         assert strings(g, 4) == set()
+
+    def test_empty_alphabet(self):
+        g = regular_to_phr(fsa(("s",), (), (), "s", ("s",)))
+        res = enumerate_strings(g, Limits(max_steps=10))
+        assert (res.words, res.exhaustive) == ((), True)
 
     def test_nondeterministic_input(self):
         m = fsa(

@@ -279,6 +279,30 @@ def test_edgeless_form_over_no_node_budget():
     assert parallel_budgeted(form, table, 1, 0) == ({form: form}, False, False)
 
 
+def test_graph_leaf_checks_the_replaced_nodes():
+    # X erases and merges its two nodes, so the option's node increment is
+    # -1; on a loop, or on two parallel edges, the merge is smaller than
+    # that count, and only the replaced graph shows the true node count
+    table = Table((Rule("X", string_graph("")),), ("X",))
+    loop = Hypergraph(("u",), (Hyperedge("e0", "X", ("u", "u")),), ("u", "u"))
+    assert parallel_budgeted(loop, table, 0, None) == ({}, True, False)
+    [(key, point)] = parallel_budgeted(loop, table, 1, None)[0].items()
+    assert (point.nodes, point.edges, point.ext) == (("n0",), (), ("n0", "n0"))
+    assert key == canonical_key(point)
+    parallel = Hypergraph(
+        ("u", "v"), (Hyperedge("e0", "X", ("u", "v")), Hyperedge("e1", "X", ("u", "v"))), ("u", "v")
+    )
+    assert parallel_budgeted(parallel, table, 0, None) == ({}, True, False)
+
+
+def test_word_form_without_a_word_row():
+    # S has a rule, but not a word form: its end is its start
+    back = Hypergraph(("u", "v"), (Hyperedge("e0", "S", ("v", "u")),), ("u", "v"))
+    table = Table((Rule("S", back),), ("S",))
+    with pytest.raises(GrammarError, match="^rules for label 'S' are not all word forms$"):
+        parallel_budgeted(WordForm(("S",), ()), table)
+
+
 def _reference(subject, table, max_nodes, max_edges, least=None):
     """``budgeted_product`` on a word form or a graph, with each label's
     options read off the table's rules: a rule's edges and nodes added,
