@@ -5,18 +5,20 @@ preserving: a bijection on nodes and one on edges commuting with
 attachment, labelling and the external sequence pointwise.
 
 The canonical key is computed by individualization-refinement.  The root
-colors a node 0 if it is not external and 1 + its first position in the
-external sequence otherwise.  At most one node that is not external makes
-this coloring discrete: it is scored at once, the node that is not
-external first, without incidence lists or a search.  Otherwise colors
-are refined by the multiset of incident (label, tentacle position,
-attached colors) signatures, building each edge's tuple of attached colors
-once per round, until a round adds no cell, that is, to an equitable
-coloring, and non-discrete colorings branch on every member of the first
-non-singleton color class, skipping members in the orbit of an explored
-one under the automorphisms met so far that fix the path.  Each discrete
-coloring yields a certificate; the minimum certificate over all branches
-is canonical, so two graphs get equal keys iff they are isomorphic.  The
+colors a node 0 if it is not external, and the external nodes above 0 in
+the order in which the external sequence first meets them.  At most one
+node that is not external makes this coloring discrete, its colors the
+node positions: it is scored at once, without incidence lists or a
+search.  Otherwise colors are refined by the multiset of incident (label,
+tentacle position, attached colors) signatures, building each edge's
+tuple of attached colors once per round, until a round adds no cell, that
+is, to an equitable coloring.  If the root refines to a discrete coloring,
+its dense ranks are the positions and it is scored at once too.
+Non-discrete colorings branch on every member of the first non-singleton
+color class, skipping members in the orbit of an explored one under the
+automorphisms met so far that fix the path.  Each discrete coloring
+yields a certificate; the minimum certificate over all branches is
+canonical, so two graphs get equal keys iff they are isomorphic.  The
 last 1,024 graphs keep their certificate, node order and key bytes.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hypergraph import Hypergraph, _numbered, _UnionFind
+from .hypergraph import Hypergraph, _cached, _numbered, _UnionFind
 
 _Cert = tuple
 
@@ -35,11 +37,19 @@ class IsoWitness:
     node_map: tuple[tuple[str, str], ...]
     edge_map: tuple[tuple[str, str], ...]
 
+    @_cached
+    def _nodes(self) -> dict[str, str]:
+        return dict(self.node_map)
+
+    @_cached
+    def _edges(self) -> dict[str, str]:
+        return dict(self.edge_map)
+
     def node(self, v: str) -> str:
-        return dict(self.node_map)[v]
+        return self._nodes[v]
 
     def edge(self, e: str) -> str:
-        return dict(self.edge_map)[e]
+        return self._edges[e]
 
 
 def _rank(values: list) -> list[int]:
@@ -50,13 +60,13 @@ def _rank(values: list) -> list[int]:
 def _refine(cs: list[int], incidence: list[list[tuple]], atts: list[tuple]) -> list[int]:
     """Refine ``cs`` until a round adds no cell; the coloring is then
     equitable, in dense ranks.  A discrete coloring is returned as is.
-    ``incidence[v]`` holds (label rank, tentacle position, edge index) per
+    ``incidence[v]`` holds (label, tentacle position, edge index) per
     tentacle at ``v``, and ``atts[e]`` is the attachment of edge ``e``."""
     cells = len(set(cs))  # a child coloring (2c, 2c - 1) is not dense
     while cells < len(cs):
         attached = [tuple([cs[u] for u in a]) for a in atts]
         cs = _rank([
-            (c, tuple(sorted([(r, p, attached[e]) for r, p, e in inc])))
+            (c, tuple(sorted([(lab, p, attached[e]) for lab, p, e in inc])))
             for c, inc in zip(cs, incidence)
         ])
         if max(cs) + 1 == cells:
@@ -65,43 +75,47 @@ def _refine(cs: list[int], incidence: list[list[tuple]], atts: list[tuple]) -> l
     return cs
 
 
+def _scored(
+    h: Hypergraph, idx: dict[str, int], position: list[int]
+) -> tuple[_Cert, tuple[int, ...]]:
+    """The certificate of ``h`` with node ``v`` at ``position[idx[v]]``, a
+    permutation of the node indices, and the node order it realizes."""
+    order = [0] * len(position)
+    for v, p in enumerate(position):
+        order[p] = v
+    cert: _Cert = (
+        len(order),
+        tuple([position[idx[v]] for v in h.ext]),
+        tuple(sorted([(e.label, tuple([position[idx[v]] for v in e.att])) for e in h.edges])),
+    )
+    return cert, tuple(order)
+
+
 def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     """Return (certificate, node order realizing it).
 
     The node order lists node indices (into ``h.nodes``) in certificate
     position order.
     """
-    nodes = h.nodes
-    n = len(nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    edges = [(e.label, tuple([idx[v] for v in e.att])) for e in h.edges]
-    ext = tuple([idx[v] for v in h.ext])
-    first: dict[int, int] = {}  # external node -> its first position
-    for p, v in enumerate(ext):
-        first.setdefault(v, p)
+    n = len(h.nodes)
+    idx = {v: i for i, v in enumerate(h.nodes)}
+    # the root: 0 if not external, else above that in first-appearance order
+    first = dict.fromkeys([idx[v] for v in h.ext])
+    root = [0] * n
+    for c, v in enumerate(first, n - len(first)):
+        root[v] = c
+    if len(first) >= n - 1:  # discrete, and in dense ranks: the positions
+        return _scored(h, idx, root)
 
-    def score(order: list[int]) -> tuple[_Cert, tuple[int, ...]]:
-        """The certificate of a node order, and the order."""
-        position = [0] * n
-        for p, v in enumerate(order):
-            position[v] = p
-        cert: _Cert = (
-            n,
-            tuple([position[v] for v in ext]),
-            tuple(sorted([(lab, tuple([position[u] for u in att])) for lab, att in edges])),
-        )
-        return cert, tuple(order)
-
-    if len(first) >= n - 1:  # a discrete root: the node not external comes first
-        return score([v for v in range(n) if v not in first] + list(first))
-
-    # (label rank, tentacle position, edge index) per incidence of a node
+    # (label, tentacle position, edge index) per incidence of a node
     incidence: list[list[tuple]] = [[] for _ in range(n)]
-    for e, (r, (_, att)) in enumerate(zip(_rank([lab for lab, _ in edges]), edges)):
+    atts = [tuple([idx[v] for v in e.att]) for e in h.edges]
+    for e, (edge, att) in enumerate(zip(h.edges, atts)):
         for pos, v in enumerate(att):
-            incidence[v].append((r, pos, e))
-    atts = [att for _, att in edges]
-    colors = _refine([first.get(v, -1) + 1 for v in range(n)], incidence, atts)
+            incidence[v].append((edge.label, pos, e))
+    colors = _refine(root, incidence, atts)
+    if max(colors) + 1 == n:  # refined to discrete, in dense ranks
+        return _scored(h, idx, colors)
 
     # best leaf so far: (certificate, node order, individualized path)
     best: list[tuple[_Cert, tuple[int, ...], tuple[int, ...]] | None] = [None]
@@ -111,7 +125,7 @@ def _canonical_data(h: Hypergraph) -> tuple[_Cert, tuple[int, ...]]:
     def leaf(cs: list[int], path: tuple[int, ...]) -> int | None:
         """Score a discrete coloring; on an automorphism, return the depth
         of the common ancestor with the best leaf."""
-        cert, order = score(sorted(range(n), key=cs.__getitem__))
+        cert, order = _scored(h, idx, _rank(cs))
         if best[0] is None or cert < best[0][0]:
             best[0] = (cert, order, path)
             return None

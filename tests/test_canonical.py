@@ -389,6 +389,18 @@ def test_canonical_data_matches_unpruned_search_with_symmetry(g):
     assert _canonical_data(g) == canonical_reference(g)
 
 
+def test_canonical_data_matches_unpruned_search_after_renaming():
+    # random names make the order of h.nodes and h.edges differ from the
+    # structure, as in the benchmark's sweep; every exit of _canonical_data
+    # (discrete root, root refined to discrete, search) is met
+    rng = random.Random(25)
+    for g in all_small_graphs(3, 3, 3):
+        h = shuffled_copy(g, rng)
+        cert, order = _canonical_data(h)
+        assert (cert, order) == canonical_reference(h)
+        assert canonical_key(h) == ascii(cert).encode("ascii")
+
+
 @pytest.mark.parametrize(
     "g, key, order",
     [
@@ -398,8 +410,15 @@ def test_canonical_data_matches_unpruned_search_with_symmetry(g):
             b"(5, (), (('a', (3, 4)),))",
             (0, 2, 4, 1, 3),
         ),
+        (
+            hypergraph(
+                ["a", "a", "b", "c"], [("e", "a", ("c", "b")), ("f", "a", ("b", "a"))], []
+            ),
+            b"(4, (), (('a', (1, 2)), ('a', (2, 3))))",
+            (0, 3, 2, 1),
+        ),
     ],
-    ids=["discrete root", "refined root"],
+    ids=["discrete root", "refined root", "root refined to discrete"],
 )
 def test_duplicate_node_ids_keep_their_key(g, key, order):
     # a repeated id names its last index; the other copy is an isolated node
@@ -414,12 +433,18 @@ def test_duplicate_node_ids_keep_their_key(g, key, order):
         hypergraph(["a", "b", "c"], [("e", "a", ("a", "z"))], []),
         hypergraph(["a"], [], ["z"]),
         hypergraph(["a", "b", "c"], [], ["z"]),
+        hypergraph(
+            ["a", "b", "c"],
+            [("e", "a", ("a", "b")), ("f", "a", ("b", "c")), ("g", "b", ("z",))],
+            [],
+        ),
     ],
     ids=[
         "dangling attachment, discrete root",
         "dangling attachment, refined root",
         "dangling external node, discrete root",
         "dangling external node, refined root",
+        "dangling attachment, root refined to discrete",
     ],
 )
 def test_dangling_reference_raises_key_error(g):
