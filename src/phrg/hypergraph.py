@@ -7,7 +7,9 @@ nodes used as the interface when the graph is substituted for an edge.
 The length of the external sequence is the graph's type.
 
 Everything here is immutable; operations return new graphs.  Node and
-edge identities are plain strings.
+edge identities are plain strings.  ``Hyperedge`` and ``Hypergraph`` are
+slotted frozen dataclasses: each field is stored once, already in normal
+form, and an instance has no ``__dict__`` and takes no weak reference.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-_GRAPH_CACHE = 1024  # string graphs, handles and discrete graphs kept, each
+_GRAPH_CACHE = 1024  # string graphs, handles, discrete graphs, numberings kept, each
+_set = object.__setattr__
 
 
 class _cached:
@@ -95,33 +98,37 @@ class Signature:
         return Signature.of(combined)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Hyperedge:
     id: str
     label: str
     att: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "att", tuple(map(str, self.att)))
+    def __init__(self, id: str, label: str, att: Iterable[str]) -> None:
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "att", tuple(map(str, att)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Hypergraph:
     """An immutable hypergraph.  ``ext`` is the external node sequence.
 
-    Construction normalizes ordering (nodes sorted, edges sorted by id)
-    but does not reject malformed references; ``validate`` reports those
-    as data so that broken inputs can be inspected rather than trapped.
+    Construction normalizes in one pass (nodes sorted, edges sorted by
+    id) but does not reject malformed references; ``validate`` reports
+    those as data so that broken inputs can be inspected rather than trapped.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[Hyperedge, ...]
     ext: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(map(str, self.nodes))))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
-        object.__setattr__(self, "ext", tuple(map(str, self.ext)))
+    def __init__(
+        self, nodes: Iterable[str], edges: Iterable[Hyperedge], ext: Iterable[str]
+    ) -> None:
+        _set(self, "nodes", tuple(sorted(map(str, nodes))))
+        _set(self, "edges", tuple(sorted(edges, key=attrgetter("id"))))
+        _set(self, "ext", tuple(map(str, ext)))
 
     @property
     def type(self) -> int:
@@ -197,11 +204,8 @@ def validate(h: Hypergraph, sig: Optional[Signature] = None) -> list[Violation]:
     return out
 
 
-_set = object.__setattr__
-
-
 def _edge(id: str, label: str, att: tuple[str, ...]) -> Hyperedge:
-    """A Hyperedge from a tuple of string nodes, without ``__post_init__``."""
+    """A Hyperedge from a tuple of string nodes, without ``__init__``."""
     e = object.__new__(Hyperedge)
     _set(e, "id", id)
     _set(e, "label", label)
@@ -213,7 +217,7 @@ def _graph(
     nodes: tuple[str, ...], edges: tuple[Hyperedge, ...], ext: tuple[str, ...]
 ) -> Hypergraph:
     """A Hypergraph from parts already in its normal form (string nodes
-    sorted, edges sorted by id, string ext), without ``__post_init__``."""
+    sorted, edges sorted by id, string ext), without ``__init__``."""
     h = object.__new__(Hypergraph)
     _set(h, "nodes", nodes)
     _set(h, "edges", edges)
@@ -236,7 +240,7 @@ def _string_graph(letters: tuple[str, ...]) -> Hypergraph:
     n = len(letters)
     names = [f"v{i}" for i in range(n + 1)]
     edges = [_edge(f"e{i + 1}", a, (names[i], names[i + 1])) for i, a in enumerate(letters)]
-    # sorted as __post_init__ sorts: "v10" before "v2", "e10" before "e2"
+    # sorted as __init__ sorts: "v10" before "v2", "e10" before "e2"
     edges.sort(key=attrgetter("id"))
     return _graph(tuple(sorted(names)), tuple(edges), (names[0], names[n]))
 
@@ -251,6 +255,8 @@ def handle(label: str, arity_or_sig: int | Signature) -> Hypergraph:
         if isinstance(arity_or_sig, Signature)
         else int(arity_or_sig)
     )
+    if arity < 0:
+        raise HypergraphError(f"negative arity for label {label!r}")
     return _handle(label, arity)
 
 
@@ -264,6 +270,8 @@ def _handle(label: str, arity: int) -> Hypergraph:
 def discrete_graph(n: int) -> Hypergraph:
     """n isolated nodes, all external.  Equal ``n`` may return one shared
     immutable graph."""
+    if n < 0:
+        raise HypergraphError(f"negative node count {n}")
     nodes = tuple(f"v{i + 1}" for i in range(n))
     return _graph(tuple(sorted(nodes)), (), nodes)
 
@@ -344,13 +352,19 @@ def _numbered(n: int, edges: Sequence[tuple[str, Sequence[int]]], ext: Sequence[
     """The graph on nodes ``n0 .. n{n-1}`` whose edge ``e{i}`` is the i-th
     ``(label, node indices)`` of ``edges``; ``ext`` holds node indices.
     ``replace`` and ``canonical_graph`` both name their result here."""
-    names = [f"n{i}" for i in range(n)]
-    es = [
-        _edge(f"e{i}", label, tuple([names[p] for p in att]))
-        for i, (label, att) in enumerate(edges)
-    ]
-    es.sort(key=attrgetter("id"))  # as __post_init__ sorts: "e10" before "e2"
-    return _graph(tuple(sorted(names)), tuple(es), tuple([names[p] for p in ext]))
+    names, sorted_names, _, _ = _numbering(n)
+    _, _, ids, order = _numbering(len(edges))
+    es = [_edge(ids[i], l, tuple([names[p] for p in att])) for i, (l, att) in enumerate(edges)]
+    return _graph(sorted_names, tuple([es[i] for i in order]), tuple([names[p] for p in ext]))
+
+
+@lru_cache(maxsize=_GRAPH_CACHE)
+def _numbering(k: int) -> tuple[tuple[str, ...], ...]:
+    """Names ``n0 .. n{k-1}``, them sorted, ids ``e0 .. e{k-1}``, and the
+    indices in the order their strings sort in: "10" before "2"."""
+    order = tuple(sorted(range(k), key=str))
+    names = tuple([f"n{i}" for i in range(k)])
+    return names, tuple([names[i] for i in order]), tuple([f"e{i}" for i in range(k)]), order
 
 
 def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:

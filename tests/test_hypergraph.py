@@ -1,8 +1,12 @@
 """Hypergraph values: construction, replacement, encoding, validation."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from phrg import (
     Hypergraph,
     HypergraphError,
     Signature,
+    canonical_graph,
     canonical_key,
     discrete_graph,
     disjoint_union,
@@ -24,6 +29,8 @@ from phrg import (
     to_json,
     validate,
 )
+from phrg.grammar import WordForm
+from phrg.hypergraph import _edge, _graph, _numbered
 from oracles import all_words, brute_force_isomorphic, union_find_classes
 
 SIG = Signature.of({"X": 3, "Y": 2, "a": 2, "b": 2})
@@ -171,6 +178,14 @@ class TestSharedConstructors:
         nodes = tuple(f"v{i + 1}" for i in range(n))
         assert_same(discrete_graph(n), Hypergraph(nodes=nodes, edges=(), ext=nodes))
 
+    def test_negative_arity_rejected(self):
+        with pytest.raises(HypergraphError, match="negative arity for label 'a'"):
+            handle("a", -2)
+
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(HypergraphError, match="negative node count -3"):
+            discrete_graph(-3)
+
 
 CD = string_graph("cd")
 
@@ -317,6 +332,142 @@ def replace_case(rng):
             ext = tuple(rng.choice(img.nodes) for _ in range(k))
             images[e.id] = Hypergraph(img.nodes, img.edges, ext)
     return host, images
+
+
+def big_graph(rng):
+    """A graph of 11-20 nodes and 11-20 edges: "v10" sorts before "v2"."""
+    return random_graph(rng, rng.randint(11, 20), rng.randint(11, 20), rng.randint(0, 3))
+
+
+VALUES = [
+    fig_h(),
+    string_graph("abcdefghijkl"),
+    handle("X", 3),
+    discrete_graph(0),
+    big_graph(random.Random(5)),
+    canonical_graph(big_graph(random.Random(6))),
+]
+
+
+class TestValueSemantics:
+    """Graphs and edges are slotted frozen dataclasses that behave as the
+    plain frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("h", VALUES)
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
+    )
+    def test_round_trip(self, h, clone):
+        for x in (h, *h.edges):
+            y = clone(x)
+            assert (y, hash(y), repr(y)) == (x, hash(x), repr(x))
+
+    def test_fields_replace_and_match_args(self):
+        h, e = fig_h(), fig_h().edges[0]
+        assert [f.name for f in dataclasses.fields(h)] == ["nodes", "edges", "ext"]
+        assert [f.name for f in dataclasses.fields(e)] == ["id", "label", "att"]
+        assert Hypergraph.__match_args__ == ("nodes", "edges", "ext")
+        assert Hyperedge.__match_args__ == ("id", "label", "att")
+        g = dataclasses.replace(h, nodes=("v9", "v1", "v2", "v3"), ext=[1])
+        assert (g.nodes, g.edges, g.ext) == (("v1", "v2", "v3", "v9"), h.edges, ("1",))
+        assert dataclasses.replace(e, att=["v3", 2]).att == ("v3", "2")
+        match h:
+            case Hypergraph(nodes, edges, ext):
+                assert (nodes, edges, ext) == (h.nodes, h.edges, h.ext)
+
+    @pytest.mark.parametrize("x", [fig_h(), fig_h().edges[0]])
+    def test_frozen_without_dict_or_weakref(self, x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, dataclasses.fields(x)[0].name, "y")
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(x)
+
+    def test_positional_and_keyword_construction(self):
+        e = Hyperedge("e1", "a", ("u", "v"))
+        assert e == Hyperedge(id="e1", label="a", att=("u", "v"))
+        h = Hypergraph(("v", "u"), (e,), ("u", "v"))
+        assert h == Hypergraph(nodes=("u", "v"), edges=(e,), ext=("u", "v"))
+        assert h.nodes == ("u", "v")
+
+    def test_inputs_normalized(self):
+        e = Hyperedge("e", "a", [1, "v"])
+        assert e.att == ("1", "v") and isinstance(e.att, tuple)
+        h = Hypergraph(nodes=[2, 10, "v", 1], edges=[Hyperedge("e2", "b", ()), e], ext=(10, 1))
+        assert h.nodes == ("1", "10", "2", "v")
+        assert [x.id for x in h.edges] == ["e", "e2"]
+        assert h.ext == ("10", "1")
+        assert isinstance(h.edges, tuple)
+
+
+def assert_rebuilt(h):
+    """``h`` equals, hashes and prints as ``Hypergraph(...)`` of its fields:
+    a slot left unset or a part out of normal form fails here."""
+    edges = [Hyperedge(e.id, e.label, e.att) for e in reversed(h.edges)]
+    g = Hypergraph(reversed(h.nodes), edges, h.ext)
+    assert (h, hash(h), repr(h)) == (g, hash(g), repr(g))
+    for e, f in zip(h.edges, g.edges):
+        assert (e, hash(e), repr(e)) == (f, hash(f), repr(f))
+
+
+class TestBuildersSkippingInit:
+    """The builders that fill slots without ``Hypergraph.__init__`` return
+    exactly what ``__init__`` builds from the same fields."""
+
+    def test_edge_and_graph(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            h = big_graph(rng)
+            edges = tuple(_edge(e.id, e.label, e.att) for e in h.edges)
+            assert edges == h.edges
+            assert_rebuilt(_graph(h.nodes, edges, h.ext))
+
+    def test_numbered(self):
+        rng = random.Random(2)
+        for n in [0, 1, 2, 9, 10, 11, 12, 25, *(rng.randint(0, 30) for _ in range(40))]:
+            m = rng.randint(0, 25) if n else rng.choice([0, 3])
+            arity = (lambda: rng.randint(0, 3)) if n else (lambda: 0)
+            edges = [
+                (rng.choice("ab"), [rng.randrange(n) for _ in range(arity())]) for _ in range(m)
+            ]
+            ext = [rng.randrange(n) for _ in range(arity())]
+            h = _numbered(n, edges, ext)
+            assert_rebuilt(h)
+            assert h == hypergraph(
+                [f"n{i}" for i in range(n)],
+                [(f"e{i}", l, [f"n{p}" for p in att]) for i, (l, att) in enumerate(edges)],
+                [f"n{p}" for p in ext],
+            )
+
+    @pytest.mark.parametrize("word", ["", "a", "ab", "abcdefghijk", "xy" * 9])
+    def test_string_graph(self, word):
+        assert_rebuilt(string_graph(word))
+
+    @pytest.mark.parametrize("arity", [0, 1, 3, 12])
+    def test_handle_and_discrete_graph(self, arity):
+        assert_rebuilt(handle("X", arity))
+        assert_rebuilt(discrete_graph(arity))
+
+    def test_replace_and_canonical_graph(self):
+        rng = random.Random(3)
+        cases = [replace_case(rng) for _ in range(100)]
+        host = string_graph("abcdefghijkl")
+        cases.append((host, {"e3": string_graph("xy"), "e11": string_graph("")}))
+        for _ in range(30):
+            host = big_graph(rng)
+            targets = rng.sample(host.edges, 3)
+            cases.append((host, {e.id: handle("Z", len(e.att)) for e in targets}))
+        for host, images in cases:
+            h = replace(host, images)
+            assert_rebuilt(h)
+            assert_rebuilt(canonical_graph(h))
+            assert_rebuilt(canonical_graph(host))
+
+    @pytest.mark.parametrize(
+        "form", [((), ()), (("a",), ("f",)), (tuple("ab" * 6), tuple("fghijklmnopq"))]
+    )
+    def test_word_form_graph(self, form):
+        assert_rebuilt(WordForm(*form).graph())
 
 
 class TestDisjointUnion:
