@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-_GRAPH_CACHE = 1024  # string graphs, handles, discrete graphs, numberings kept, each
+_GRAPH_CACHE = 1024  # string graphs, handles and discrete graphs kept, each
 _set = object.__setattr__
 
 
@@ -352,19 +352,13 @@ def _numbered(n: int, edges: Sequence[tuple[str, Sequence[int]]], ext: Sequence[
     """The graph on nodes ``n0 .. n{n-1}`` whose edge ``e{i}`` is the i-th
     ``(label, node indices)`` of ``edges``; ``ext`` holds node indices.
     ``replace`` and ``canonical_graph`` both name their result here."""
-    names, sorted_names, _, _ = _numbering(n)
-    _, _, ids, order = _numbering(len(edges))
-    es = [_edge(ids[i], l, tuple([names[p] for p in att])) for i, (l, att) in enumerate(edges)]
-    return _graph(sorted_names, tuple([es[i] for i in order]), tuple([names[p] for p in ext]))
-
-
-@lru_cache(maxsize=_GRAPH_CACHE)
-def _numbering(k: int) -> tuple[tuple[str, ...], ...]:
-    """Names ``n0 .. n{k-1}``, them sorted, ids ``e0 .. e{k-1}``, and the
-    indices in the order their strings sort in: "10" before "2"."""
-    order = tuple(sorted(range(k), key=str))
-    names = tuple([f"n{i}" for i in range(k)])
-    return names, tuple([names[i] for i in order]), tuple([f"e{i}" for i in range(k)]), order
+    names = [f"n{i}" for i in range(n)]
+    es = [
+        _edge(f"e{i}", label, tuple([names[p] for p in att]))
+        for i, (label, att) in enumerate(edges)
+    ]
+    es.sort(key=attrgetter("id"))  # as __init__ sorts: "e10" before "e2"
+    return _graph(tuple(sorted(names)), tuple(es), tuple([names[p] for p in ext]))
 
 
 def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:
