@@ -6,16 +6,20 @@ so each isomorphism class is expanded once.  Dead forms are never
 built.  ``PHRGrammar.least_edges`` gives each label the least number of
 edges of a terminal graph derived from it (``inf`` if none), and a
 form's least size, the sum over its labels, never falls along a
-derivation, so no form past ``max_edges`` is kept: the search ends at
-once when the start label is past it, takes each table cut to its rules
+derivation, so no form past a size bound is kept: ``max_edges``, or in
+a member query the word's length when lower, on every grammar, as the
+word's string graph has that many edges.  The search ends at once when
+the start label is past the bound, takes each table cut to its rules
 without an ``inf`` label (``PHRGrammar.live_tables``), skips a table in
 which some label of the form keeps no rule, and the product drops every
-choice past the budget, without a flag.  Under a control automaton a
+choice past the bound, without a flag.  Under a control automaton a
 pair whose state is not in ``ControlAutomaton.live_states`` is dropped
 too, and a search whose initial state is not ends at once.  A dropped
 pair could never be accepted, so the languages are those of the
 unpruned search.  The size drop keeps exactly the states that fit of
 the search without it, visited in the same order with the same parents.
+Without a control automaton a table that rewrites no label of a form
+(an idle table) is skipped: the form, its only successor, is visited.
 All searches are bounded; the result records say exactly which budget,
 if any, cut the search:
 
@@ -139,6 +143,7 @@ class _Search:
     grammar: PHRGrammar
     control: object
     limits: Limits
+    max_size: int  # the bound on a kept form's least size
     visited: dict = field(default_factory=dict)
     parents: dict = field(default_factory=dict)
     hit_nodes: bool = False
@@ -156,7 +161,7 @@ class _Search:
         grammar, ctrl, limits = self.grammar, self.control, self.limits
         terminals = frozenset(grammar.terminals)
         q0 = ctrl.initial if ctrl is not None else None
-        if grammar.least_edges[grammar.start] > limits.max_edges or (
+        if grammar.least_edges[grammar.start] > self.max_size or (
             ctrl is not None and q0 not in ctrl.live_states
         ):
             self.saturated = True  # no derivation can end in an accepted graph
@@ -189,12 +194,15 @@ class _Search:
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
                     if ctrl is not None and q2 not in ctrl.live_states:
                         continue  # no table trace from q2 reaches a final state
-                    # idle table: the form is its own sole successor
+                    # idle table: the form is its own sole successor, a
+                    # new pair only when the control state moves
                     if labels.isdisjoint(table.active_labels):
+                        if ctrl is None:
+                            continue
                         succs = {pair[0]: h}
                     else:
                         succs, hn, he = parallel_budgeted(
-                            h, table, limits.max_nodes, limits.max_edges
+                            h, table, limits.max_nodes, limits.max_edges, self.max_size
                         )
                         self.hit_nodes = self.hit_nodes or hn
                         self.hit_edges = self.hit_edges or he
@@ -229,7 +237,7 @@ class _Search:
 def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
     """Run the search; its accepted states, one per key."""
     grammar, ctrl = split_control(g)
-    search = _Search(grammar=grammar, control=ctrl, limits=limits)
+    search = _Search(grammar=grammar, control=ctrl, limits=limits, max_size=limits.max_edges)
     return search, {pair[0]: form for pair, form in search.accepted()}
 
 
@@ -283,7 +291,9 @@ def member_string(
     ``unknown`` (a budget cut the search in a way that could hide the
     word).  For grammars that never shrink node or edge counts the node
     budget is lowered to |word|+1 and the edge budget to |word|, which
-    keeps the search small without affecting the verdict.
+    keeps the search small without affecting the verdict.  On every
+    grammar a form whose least size exceeds |word| is dropped without a
+    flag: it derives no graph of |word| edges.
     """
     grammar, ctrl = split_control(g)
     letters = tuple(word)
@@ -300,7 +310,8 @@ def member_string(
         max_nodes=min(limits.max_nodes, cap_nodes),
         max_edges=min(limits.max_edges, cap_edges),
     )
-    search = _Search(grammar=grammar, control=ctrl, limits=bounded)
+    size = min(len(letters), limits.max_edges)
+    search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
     target = search.codec.key(letters)
     pair = next((p for p, _ in search.accepted() if p[0] == target), None)
     if pair is not None:

@@ -537,9 +537,12 @@ class PHRGrammar:
         edge count.  So a form whose least size exceeds an edge budget
         derives no terminal graph within it, and one of size ``inf`` none
         at all.  This is all the search knows of dead labels: it ends at
-        once when the start's size exceeds ``max_edges``, takes tables
+        once when the start's size exceeds its size bound, takes tables
         without the rules that hold an ``inf`` label (``live_tables``) and
-        drops each product choice whose size exceeds ``max_edges``.
+        drops each product choice whose size exceeds the bound.  The bound
+        is ``max_edges``, and in a member query, on every grammar, the
+        word's length when lower: a form past it derives no string graph
+        of the word.
         """
         rules = ((r.lhs, [e.label for e in r.rhs.edges]) for _, t in self.tables for r in t.rules)
         least = _least_sizes(self.terminals, rules)
@@ -807,6 +810,7 @@ def parallel_budgeted(
     table: Table,
     max_nodes: Optional[int] = None,
     max_edges: Optional[int] = None,
+    max_size: Optional[int] = None,
 ) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
@@ -832,20 +836,28 @@ def parallel_budgeted(
     ids enter only here, where each choice becomes a successor in the
     order found, so successors, their order and the flags are those of a
     fresh search.  A word form's node count is exact in the search; a
-    graph's leaf checks the replaced graph.
+    graph's leaf checks the replaced graph.  A choice whose least size
+    (see ``PHRGrammar.least_edges``) exceeds ``max_size``, by default
+    ``max_edges``, is dropped without a flag.
     """
+    if max_size is None:
+        max_size = max_edges
     if isinstance(h, CodedForm):
-        return _word_successors(h, table, max_nodes, max_edges)
+        return _word_successors(h, table, max_nodes, max_edges, max_size)
     if isinstance(h, WordForm):
         code = table.code
         if not code.chars.keys() >= {*h.word, *h.flags}:  # a label the code lacks has no row
             rowless = (l for l in h.word + h.flags if code.chars.get(l) not in table.coded_options)
             raise _no_row(table, min(rowless))
-        found, hit_nodes, hit_edges = _word_successors(code.coded(h), table, max_nodes, max_edges)
+        found, hit_nodes, hit_edges = _word_successors(
+            code.coded(h), table, max_nodes, max_edges, max_size
+        )
         return {f: f for f in map(code.decoded, found)}, hit_nodes, hit_edges
     edges = sorted(h.edges, key=lambda e: e.label)
     labels = tuple([e.label for e in edges])
-    choices, hit_nodes, hit_edges = table.choices(False, labels, len(h.nodes), max_nodes, max_edges)
+    choices, hit_nodes, hit_edges = table.choices(
+        False, labels, len(h.nodes), max_nodes, max_edges, max_size
+    )
     found = {}
     for chosen in choices:
         result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
@@ -859,7 +871,7 @@ def parallel_budgeted(
 
 
 def _word_successors(
-    h: CodedForm, table: Table, max_nodes, max_edges
+    h: CodedForm, table: Table, max_nodes, max_edges, max_size
 ) -> tuple[dict, bool, bool]:
     """The word path of ``parallel_budgeted``, on a form and rows coded
     alike: the successors' keys, each keyed by itself."""
@@ -867,7 +879,7 @@ def _word_successors(
     order = sorted(range(len(edges)), key=edges.__getitem__)
     labels = "".join([edges[j] for j in order])
     choices, hit_nodes, hit_edges = table.choices(
-        True, labels, len(h.word) + 1, max_nodes, max_edges
+        True, labels, len(h.word) + 1, max_nodes, max_edges, max_size
     )
     place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
     join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order, _SEP
@@ -892,7 +904,7 @@ def _no_row(table: Table, label: str) -> GrammarError:
 
 
 def _choices(
-    table: Table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges
+    table: Table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges, max_size
 ) -> tuple[tuple[tuple, ...], bool, bool]:
     """The choice search of ``parallel_budgeted`` over the table's
     ``coded_options`` (the word path) or ``graph_options``, for a form with
@@ -904,7 +916,7 @@ def _choices(
     Options come sorted by edge increment.  Each is checked against the
     counts chosen so far plus the least increments to come: edges first
     (past the budget no later option fits, and the edge flag is set), then
-    least sizes (past the edge budget the choice is dead, see
+    least sizes (past the size bound ``max_size`` the choice is dead, see
     ``PHRGrammar.least_edges``, and is dropped without a flag), then
     nodes (past the budget a later option may fit).  A position with one
     option leaves the search, its increments added to the starting counts;
@@ -937,14 +949,12 @@ def _choices(
     if not at or at[0]:  # the first position is folded, or there is none
         if m and max_edges is not None and total_edges > max_edges:
             return (), False, True
-        if max_edges is not None and total_size > max_edges:
+        if max_size is not None and total_size > max_size:
             return (), False, False
         if max_nodes is not None and nodes > max_nodes:
             return (), True, False
-    if max_edges is None:
-        room_edges = room_size = inf
-    else:
-        room_edges, room_size = max_edges - total_edges, max_edges - total_size
+    room_edges = inf if max_edges is None else max_edges - total_edges
+    room_size = inf if max_size is None else max_size - total_size
     room_nodes = inf if max_nodes is None else max_nodes - nodes
     rooms = []  # the budgets less the least increments of every other position
     for _, de, dn, ds in picked:

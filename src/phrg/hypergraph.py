@@ -105,8 +105,8 @@ class Hyperedge:
     att: tuple[str, ...]
 
     def __init__(self, id: str, label: str, att: Iterable[str]) -> None:
-        _set(self, "id", id)
-        _set(self, "label", label)
+        _set(self, "id", str(id))
+        _set(self, "label", str(label))
         _set(self, "att", tuple(map(str, att)))
 
 

@@ -304,14 +304,16 @@ class TestLayerHooks:
         [("dyck_phr", "ab"), ("copy_dyck_K", ("a", "b", "abar", "bbar")), ("ctl_plus0", "aab")],
     )
     def test_product_takes_the_search_states(self, monkeypatch, name, word):
-        # the benchmark wraps the product and reads labels() off its first
-        # argument: a CodedForm on the word path, a Hypergraph on the graph
-        # path.  With nothing pruned, ctl_plus0 reaches new pairs through
-        # idle tables, whose states come from the form, not from a product.
+        # the benchmark wraps the product, forwarding positional arguments
+        # only, and reads labels() off its first argument: a CodedForm on
+        # the word path, a Hypergraph on the graph path.  With nothing
+        # pruned, ctl_plus0 reaches new pairs through idle tables, whose
+        # states come from the form, not from a product.
         g = fixture(name).phr()
         forms, product = [], phrg.engine.parallel_budgeted
 
-        def recording(h, *args):
+        def recording(h, *args, **kwargs):
+            assert not kwargs, f"keyword arguments {sorted(kwargs)}"
             forms.append(h)
             return product(h, *args)
 
@@ -410,6 +412,24 @@ class TestControlledEnumeration:
         gated = words_of(enumerate_strings(controlled, lim))
         assert gated == {("b",), ("a", "a", "b")}
         assert gated < plain
+
+    @pytest.mark.parametrize("path", [nullcontext, graph_path])
+    def test_idle_table_moves_the_control_state(self, path):
+        # traces 1^(2k) 0 1: the last table rewrites no label of the
+        # terminal form, which is its own successor in a new control state
+        m = ControlAutomaton(
+            states=("e", "o", "f", "g"),
+            alphabet=("0", "1"),
+            transitions=(("e", "1", "o"), ("o", "1", "e"), ("e", "0", "f"), ("f", "1", "g")),
+            initial="e",
+            finals=("g",),
+        )
+        controlled = ControlledPHRGrammar(grammar=self.grammar(), control=m)
+        lim = Limits(max_steps=5, max_nodes=40, max_edges=40)
+        with path():
+            assert words_of(enumerate_strings(controlled, lim)) == {("b",), ("a", "a", "b")}
+            got = member_string(controlled, "aab", lim)
+        assert (got.verdict, got.trace) == ("yes", ("1", "1", "0", "1"))
 
 
 class TestRemoveUnreachable:

@@ -22,6 +22,7 @@ from phrg import (
     discrete_graph,
     disjoint_union,
     extract_string,
+    from_json,
     handle,
     hypergraph,
     replace,
@@ -399,6 +400,19 @@ class TestValueSemantics:
         assert [x.id for x in h.edges] == ["e", "e2"]
         assert h.ext == ("10", "1")
         assert isinstance(h.edges, tuple)
+
+    def test_edge_ids_and_labels_normalized(self):
+        e = Hyperedge(1, 2, ["u"])
+        assert (e.id, e.label) == ("1", "2")
+        assert e == Hyperedge("1", "2", ("u",))
+        # mixed id types sort as strings instead of failing to compare
+        h = hypergraph(["u"], [(1, "a", ["u"]), ("x", "a", ["u"])], [])
+        assert [x.id for x in h.edges] == ["1", "x"]
+
+    def test_int_edge_id_round_trips_through_json(self):
+        h = hypergraph(["u", "v"], [(1, "a", ["u", "v"])], ["u", "v"])
+        assert '"id": "1"' in to_json(h)
+        assert from_json(to_json(h)) == h
 
 
 def assert_rebuilt(h):

@@ -43,7 +43,7 @@ from phrg import (
 from phrg.grammar import CodedForm, WordForm, split_control
 from phrg.hypergraph import Hyperedge, Hypergraph
 from phrg.transforms import rational_intersect, remove_control
-from oracles import all_words
+from oracles import all_words, is_dyck, nfa_accepts
 from test_golden_constructions import AUTOMATA, CASES
 from test_word_path import _rhs, graph_path
 
@@ -125,7 +125,7 @@ def check_pruning(g, limits: Limits, queries=(), strings: bool = True) -> None:
         got, want = on_both(member_string, g, word, limits)
         assert (got.verdict == "yes") == (want.verdict == "yes"), word
         if got.verdict == "yes":
-            assert len(got.trace) == len(want.trace), word
+            assert got.trace == want.trace, word
         if want.verdict == "no-within-limits":
             assert got.verdict == "no-within-limits", word
 
@@ -342,6 +342,33 @@ def test_construction_pruning_is_exact(name):
     g = build(*args, **kwargs)
     limits = Limits(max_steps=4, max_nodes=8, max_edges=4, max_results=20_000)
     check_pruning(g, limits, all_words(sorted(g.terminals)[:2], 3))
+
+
+# The benchmark's limits for its closure intersections.
+CLOSURE_LIMITS = Limits(max_steps=30, max_nodes=30, max_edges=5, max_results=500_000)
+
+
+@pytest.mark.parametrize(
+    "name, word",
+    [
+        ("a*b*", "bbb"),
+        ("a*b*", "bba"),
+        ("aa(a|b)*", "baa"),
+        ("aa(a|b)*", "aaa"),
+        ("even a", "bba"),
+        ("even a", "bbb"),
+    ],
+)
+def test_word_length_bounds_least_size(name, word):
+    # an intersection is not edge-monotone, so member keeps the edge budget
+    # of 5; these non-members are decided only because no kept form's least
+    # size exceeds the word's length
+    build, args, kwargs = CASES[f"closure intersect {name}"]
+    g, m = build(*args, **kwargs), args[1]
+    assert not split_control(g)[0].edge_monotone
+    assert not (is_dyck(word) and nfa_accepts(m.transitions, m.initial, m.finals, word))
+    got, full = on_both(member_string, g, tuple(word), CLOSURE_LIMITS)
+    assert (got.verdict, full.verdict) == ("no-within-limits", "unknown")
 
 
 # ---------------------------------------------------- generated grammars
