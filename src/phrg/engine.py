@@ -8,7 +8,9 @@ edges of a terminal graph derived from it (``inf`` if none), and a
 form's least size, the sum over its labels, never falls along a
 derivation, so no form past a size bound is kept: ``max_edges``, or in
 a member query the word's length when lower, on every grammar, as the
-word's string graph has that many edges.  The search ends at once when
+word's string graph has that many edges.  That bound is all that limits
+a member query's edges; its nodes are capped at the word's length plus
+one on a node-monotone grammar.  The search ends at once when
 the start label is past the bound, takes each table cut to its rules
 without an ``inf`` label (``PHRGrammar.live_tables``), skips a table in
 which some label of the form keeps no rule, and the product drops every
@@ -55,8 +57,8 @@ witness, which may differ from the one the graph search would pick when
 several tie.
 
 Forms with the same labels share the choice search of their products:
-``parallel_budgeted`` memoizes it per table object, under the path, the
-sorted labels, the node count and the budgets.  A form whose label
+``parallel_budgeted`` memoizes it per table object, under the sorted
+labels (whose type tells the path), the node count and the budgets.  A form whose label
 multiset was expanded before, in this search or an earlier one on the
 same grammar object, reuses the choices and only assembles successors.
 """
@@ -289,11 +291,12 @@ def member_string(
     Verdicts: ``yes`` (with a witnessing table trace), ``no-within-limits``
     (exhausted everything inside the limits without finding it), or
     ``unknown`` (a budget cut the search in a way that could hide the
-    word).  For grammars that never shrink node or edge counts the node
-    budget is lowered to |word|+1 and the edge budget to |word|, which
-    keeps the search small without affecting the verdict.  On every
-    grammar a form whose least size exceeds |word| is dropped without a
-    flag: it derives no graph of |word| edges.
+    word).  On a node-monotone grammar the node budget is lowered to
+    |word|+1, which keeps the search small without affecting the verdict.
+    Edges are bounded by least size alone, on every grammar: a form whose
+    least size exceeds |word| derives no graph of |word| edges and is
+    dropped without a flag.  On an edge-monotone grammar a form's least
+    size is at least its edge count, so no form past |word| edges is kept.
     """
     grammar, ctrl = split_control(g)
     letters = tuple(word)
@@ -304,12 +307,7 @@ def member_string(
         if a not in terminals or grammar.signature.arity(a) != 2:
             return MemberVerdict("no-within-limits")
     cap_nodes = len(letters) + 1 if grammar.node_monotone else limits.max_nodes
-    cap_edges = len(letters) if grammar.edge_monotone else limits.max_edges
-    bounded = dataclasses.replace(
-        limits,
-        max_nodes=min(limits.max_nodes, cap_nodes),
-        max_edges=min(limits.max_edges, cap_edges),
-    )
+    bounded = dataclasses.replace(limits, max_nodes=min(limits.max_nodes, cap_nodes))
     size = min(len(letters), limits.max_edges)
     search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
     target = search.codec.key(letters)

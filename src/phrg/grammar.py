@@ -56,9 +56,8 @@ class WordForm(NamedTuple):
     """A string graph plus nullary edges, kept as its word and its sorted
     nullary labels.  The pair determines the graph up to isomorphism, so a
     word form is its own key: derivations of a string-shaped grammar run on
-    these without building graphs.  The search codes them (see ``_Code``)
-    and decodes only its results; ``parallel_budgeted`` takes and returns
-    them uncoded."""
+    these without building graphs.  The search and ``et0l_step`` code them
+    (see ``_Code``) and decode only their results."""
 
     word: Word
     flags: tuple[str, ...]
@@ -542,7 +541,8 @@ class PHRGrammar:
         drops each product choice whose size exceeds the bound.  The bound
         is ``max_edges``, and in a member query, on every grammar, the
         word's length when lower: a form past it derives no string graph
-        of the word.
+        of the word.  A member query bounds edges by this alone (nodes by
+        the word's length plus one on a node-monotone grammar).
         """
         rules = ((r.lhs, [e.label for e in r.rhs.edges]) for _, t in self.tables for r in t.rules)
         least = _least_sizes(self.terminals, rules)
@@ -806,62 +806,50 @@ def direct_derivations(
 
 
 def parallel_budgeted(
-    h: Hypergraph | WordForm | CodedForm,
+    h: Hypergraph | CodedForm,
     table: Table,
-    max_nodes: Optional[int] = None,
-    max_edges: Optional[int] = None,
-    max_size: Optional[int] = None,
+    max_nodes: float = inf,
+    max_edges: float = inf,
+    max_size: float = inf,
 ) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
-    The search passes a ``Table`` cut to its live rules (see
-    ``PHRGrammar.live_tables``), ``et0l_step`` a word table's
+    ``h`` is a ``Hypergraph`` or a ``CodedForm``, a word form coded by
+    ``table.code``.  The search passes a ``Table`` cut to its live rules
+    (see ``PHRGrammar.live_tables``), ``et0l_step`` a word table's
     ``graph_table``; a label of ``h`` without a rule in ``table`` raises
     ``GrammarError``.  Returns (successors by key, node bound hit, edge
     bound hit); an edge-less graph is its own sole successor.  A graph's
-    successors are canonical graphs keyed by canonical key; a
-    ``WordForm``'s are word forms keyed by themselves (coded by the
-    table's ``code`` on entry, decoded on exit); a ``CodedForm``'s, the
-    search's own input, are coded keys keyed by themselves.  Both paths
-    take the edges stably sorted by label (the word path by code, the same
-    order), the order in which a canonical graph numbers them (not its
-    edge order, which sorts ids as strings: ``e10`` before ``e2``), so a
-    word form meets the same option lists in the same order as its
-    canonical graph, and sets the same budget flags.
+    successors are canonical graphs keyed by canonical key, a coded
+    form's are coded keys keyed by themselves.  Both paths take the edges
+    stably sorted by label (the word path by code, the same order), the
+    order in which a canonical graph numbers them (not its edge order,
+    which sorts ids as strings: ``e10`` before ``e2``), so a coded form
+    meets the same option lists in the same order as its canonical
+    graph, and sets the same budget flags.
 
     The choices of one option per edge, and both flags, depend only on
-    the path, the sorted labels, the node count and the budgets: that is
-    the key under which ``table.choices`` memoizes ``_choices`` per table
-    object (an error is not stored, so it recurs).  Word order and edge
-    ids enter only here, where each choice becomes a successor in the
-    order found, so successors, their order and the flags are those of a
-    fresh search.  A word form's node count is exact in the search; a
-    graph's leaf checks the replaced graph.  A choice whose least size
-    (see ``PHRGrammar.least_edges``) exceeds ``max_size``, by default
-    ``max_edges``, is dropped without a flag.
+    the sorted labels (a ``str`` of codes on the word path, a tuple on the
+    graph path), the node count and the budgets: that is the key under
+    which ``table.choices`` memoizes ``_choices`` per table object (an
+    error is not stored, so it recurs).  Word order and edge ids enter
+    only here, where each choice becomes a successor in the order found,
+    so successors, their order and the flags are those of a fresh search.
+    A coded form's node count is exact in the search; a graph's leaf
+    checks the replaced graph.  A choice whose least size (see
+    ``PHRGrammar.least_edges``) exceeds ``max_size`` is dropped without a
+    flag.  ``inf`` is no budget, and ``max_size`` is apart from ``max_edges``.
     """
-    if max_size is None:
-        max_size = max_edges
+    budgets = max_nodes, max_edges, max_size
     if isinstance(h, CodedForm):
-        return _word_successors(h, table, max_nodes, max_edges, max_size)
-    if isinstance(h, WordForm):
-        code = table.code
-        if not code.chars.keys() >= {*h.word, *h.flags}:  # a label the code lacks has no row
-            rowless = (l for l in h.word + h.flags if code.chars.get(l) not in table.coded_options)
-            raise _no_row(table, min(rowless))
-        found, hit_nodes, hit_edges = _word_successors(
-            code.coded(h), table, max_nodes, max_edges, max_size
-        )
-        return {f: f for f in map(code.decoded, found)}, hit_nodes, hit_edges
+        return _word_successors(h, table, budgets)
     edges = sorted(h.edges, key=lambda e: e.label)
     labels = tuple([e.label for e in edges])
-    choices, hit_nodes, hit_edges = table.choices(
-        False, labels, len(h.nodes), max_nodes, max_edges, max_size
-    )
+    choices, hit_nodes, hit_edges = table.choices(labels, len(h.nodes), *budgets)
     found = {}
     for chosen in choices:
         result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
-        if max_nodes is not None and len(result.nodes) > max_nodes:
+        if len(result.nodes) > max_nodes:
             hit_nodes = True
         else:
             key = canonical_key(result)
@@ -870,17 +858,14 @@ def parallel_budgeted(
     return found, hit_nodes, hit_edges
 
 
-def _word_successors(
-    h: CodedForm, table: Table, max_nodes, max_edges, max_size
-) -> tuple[dict, bool, bool]:
+def _word_successors(h: CodedForm, table: Table, budgets: tuple) -> tuple[dict, bool, bool]:
     """The word path of ``parallel_budgeted``, on a form and rows coded
-    alike: the successors' keys, each keyed by itself."""
+    alike, within ``budgets`` (nodes, edges, size): the successors' keys,
+    each keyed by itself."""
     edges = h.word + h.flags
     order = sorted(range(len(edges)), key=edges.__getitem__)
     labels = "".join([edges[j] for j in order])
-    choices, hit_nodes, hit_edges = table.choices(
-        True, labels, len(h.word) + 1, max_nodes, max_edges, max_size
-    )
+    choices, hit_nodes, hit_edges = table.choices(labels, len(h.word) + 1, *budgets)
     place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
     join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order, _SEP
     flagged, names = table.flag_labels, table.code.names
@@ -904,14 +889,14 @@ def _no_row(table: Table, label: str) -> GrammarError:
 
 
 def _choices(
-    table: Table, word_path: bool, labels: Word, nodes: int, max_nodes, max_edges, max_size
+    table: Table, labels: str | Word, nodes: int, max_nodes, max_edges, max_size
 ) -> tuple[tuple[tuple, ...], bool, bool]:
     """The choice search of ``parallel_budgeted`` over the table's
-    ``coded_options`` (the word path) or ``graph_options``, for a form with
-    these sorted edge labels (coded on the word path) and ``nodes`` nodes:
-    each choice of one option per edge within the budgets, in the order
-    found, as its pieces in label order plus a trailing ``_SEP``; and the
-    node and edge flags.
+    ``coded_options`` (the word path, whose ``labels`` are one ``str`` of
+    codes) or ``graph_options`` (a tuple of labels), for a form with these
+    sorted edge labels and ``nodes`` nodes: each choice of one option per
+    edge within the budgets, in the order found, as its pieces in label
+    order plus a trailing ``_SEP``; and the node and edge flags.
 
     Options come sorted by edge increment.  Each is checked against the
     counts chosen so far plus the least increments to come: edges first
@@ -923,9 +908,10 @@ def _choices(
     its check could fail only at the first position, against the least
     totals, so it runs once up front.  Other checks sum the same
     increments as with every position searched, so the flags are the
-    same.  With neither budget nothing prunes, so more than
+    same.  With neither budget (both ``inf``) nothing prunes, so more than
     ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
+    word_path = isinstance(labels, str)
     rows = table.coded_options if word_path else table.graph_options
     m = len(labels)
     chosen: list = [_SEP] * (m + 1)  # the last slot is joined after every word
@@ -943,19 +929,18 @@ def _choices(
         else:
             picked.append(row)
             at.append(p)
-    if max_nodes is None and max_edges is None:
-        if prod(len(r[0]) for r in picked) > _PRODUCT_GUARD:
-            raise GrammarError("parallel successor set too large")
+    if max_nodes == max_edges == inf and prod(len(r[0]) for r in picked) > _PRODUCT_GUARD:
+        raise GrammarError("parallel successor set too large")
     if not at or at[0]:  # the first position is folded, or there is none
-        if m and max_edges is not None and total_edges > max_edges:
+        if m and total_edges > max_edges:
             return (), False, True
-        if max_size is not None and total_size > max_size:
+        if total_size > max_size:
             return (), False, False
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             return (), True, False
-    room_edges = inf if max_edges is None else max_edges - total_edges
-    room_size = inf if max_size is None else max_size - total_size
-    room_nodes = inf if max_nodes is None else max_nodes - nodes
+    room_edges = max_edges - total_edges
+    room_size = max_size - total_size
+    room_nodes = max_nodes - nodes
     rooms = []  # the budgets less the least increments of every other position
     for _, de, dn, ds in picked:
         room_edges += de
@@ -1026,7 +1011,12 @@ def trace_successors(
 
 def et0l_step(table: WordTable, word: Word) -> set[Word]:
     """All parallel rewrites of ``word`` by the word table: the word path
-    of ``parallel_budgeted``, on a word without nullary labels, by the
-    table's ``graph_table``."""
-    found, _, _ = parallel_budgeted(WordForm(tuple(word), ()), table.graph_table)
-    return {form.word for form in found}
+    of ``parallel_budgeted``, on the word coded by the code of the table's
+    ``graph_table``, without nullary labels."""
+    graph_table = table.graph_table
+    stray = set(word).difference(table.scope)
+    if stray:  # a symbol the code may lack; every other has a row
+        raise _no_row(graph_table, min(stray))
+    code = graph_table.code
+    found, _, _ = parallel_budgeted(CodedForm(code.encode(word), "", code), graph_table)
+    return {code.decoded(key).word for key in found}

@@ -8,6 +8,7 @@ the plain data fields of Hypergraph values.
 from __future__ import annotations
 
 import itertools
+from math import inf
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[str, ...]
@@ -273,19 +274,21 @@ def budgeted_product(
     rows: Sequence[Sequence[tuple]],
     start_nodes: int,
     leaf: Callable[[list], tuple],
-    max_nodes: int | None = None,
-    max_edges: int | None = None,
+    max_nodes: float = inf,
+    max_edges: float = inf,
     size: Callable[[object], int] = lambda piece: 0,
+    max_size: float = inf,
 ) -> tuple[dict, bool, bool]:
-    """Every choice of one option per position, pruned by the budgets.
+    """Every choice of one option per position, pruned by the budgets;
+    ``inf`` is no budget.
 
     ``rows`` holds, per position, its options (edges added, nodes added,
     piece) in the order they are tried, sorted by edge increment.  Each
     option is checked against the increments chosen before it plus the
     least increments of the positions after it: edges first (past the
     budget, no later option of the position is tried), then the pieces'
-    ``size`` against the edge budget (past it, the next option is tried
-    and no flag is set), then nodes (past the budget, the next option
+    ``size`` against ``max_size`` (past it, the next option is tried and
+    no flag is set), then nodes (past the budget, the next option
     is).  ``leaf(pieces)`` gives a full choice's (key, value, node
     count); the count is checked once more, and the first value per key
     is kept.  Returns (values by key, node budget hit, edge budget hit).
@@ -299,19 +302,19 @@ def budgeted_product(
     def choose(i: int, edges: int, nodes: int, pieces: list) -> None:
         if i == len(rows):
             key, value, count = leaf(pieces)
-            if max_nodes is not None and count > max_nodes:
+            if count > max_nodes:
                 hit["nodes"] = True
             else:
                 found.setdefault(key, value)
             return
         for de, dn, piece in rows[i]:
-            if max_edges is not None and edges + de + sum(least_edges[i + 1 :]) > max_edges:
+            if edges + de + sum(least_edges[i + 1 :]) > max_edges:
                 hit["edges"] = True
                 break
             chosen_size = sum(map(size, pieces + [piece])) + sum(least_sizes[i + 1 :])
-            if max_edges is not None and chosen_size > max_edges:
+            if chosen_size > max_size:
                 continue
-            if max_nodes is not None and nodes + dn + sum(least_nodes[i + 1 :]) > max_nodes:
+            if nodes + dn + sum(least_nodes[i + 1 :]) > max_nodes:
                 hit["nodes"] = True
                 continue
             choose(i + 1, edges + de, nodes + dn, pieces + [piece])

@@ -206,6 +206,23 @@ class TestLimits:
         # live form is cut
         assert (out.words, out.exhaustive, out.saturated) == ((), True, True)
 
+    def test_start_handle_past_a_budget(self):
+        # the start handle, one edge on two nodes, fits neither budget: the
+        # search ends before its first step with that budget's flag set
+        out = enumerate_language(fixture("dyck_phr").phr(), Limits(max_nodes=1))
+        flags = (out.hit_node_bound, out.hit_edge_bound, out.saturated, out.exhaustive)
+        assert (out.graphs, out.steps, flags) == ((), 0, (True, False, True, False))
+        # S derives the empty word, so its least size 0 fits the edge
+        # budget 0, but its handle does not
+        sig = Signature.of({"S": 2, "a": 2})
+        rules = (Rule("S", string_graph("")), Rule("S", string_graph("a")))
+        table = Table(rules=rules + (Rule("a", handle("a", 2)),), scope=sig.labels)
+        g = PHRGrammar(signature=sig, terminals=("a",), start="S", tables=(("1", table),), order=2)
+        assert g.least_edges["S"] == 0
+        out = enumerate_language(g, Limits(max_edges=0))
+        flags = (out.hit_node_bound, out.hit_edge_bound, out.saturated, out.exhaustive)
+        assert (out.graphs, out.steps, flags) == ((), 0, (False, True, True, False))
+
 
 class TestLayerHooks:
     """The benchmark harness in perfbench/ times and calibrates a search by
@@ -287,9 +304,10 @@ class TestLayerHooks:
         assert calls["phrg.grammar.canonical_key"] == len(overlay)
 
     def test_member_stops_at_its_word(self, monkeypatch):
-        # dyck_phr never shrinks a form, so member lowers its budgets to
-        # |abab|+1 nodes and |abab| edges; these limits are those already,
-        # and both searches run under the same bounds.
+        # dyck_phr never shrinks a form, so member caps nodes at |abab|+1,
+        # and on every grammar it bounds edges by least size, here at
+        # |abab|; these limits are those already, and both searches run
+        # under the same bounds.
         g = fixture("dyck_phr").phr()
         limits = Limits(max_steps=4, max_nodes=5, max_edges=4)
         calls = self.count_calls(monkeypatch)

@@ -273,6 +273,13 @@ class TestDirectDerivations:
         out = direct_derivations(handle("S", 2), dyck_rules())
         assert len(out) == len(dyck_rules())
 
+    def test_rule_type_must_match_the_edge_arity(self):
+        h = string_graph("ab")
+        [edge] = [e for e in h.edges if e.label == "a"]
+        message = f"^rule for 'a' has type 1, edge {edge.id!r} has arity 2$"
+        with pytest.raises(GrammarError, match=message):
+            direct_derivations(h, [Rule("a", handle("a", 1))])
+
 
 class TestParallelSteps:
     def test_doubling_once(self):
@@ -529,6 +536,32 @@ class TestDeterminize:
         for q in d.states:
             for a in d.alphabet:
                 assert d.step(q, a) in d.states
+
+    def test_partial_automaton_accepts_as_the_oracle(self):
+        # q has no move on 1, and 2 is outside the alphabet: a run that
+        # meets either is rejected, even past the final state q
+        trans = (("p", "0", "p"), ("p", "1", "q"), ("q", "0", "p"))
+        m = ControlAutomaton(
+            states=("p", "q"), alphabet=("0", "1"), transitions=trans, initial="p", finals=("q",)
+        )
+        assert not m.is_deterministic_complete
+        for w in all_words(("0", "1", "2"), 4, min_len=0):
+            assert m.accepts(w) == nfa_accepts(trans, "p", ("q",), w), w
+        assert [m.accepts(w) for w in (("1",), ("1", "1"), ("1", "2"), ("2",))] == [
+            True, False, False, False
+        ]
+
+    def test_step_refuses_an_automaton_not_deterministic_complete(self):
+        # p has two moves on 1, q none
+        trans = (("p", "0", "p"), ("p", "1", "q"), ("p", "1", "p"), ("q", "0", "p"))
+        m = ControlAutomaton(
+            states=("p", "q"), alphabet=("0", "1"), transitions=trans, initial="p", finals=("q",)
+        )
+        assert m.step("p", "0") == "p"
+        for q in ("p", "q"):
+            message = rf"^automaton not deterministic-complete at \('{q}','1'\)$"
+            with pytest.raises(GrammarError, match=message):
+                m.step(q, "1")
 
     def test_subsets_that_spell_alike(self):
         # the subsets {a, b} and {a+b} are both spelled {a+b}

@@ -34,7 +34,7 @@ from phrg import (
     member_string,
     string_graph,
 )
-from phrg.grammar import WordForm, parallel_budgeted, split_control
+from phrg.grammar import WordForm, split_control
 from oracles import all_words, least_terminal_sizes
 from test_productive import (
     _grammar,
@@ -44,7 +44,7 @@ from test_productive import (
     productive,
     string_grammars,
 )
-from test_word_path import _reference, _rhs, graph_path
+from test_word_path import _product, _reference, _rhs, graph_path
 
 
 def zeroed(g):
@@ -173,9 +173,11 @@ def test_product_drops_choices_dead_within_the_edge_budget():
     """Seeded tables given least sizes from 0 to 3 per label: on word forms
     and their canonical graphs the product gives the reference's
     successors in its order, and both flags; a choice whose sizes sum
-    past the edge budget is dropped without a flag."""
-    rng = random.Random(23)
-    dropped = 0
+    past the size bound is dropped without a flag.  Each budget pair is
+    asked with the size bound at the edge budget, as an enumeration sets
+    it, and at one drawn below it, as a member query may."""
+    rng, sizes = random.Random(23), random.Random(24)
+    dropped = dropped_below = 0
     for case in range(300):
         letters = "abc"[: rng.randint(1, 3)]
         nullary = ("x",)[: rng.randint(0, 1)]
@@ -196,16 +198,21 @@ def test_product_drops_choices_dead_within_the_edge_budget():
         object.__setattr__(table, "least_edges", least)
         flags = tuple(rng.choices(nullary, k=rng.randint(0, 1))) if nullary else ()
         form = WordForm(tuple(rng.choices(letters, k=rng.randint(0, 5))), flags)
-        budgets = [None, *range(len(form.word) + len(form.flags) + 7)]
+        budgets = [inf, *range(len(form.word) + len(form.flags) + 7)]
         for subject in (form, canonical_graph(form.graph())):
             for _ in range(2):
                 max_nodes, max_edges = rng.choice(budgets), rng.choice(budgets)
-                want = _reference(subject, table, max_nodes, max_edges, least)
-                found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
-                assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:]), case
+                below = [b for b in budgets if b < max_edges]
+                bounds = [max_edges, *sizes.sample(below, min(len(below), 1))]
+                products = [_product(subject, table, max_nodes, max_edges, b) for b in bounds]
+                for max_size, (found, *flags) in zip(bounds, products):
+                    want = _reference(subject, table, max_nodes, max_edges, max_size, least)
+                    assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:]), case
                 unsized = _reference(subject, table, max_nodes, max_edges)
-                dropped += len(found) < len(unsized[0])
+                dropped += len(products[0][0]) < len(unsized[0])
+                dropped_below += len(products[-1][0]) < len(products[0][0])
     assert dropped  # some choices are dead within the edge budget
+    assert dropped_below  # and some more within a lower size bound
 
 
 # ---------------------------------------- against the search without the drop

@@ -651,6 +651,24 @@ class TestInverseHom:
         assert got == want
         assert len(want) == 6
 
+    def test_letter_imaged_outside_the_terminals(self):
+        # c is no terminal of dyck_phr, so z spells no block: only the
+        # powers of x remain, and z's block adds no state to the product
+        # even where its image starts with a terminal
+        g = fixture("dyck_phr").phr()
+        lim = Limits(max_steps=40, max_nodes=80, max_edges=7, max_results=500_000)
+        labels = []
+        for image in (("c",), ("a", "c")):
+            mapping = {"x": ("a", "b"), "z": image}
+            out = inverse_hom(g, mapping)
+            res = enumerate_strings(out, lim)
+            assert res.saturated
+            got = {w for w in res.words if len(w) <= 3}
+            want = preimage_words(("x", "z"), mapping, max_len=3, in_target=is_dyck)
+            assert got == want == {("x",) * n for n in (1, 2, 3)}
+            labels.append(out.signature.labels)
+        assert labels[0] == labels[1]
+
     def test_splitting_hom_against_oracle(self):
         g = fixture("dyck_phr").phr()
         mapping = {"c": ("a",), "d": ("a", "b"), "e": ("b",)}

@@ -9,6 +9,7 @@ agree, and member traces must be shortest witnesses on both paths.
 
 import random
 from contextlib import contextmanager
+from math import inf
 from unittest import mock
 
 import pytest
@@ -76,11 +77,12 @@ def witnesses(g, word, trace, limits: Limits) -> bool:
     grammar, _ = split_control(g)
     start = grammar.start_graph()
     reached = {canonical_key(start): start}
+    budgets = limits.max_nodes, limits.max_edges, limits.max_edges  # least size within edges
     for index in trace:
         table = grammar.table(index)
         step: dict = {}
         for h in reached.values():
-            step.update(parallel_budgeted(h, table, limits.max_nodes, limits.max_edges)[0])
+            step.update(parallel_budgeted(h, table, *budgets)[0])
         reached = step
     return canonical_key(string_graph(word)) in reached
 
@@ -186,6 +188,17 @@ def _rhs(word, flags) -> Hypergraph:
     return Hypergraph(h.nodes, h.edges + nullary, h.ext)
 
 
+def _product(subject, table: Table, *budgets):
+    """``parallel_budgeted`` on a graph, or on a word form coded by the
+    table's code, as the search codes its forms, with the successors
+    decoded and keyed by themselves."""
+    if not isinstance(subject, WordForm):
+        return parallel_budgeted(subject, table, *budgets)
+    code = table.code
+    found, *flags = parallel_budgeted(code.coded(subject), table, *budgets)
+    return ({f: f for f in map(code.decoded, found)}, *flags)
+
+
 def test_product_flags_follow_the_canonical_edge_order():
     # Flags of one product depend on the order of its edges: taking this
     # word's letters in word order, not sorted by label, sets the edge flag.
@@ -198,7 +211,7 @@ def test_product_flags_follow_the_canonical_edge_order():
     )
     table = Table(rules=rules, scope=sig.labels)
     form = WordForm(("a", "S"), ())
-    on_words = parallel_budgeted(form, table, 1, 4)
+    on_words = _product(form, table, 1, 4)
     on_graphs = parallel_budgeted(canonical_graph(form.graph()), table, 1, 4)
     assert on_words[1:] == on_graphs[1:] == (True, False)
 
@@ -206,7 +219,7 @@ def test_product_flags_follow_the_canonical_edge_order():
 def _both_products(form: WordForm, table: Table, max_nodes, max_edges):
     """The product on the word form and on its canonical graph, with the
     word form's successors keyed as graphs."""
-    found, *flags = parallel_budgeted(form, table, max_nodes, max_edges)
+    found, *flags = _product(form, table, max_nodes, max_edges)
     on_words = ({canonical_key(f.graph()) for f in found}, *flags)
     found, *flags = parallel_budgeted(canonical_graph(form.graph()), table, max_nodes, max_edges)
     return on_words, (set(found), *flags)
@@ -267,16 +280,16 @@ def test_single_option_first_position_is_checked_up_front():
     )
     table = Table(rules=rules, scope=sig.labels)
     form = WordForm(("a", "b"), ())
-    assert parallel_budgeted(form, table, 4, 5) == ({}, True, False)
+    assert _product(form, table, 4, 5) == ({}, True, False)
     assert parallel_budgeted(canonical_graph(form.graph()), table, 4, 5) == ({}, True, False)
 
 
 def test_edgeless_form_over_no_node_budget():
     table = Table(rules=(Rule("a", string_graph("a")),), scope=("a",))
     form = WordForm((), ())
-    assert parallel_budgeted(form, table, 0, None) == ({}, True, False)
+    assert _product(form, table, 0, inf) == ({}, True, False)
     assert parallel_budgeted(canonical_graph(form.graph()), table, 0, 0) == ({}, True, False)
-    assert parallel_budgeted(form, table, 1, 0) == ({form: form}, False, False)
+    assert _product(form, table, 1, 0) == ({form: form}, False, False)
 
 
 def test_graph_leaf_checks_the_replaced_nodes():
@@ -285,14 +298,14 @@ def test_graph_leaf_checks_the_replaced_nodes():
     # that count, and only the replaced graph shows the true node count
     table = Table((Rule("X", string_graph("")),), ("X",))
     loop = Hypergraph(("u",), (Hyperedge("e0", "X", ("u", "u")),), ("u", "u"))
-    assert parallel_budgeted(loop, table, 0, None) == ({}, True, False)
-    [(key, point)] = parallel_budgeted(loop, table, 1, None)[0].items()
+    assert parallel_budgeted(loop, table, 0, inf) == ({}, True, False)
+    [(key, point)] = parallel_budgeted(loop, table, 1, inf)[0].items()
     assert (point.nodes, point.edges, point.ext) == (("n0",), (), ("n0", "n0"))
     assert key == canonical_key(point)
     parallel = Hypergraph(
         ("u", "v"), (Hyperedge("e0", "X", ("u", "v")), Hyperedge("e1", "X", ("u", "v"))), ("u", "v")
     )
-    assert parallel_budgeted(parallel, table, 0, None) == ({}, True, False)
+    assert parallel_budgeted(parallel, table, 0, inf) == ({}, True, False)
 
 
 def test_word_form_without_a_word_row():
@@ -300,14 +313,14 @@ def test_word_form_without_a_word_row():
     back = Hypergraph(("u", "v"), (Hyperedge("e0", "S", ("v", "u")),), ("u", "v"))
     table = Table((Rule("S", back),), ("S",))
     with pytest.raises(GrammarError, match="^rules for label 'S' are not all word forms$"):
-        parallel_budgeted(WordForm(("S",), ()), table)
+        _product(WordForm(("S",), ()), table)
 
 
-def _reference(subject, table, max_nodes, max_edges, least=None):
+def _reference(subject, table, max_nodes, max_edges, max_size=inf, least=None):
     """``budgeted_product`` on a word form or a graph, with each label's
     options read off the table's rules: a rule's edges and nodes added,
     stably sorted; each piece sized by ``least`` per label of its
-    right-hand side, if given."""
+    right-hand side, if given, against ``max_size``."""
     word = isinstance(subject, WordForm)
     options = []
     for r in table.rules:
@@ -344,13 +357,13 @@ def _reference(subject, table, max_nodes, max_edges, least=None):
         labels = piece.word + piece.flags if word else [e.label for e in piece.rhs.edges]
         return sum(least[l] for l in labels)
 
-    return budgeted_product(rows, start, leaf, max_nodes, max_edges, size)
+    return budgeted_product(rows, start, leaf, max_nodes, max_edges, size, max_size)
 
 
 def test_product_matches_the_reference_product():
     """Seeded sweep over Table rows, whole, cut to live rules, or the
     ``graph_table`` of a WordTable, with nullary labels, identity rules and budgets from
-    0 to the form's size + 6 or None: on word forms and on their
+    0 to the form's size + 6 or ``inf``: on word forms and on their
     canonical graphs the product gives the reference's successors in its
     order, and both flags.  Each case asks one table object about
     anagrams of its form under several budget pairs, on both paths, in
@@ -387,10 +400,12 @@ def test_product_matches_the_reference_product():
             if kind == "live":  # cut to the rules over all labels but one
                 live = frozenset(rng.sample(sig.labels, len(sig.labels) - 1))
                 kept = tuple(r for r in table.rules if r.rhs.labels() <= live)
-                table = Table(rules=kept, scope=tuple({r.lhs for r in kept}))
+                cut = Table(rules=kept, scope=tuple({r.lhs for r in kept}))
+                object.__setattr__(cut, "code", table.code)  # as live_tables codes
+                table = cut
             flags = rng.choices(nullary, k=rng.randint(0, 2)) if nullary else ()
             form = WordForm(word, tuple(sorted(flags)))
-        budgets = [None, *range(len(form.word) + len(form.flags) + 7)]
+        budgets = [inf, *range(len(form.word) + len(form.flags) + 7)]
         pairs = [(rng.choice(budgets), rng.choice(budgets))]
         pairs += [(reuse.choice(budgets), reuse.choice(budgets)) for _ in range(2)]
         anagrams = (tuple(reuse.sample(word, len(word))) for _ in range(2))
@@ -406,9 +421,9 @@ def test_product_matches_the_reference_product():
             want = _reference(subject, table, max_nodes, max_edges)
             if want is None:
                 with pytest.raises(GrammarError):
-                    parallel_budgeted(subject, table, max_nodes, max_edges)
+                    _product(subject, table, max_nodes, max_edges)
                 continue
-            found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
+            found, *flags = _product(subject, table, max_nodes, max_edges)
             assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:]), case
 
 
@@ -421,7 +436,7 @@ def _asked_in_turn(table, questions) -> list:
     """Each question to the one table object equals the reference."""
     answers = []
     for subject, max_nodes, max_edges in questions:
-        found, *flags = parallel_budgeted(subject, table, max_nodes, max_edges)
+        found, *flags = _product(subject, table, max_nodes, max_edges)
         want = _reference(subject, table, max_nodes, max_edges)
         assert (list(found.items()), *flags) == (list(want[0].items()), *want[1:])
         answers.append((list(found), *flags))
@@ -432,7 +447,7 @@ def test_memoized_choices_are_keyed_by_the_budgets():
     # aa has 2 edges and 3 nodes, its successors up to 4 and 5; each
     # budget alone, asked after the unbounded pair, cuts one of them
     form = WordForm(("a", "a"), ())
-    budgets = [(9, 9), (9, 3), (4, 9), (None, None)]
+    budgets = [(9, 9), (9, 3), (4, 9), (inf, inf)]
     answers = _asked_in_turn(_grow_table(), [(form, *pair) for pair in budgets])
     assert answers[0] == answers[3]
     assert len({repr(a) for a in answers}) == 3
