@@ -682,10 +682,11 @@ class ControlAutomaton:
             raise GrammarError(f"initial state {self.initial!r} unknown")
         if not set(self.finals) <= states:
             raise GrammarError("final states must be states")
+        alphabet = set(self.alphabet)
         for q, a, p in self.transitions:
             if q not in states or p not in states:
                 raise GrammarError(f"transition ({q!r},{a!r},{p!r}) uses unknown state")
-            if a not in set(self.alphabet):
+            if a not in alphabet:
                 raise GrammarError(f"transition on unknown symbol {a!r}")
 
     @_cached
@@ -695,17 +696,16 @@ class ControlAutomaton:
             out.setdefault((q, a), set()).add(p)
         return {k: frozenset(v) for k, v in out.items()}
 
+    def _next(self, subset: frozenset[str], a: str) -> frozenset[str]:
+        """The states one ``a`` step from ``subset``; a symbol outside the
+        alphabet has no transition, so it leads to the empty set."""
+        return frozenset(p for q in subset for p in self._step_map.get((q, a), ()))
+
     def accepts(self, word: Sequence[str]) -> bool:
-        current = {self.initial}
+        current = frozenset({self.initial})
         for a in word:
-            if a not in set(self.alphabet):
-                return False
-            current = {
-                p for q in current for p in self._step_map.get((q, a), frozenset())
-            }
-            if not current:
-                return False
-        return bool(current & set(self.finals))
+            current = self._next(current, a)
+        return not current.isdisjoint(self.finals)
 
     @_cached
     def live_states(self) -> frozenset[str]:
@@ -728,12 +728,8 @@ class ControlAutomaton:
         Each reachable subset is named ``{p+q}`` through ``_fresh``."""
         if self.is_deterministic_complete:
             return self
-
-        def step(subset: frozenset[str], a: str) -> frozenset[str]:
-            return frozenset(p for q in subset for p in self._step_map.get((q, a), ()))
-
         start = frozenset({self.initial})
-        subsets = _reachable([start], lambda s: (step(s, a) for a in self.alphabet))
+        subsets = _reachable([start], lambda s: (self._next(s, a) for a in self.alphabet))
         used: set[str] = set()
         name = {
             s: _fresh(used, "{" + "+".join(sorted(s)) + "}")
@@ -743,7 +739,7 @@ class ControlAutomaton:
             states=tuple(name.values()),
             alphabet=self.alphabet,
             transitions=tuple(
-                (name[s], a, name[step(s, a)]) for s in subsets for a in self.alphabet
+                (name[s], a, name[self._next(s, a)]) for s in subsets for a in self.alphabet
             ),
             initial=name[start],
             finals=tuple(name[s] for s in subsets if not s.isdisjoint(self.finals)),

@@ -89,13 +89,7 @@ class Signature:
             raise HypergraphError(f"label {label!r} not in signature") from None
 
     def merged(self, other: "Signature") -> "Signature":
-        combined = dict(self.arities)
-        for label, arity in other.arities:
-            if combined.setdefault(label, arity) != arity:
-                raise HypergraphError(
-                    f"label {label!r} has arity {combined[label]} and {arity}"
-                )
-        return Signature.of(combined)
+        return Signature(self.arities + other.arities)
 
 
 @dataclass(frozen=True, slots=True, init=False)

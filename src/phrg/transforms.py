@@ -47,6 +47,7 @@ from .hypergraph import (
     Signature,
     disjoint_union,
     handle,
+    replace,
     string_graph,
 )
 
@@ -337,7 +338,9 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
     one old table on tagged labels and advances the marker; a final table
     erases an accepting marker and untags the terminals.  Underivable
     situations are routed to dead labels that can never become terminal,
-    so exactly the controlled language survives.
+    so exactly the controlled language survives.  The start rule and the
+    final erasures share the first table, whose index ``_fresh`` derives
+    from ``0`` (``0.2`` when ``0`` is an old index).
     """
     g = cg.grammar
     d = cg.control.determinize_complete()
@@ -374,12 +377,8 @@ def remove_control(cg: ControlledPHRGrammar) -> PHRGrammar:
     t0_rules += [Rule(bar[a], handle(a, g.signature)) for a in sorted(terminals)]
     t0 = override_table(_failure(sig, dead), t0_rules)
 
-    index0 = "0"
-    taken = {i for i, _ in g.tables}
-    while index0 in taken:
-        index0 = "." + index0
     base = identity_table(sig)
-    tables: list[tuple[str, Table]] = [(index0, t0)]
+    tables: list[tuple[str, Table]] = [(_fresh(set(g.table_indices), "0"), t0)]
     for index, t in g.tables:
         rules = [Rule(bar.get(r.lhs, r.lhs), barred(r.rhs)) for r in t.rules]
         rules += [
@@ -432,8 +431,6 @@ def _start_hygienic(g: PHRGrammar, used: set[str]) -> PHRGrammar:
 
 def _pad_terminals(g: PHRGrammar, target: Sequence[str]) -> PHRGrammar:
     """Extend the terminal alphabet to ``target`` with inert fresh letters."""
-    if not set(g.terminals) <= set(target):
-        raise TransformError("cannot pad: grammar already has terminals outside target")
     extra = [b for b in target if b not in g.signature]
     for b in target:
         if b in g.signature and g.signature.arity(b) != 2:
@@ -889,10 +886,11 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
     from one factor word by repeatedly inserting trivial words at seams.
     A fresh start symbol derives either factor's start, and every letter
     edge a factor rule creates may carry an optional start-labelled
-    flank on either side, so insertions are available at every seam when
-    they are needed and absent otherwise.  No rule erases, so forms
-    never shrink and bounded enumeration is complete up to the edge
-    budget.
+    flank on either side (a variant of the rule ``replace``s the edge by
+    the string graph of ``@start a``, ``a @start`` or ``@start a @start``),
+    so insertions are available at every seam when they are needed and
+    absent otherwise.  No rule erases, so forms never shrink and bounded
+    enumeration is complete up to the edge budget.
     """
     a1, a2 = set(g1.terminals), set(g2.terminals)
     if a1 & a2:
@@ -926,39 +924,17 @@ def free_product_wp(g1: PHRGrammar, g2: PHRGrammar) -> PHRGrammar:
     )
     base = identity_table(sig)
 
+    flanks = {
+        a: (string_graph((start, a)), string_graph((a, start)), string_graph((start, a, start)))
+        for a in letters
+    }
+
     def flanked(rule: Rule) -> list[Rule]:
-        spots = [
-            e.id for e in rule.rhs.edges if e.label in letters and len(e.att) == 2
-        ]
+        spots = [e for e in rule.rhs.edges if e.label in letters and len(e.att) == 2]
         out = []
-        for picks in itertools.product((0, 1, 2, 3), repeat=len(spots)):
-            sides = dict(zip(spots, picks))
-            nodes = list(rule.rhs.nodes)
-            edges = []
-            serial = 0
-            for e in rule.rhs.edges:
-                pick = sides.get(e.id, 0)
-                if e.id not in sides or pick == 0:
-                    edges.append(e)
-                    continue
-                u, v = e.att
-                left, right = pick in (1, 3), pick in (2, 3)
-                if left:
-                    m = f"{e.id}.l{serial}"
-                    serial += 1
-                    nodes.append(m)
-                    edges.append(Hyperedge(f"{e.id}.sl", start, (u, m)))
-                    u = m
-                if right:
-                    m = f"{e.id}.r{serial}"
-                    serial += 1
-                    nodes.append(m)
-                    edges.append(Hyperedge(f"{e.id}.sr", start, (m, v)))
-                    v = m
-                edges.append(Hyperedge(e.id, e.label, (u, v)))
-            out.append(
-                Rule(rule.lhs, Hypergraph(nodes=tuple(nodes), edges=tuple(edges), ext=rule.rhs.ext))
-            )
+        for picks in itertools.product(*[(None, *flanks[e.label]) for e in spots]):
+            images = {e.id: img for e, img in zip(spots, picks) if img is not None}
+            out.append(Rule(rule.lhs, replace(rule.rhs, images)) if images else rule)
         return out
 
     start_rules = [

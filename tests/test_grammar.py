@@ -233,9 +233,48 @@ class TestGrammarValidation:
         ),
     }
 
+    # The refusals that no other test reaches, each with its exact message.
+    REFUSALS = {
+        "overlay stray": (
+            lambda: override_table(identity_table(SIG), [Rule("Z", handle("Z", 2))]),
+            "overlay rules for labels outside scope: ['Z']",
+        ),
+        "unknown table": (
+            lambda: PHRGrammar(SIG, ("a",), "S", (("1", identity_table(SIG)),), 2).table("9"),
+            "no table with index '9'",
+        ),
+        "hr nonterminal": (
+            lambda: HRGrammar(SIG, ("S", "Z"), "S", dyck_rules(), 2),
+            "nonterminal 'Z' not in signature",
+        ),
+        "et0l terminals": (
+            lambda: ET0LGrammar(("a",), ("z",), "a", (("1", WordTable((("a", ()),), ("a",))),)),
+            "terminals must be alphabet symbols",
+        ),
+        "et0l word symbol": (
+            lambda: ET0LGrammar(("a",), ("a",), "a", (("1", WordTable((("a", ("z",)),), ("a",))),)),
+            "table '1', rule for 'a': unknown symbols ['z']",
+        ),
+        "control initial": (
+            lambda: ControlAutomaton(("q",), ("1",), (), "p", ()),
+            "initial state 'p' unknown",
+        ),
+        "control finals": (
+            lambda: ControlAutomaton(("q",), ("1",), (), "q", ("p",)),
+            "final states must be states",
+        ),
+    }
+
     @pytest.mark.parametrize("case", SHARED)
     def test_shared_check_message(self, case):
         build, message = self.SHARED[case]
+        with pytest.raises(GrammarError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal_message(self, case):
+        build, message = self.REFUSALS[case]
         with pytest.raises(GrammarError) as err:
             build()
         assert str(err.value) == message

@@ -23,6 +23,7 @@ from phrg import (
     disjoint_union,
     extract_string,
     from_json,
+    from_json_obj,
     handle,
     hypergraph,
     replace,
@@ -305,6 +306,43 @@ class TestReplace:
 
 # the digest of TestReplace.test_output_pinned's 300 results
 REPLACE_DIGEST = "cd5ad79faf45da62e3e1f1390ddb46236558d234400fea6e51a32dd5b877fcc5"
+
+EMPTY = {"nodes": [], "edges": [], "ext": []}
+
+# The refusals that no other test reaches, each with its exact message.
+REFUSALS = {
+    "negative arity": (lambda: Signature.of({"a": -1}), "negative arity for label 'a'"),
+    "two arities": (
+        lambda: Signature((("a", 1), ("a", 2))), "label 'a' declared with arities 1 and 2"
+    ),
+    "merged two arities": (
+        lambda: Signature.of({"a": 2}).merged(Signature.of({"a": 1})),
+        "label 'a' declared with arities 1 and 2",
+    ),
+    "json not an object": (lambda: from_json_obj([]), "hypergraph JSON must be an object"),
+    "json unknown keys": (
+        lambda: from_json_obj({**EMPTY, "x": 1}), "unknown keys in hypergraph JSON: ['x']"
+    ),
+    "json version": (
+        lambda: from_json_obj({**EMPTY, "format_version": 2}), "unsupported format_version 2"
+    ),
+    "json edge": (
+        lambda: from_json_obj({**EMPTY, "edges": [{"id": "e"}]}),
+        "each edge must be an object with exactly id, label, att",
+    ),
+    "json att": (
+        lambda: from_json_obj({**EMPTY, "edges": [{"id": "e", "label": "a", "att": "u"}]}),
+        "edge att must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(HypergraphError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def random_graph(rng, n_nodes, n_edges, ext_len):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from phrg import (
     ControlAutomaton,
+    ET0LGrammar,
     Hyperedge,
     Hypergraph,
     Limits,
@@ -20,6 +21,7 @@ from phrg import (
     Rule,
     Signature,
     Table,
+    WordTable,
     discrete_graph,
     enumerate_strings,
     extract_string,
@@ -126,6 +128,31 @@ class TestDocumentRoundTrip:
         }[token]
         with pytest.raises(ValueError, match=re.escape(token)):
             write()
+
+
+# the word q" cannot be spelled inside str("...")
+QUOTED_TABLE = WordTable((("a", ('q"',)), ('q"', ())), ("a", 'q"'))
+QUOTED = ET0LGrammar(("a", 'q"'), ("a",), "a", (("1", QUOTED_TABLE),))
+
+# The serializer's refusals that no other test reaches, each with its exact message.
+SERIALIZE_REFUSALS = {
+    "name outer whitespace": (
+        GrammarDocument(kind="phr", grammar=fixture("dyck_phr").grammar, name=" x"),
+        "name ' x' must not start or end with whitespace",
+    ),
+    "et0l word quote": (
+        GrammarDocument(kind="et0l", grammar=QUOTED),
+        """word ('q"',) has letters unfit for str()""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SERIALIZE_REFUSALS)
+def test_serialize_refusal_message(case):
+    doc, message = SERIALIZE_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        serialize_document(doc)
+    assert str(err.value) == message
 
 
 ROUND_SIG = Signature.of({"S": 2, "a": 2, "b": 2, "c": 0})
@@ -741,6 +768,21 @@ class TestCli:
         obj = json.loads(out)
         assert obj["valid"] is False
         assert any(v["kind"] == "dangling-ref" for v in obj["violations"])
+
+    # The CLI's refusals that no other test reaches, each with its exact message.
+    REFUSALS = {
+        "map without =": (
+            ["transform", "apply-hom", "fixtures/dyck_phr", "--map", "ab"],
+            "phrg: --map needs letter=word, got 'ab'\n",
+        ),
+        "emit no name": (["fixtures", "emit"], "phrg: fixtures emit needs a fixture name\n"),
+        "emit unknown": (["fixtures", "emit", "nope"], "phrg: no fixture named 'nope'\n"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal_message(self, capsys, case):
+        argv, message = self.REFUSALS[case]
+        assert run_cli(capsys, *argv) == (2, "", message)
 
     def test_missing_input_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "strings", "fixtures/no_such_grammar")

@@ -9,6 +9,8 @@ import pytest
 from phrg import (
     ControlAutomaton,
     ET0LGrammar,
+    Hyperedge,
+    Hypergraph,
     Limits,
     PHRGrammar,
     Rule,
@@ -18,6 +20,7 @@ from phrg import (
     WordTable,
     apply_hom,
     canonical_key,
+    disjoint_union,
     enumerate_strings,
     et0l_propagating,
     et0l_step,
@@ -577,6 +580,86 @@ class TestConstructionGuards:
         g = word_grammar(("a",), ["a" * 6])
         with pytest.raises(TransformError, match="^state-annotation blowup$"):
             rational_intersect_controlled(g, cycle(10))
+
+
+def one_table(arities, terminals, rules, order=2):
+    sig = Signature.of(arities)
+    return PHRGrammar(sig, terminals, "S", (("1", Table(tuple(rules), sig.labels)),), order)
+
+
+# S/1 -> a node with one a edge out of it
+TYPE1 = one_table(
+    {"S": 1, "a": 2},
+    ("a",),
+    [
+        Rule("S", Hypergraph(("u", "v"), (Hyperedge("e", "a", ("u", "v")),), ("u",))),
+        Rule("a", handle("a", 2)),
+    ],
+)
+# the image word a next to a nullary terminal c
+NULLARY = one_table(
+    {"S": 2, "a": 2, "c": 0},
+    ("a", "c"),
+    [
+        Rule("S", disjoint_union(string_graph("a"), handle("c", 0))),
+        Rule("a", handle("a", 2)),
+        Rule("c", handle("c", 0)),
+    ],
+)
+# the word a over a signature holding the arity-3 terminal t
+TERNARY = one_table(
+    {"S": 2, "a": 2, "t": 3},
+    ("a", "t"),
+    [Rule("S", string_graph("a")), Rule("a", handle("a", 2)), Rule("t", handle("t", 3))],
+    order=3,
+)
+A = word_grammar(("a",), ["a"])
+
+# The refusals of the constructions that no other test reaches, each with
+# its exact message.
+REFUSALS = {
+    "pad nullary terminal": (
+        lambda: substitute(A, {"a": NULLARY}), "letter 'c' has arity 0"
+    ),
+    "substitute missing image": (
+        lambda: substitute(word_grammar("ab", ["ab"]), {"a": A}), "no image for terminals: ['b']"
+    ),
+    "substitute ternary letter": (
+        lambda: substitute(TERNARY, {"a": A, "t": A}), "substituted letter 't' must have arity 2"
+    ),
+    "substitute type-1 image": (
+        lambda: substitute(A, {"a": TYPE1}), "image for 'a' must have a type-2 start"
+    ),
+    "iterate uncovered letter": (
+        lambda: iterate_substitution(A, {"a": word_grammar("b", ["b"])}),
+        "iterated substitution needs images for: ['b']",
+    ),
+    "apply_hom unknown mode": (
+        lambda: apply_hom(A, {"a": "a"}, mode="x"), "unknown mode 'x'"
+    ),
+    "inverse_hom type-1 start": (
+        lambda: inverse_hom(TYPE1, {"a": "a"}), "preimage needs a string grammar (type-2 start)"
+    ),
+    "intersect type-1 start": (
+        lambda: rational_intersect(TYPE1, cycle(1)),
+        "intersection needs a string grammar (type-2 start)",
+    ),
+    "free product overlap": (
+        lambda: free_product_wp(A, A), "factor alphabets must be disjoint"
+    ),
+    "free product type-1 factor": (
+        lambda: free_product_wp(TYPE1, word_grammar("b", ["b"])),
+        "factors must be string grammars (type-2 start)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(TransformError) as err:
+        build()
+    assert str(err.value) == message
 
 
 class TestApplyHom:

@@ -610,13 +610,13 @@ CUT_PINS = {
     ),
     ("closure intersect (ab)*", 10): (
         ((), False, False),
-        {"ab": ("yes", (".0", "1", "1", "0", ".0")), "abab": ("unknown", None)},
+        {"ab": ("yes", ("0.2", "1", "1", "0", "0.2")), "abab": ("unknown", None)},
     ),
     ("closure intersect (ab)*", 50): (
         (("ab", "abab"), False, True),
         {
-            "ab": ("yes", (".0", "1", "1", "0", ".0")),
-            "abab": ("yes", (".0", "1", "1", "1", "0", ".0")),
+            "ab": ("yes", ("0.2", "1", "1", "0", "0.2")),
+            "abab": ("yes", ("0.2", "1", "1", "1", "0", "0.2")),
         },
     ),
 }
