@@ -61,6 +61,20 @@ Forms with the same labels share the choice search of their products:
 labels (whose type tells the path), the node count and the budgets.  A form whose label
 multiset was expanded before, in this search or an earlier one on the
 same grammar object, reuses the choices and only assembles successors.
+
+Member queries on one grammar object share their search's answers.
+Per bounded budgets (the limits with the node cap, and the size bound:
+all that the search reads), the grammar object keeps one answer table
+in ``member_answers``: the trace of the first accepted pair of each key
+the search accepted, in search order, and, when the search ended by
+itself, the verdict of every key it did not accept.  A query that the
+table decides is one lookup; any other runs the search and replaces the
+table.  The table holds no form and no search state.  A search that
+raises stores nothing.  The search is deterministic (frontier and
+successor keys are sorted, parents never rewritten), so verdicts and
+traces are those of a fresh search, whichever word asked first.  A copy
+made with ``dataclasses.replace`` starts with no tables, and they die
+with the object.
 """
 
 from __future__ import annotations
@@ -235,6 +249,28 @@ class _Search:
             return False
         return self.control is None or state in self.control.finals
 
+    def trace(self, pair: tuple) -> tuple[str, ...]:
+        """The table indices along the parents from the start to ``pair``."""
+        trace = []
+        while self.parents[pair] is not None:
+            pair, index = self.parents[pair]
+            trace.append(index)
+        return tuple(reversed(trace))
+
+
+@dataclass(frozen=True)
+class _Answers:
+    """What a member search earned, for later queries at its budgets."""
+
+    traces: dict  # each accepted key: the trace of its first accepted pair
+    rest: Optional[MemberVerdict]  # every other key's, if the search ended by itself
+
+    def verdict(self, key) -> Optional[MemberVerdict]:
+        """The verdict on ``key``, or None where the search left it open."""
+        if key in self.traces:
+            return MemberVerdict("yes", self.traces[key])
+        return self.rest
+
 
 def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
     """Run the search; its accepted states, one per key."""
@@ -297,6 +333,11 @@ def member_string(
     least size exceeds |word| derives no graph of |word| edges and is
     dropped without a flag.  On an edge-monotone grammar a form's least
     size is at least its edge count, so no form past |word| edges is kept.
+
+    Queries on one grammar object at the same bounded budgets share
+    answers (see the module docstring): the traces of the keys a search
+    accepted, and the verdict of every other key once a search ended by
+    itself.  Verdicts and traces equal those of a fresh search.
     """
     grammar, ctrl = split_control(g)
     letters = tuple(word)
@@ -311,17 +352,21 @@ def member_string(
     size = min(len(letters), limits.max_edges)
     search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
     target = search.codec.key(letters)
-    pair = next((p for p, _ in search.accepted() if p[0] == target), None)
-    if pair is not None:
-        trace = []
-        while search.parents[pair] is not None:
-            pair, index = search.parents[pair]
-            trace.append(index)
-        return MemberVerdict("yes", tuple(reversed(trace)))
-    if search.hit_results:
-        return MemberVerdict("unknown")
-    if search.hit_nodes and not grammar.node_monotone:
-        return MemberVerdict("unknown")
-    if search.hit_edges and not grammar.edge_monotone:
-        return MemberVerdict("unknown")
-    return MemberVerdict("no-within-limits")
+    known = g.member_answers.get((bounded, size))
+    if known is not None and (verdict := known.verdict(target)) is not None:
+        return verdict
+    traces, rest = {}, None
+    for pair, _ in search.accepted():
+        if pair[0] not in traces:
+            traces[pair[0]] = search.trace(pair)
+        if pair[0] == target:
+            break
+    else:
+        cut = (
+            search.hit_results
+            or (search.hit_nodes and not grammar.node_monotone)
+            or (search.hit_edges and not grammar.edge_monotone)
+        )
+        rest = MemberVerdict("unknown" if cut else "no-within-limits")
+    known = g.member_answers[bounded, size] = _Answers(traces, rest)
+    return known.verdict(target)

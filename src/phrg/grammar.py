@@ -579,6 +579,13 @@ class PHRGrammar:
         """The code of the word path, over the signature's labels."""
         return _Code(self.signature.labels)
 
+    @_cached
+    def member_answers(self) -> dict:
+        """The answer tables that ``engine.member_string`` keeps on this
+        object, by bounded budgets; a ``dataclasses.replace`` copy starts
+        with none."""
+        return {}
+
     @property
     def table_indices(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.tables)
@@ -725,9 +732,16 @@ class ControlAutomaton:
 
     def determinize_complete(self) -> "ControlAutomaton":
         """Subset construction; the result is deterministic and complete.
-        Each reachable subset is named ``{p+q}`` through ``_fresh``."""
+        Each reachable subset is named ``{p+q}`` through ``_fresh``.  It is
+        built once per automaton object, so every search under this
+        automaton steps the same automaton, with its step map and live
+        states computed once."""
         if self.is_deterministic_complete:
             return self
+        return self._determinized
+
+    @_cached
+    def _determinized(self) -> "ControlAutomaton":
         start = frozenset({self.initial})
         subsets = _reachable([start], lambda s: (self._next(s, a) for a in self.alphabet))
         used: set[str] = set()
@@ -768,6 +782,13 @@ class ControlledPHRGrammar:
                 f"control alphabet {sorted(have)} differs from "
                 f"table indices {sorted(need)}"
             )
+
+    @_cached
+    def member_answers(self) -> dict:
+        """The answer tables that ``engine.member_string`` keeps on this
+        object, by bounded budgets; a ``dataclasses.replace`` copy starts
+        with none."""
+        return {}
 
 
 AnyPHR = PHRGrammar | ControlledPHRGrammar

@@ -1,5 +1,6 @@
 """Rules, tables, grammars, derivation steps, and control automata."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -26,12 +27,14 @@ from phrg import (
     handle,
     identity_table,
     is_identity_rule,
+    member_string,
     override_table,
     parallel_successors,
     replace,
     string_graph,
     trace_successors,
 )
+from phrg.grammar import split_control
 from oracles import nfa_accepts, all_words, subst_set
 
 SIG = Signature.of({"S": 2, "a": 2, "b": 2})
@@ -616,6 +619,20 @@ class TestDeterminize:
         assert d.is_deterministic_complete
         for w in all_words(("x", "y", "z"), 4, min_len=0):
             assert d.accepts(w) == nfa_accepts(trans, "i", ("f",), w)
+
+    def test_built_once_per_automaton(self, monkeypatch):
+        g = fixture("ctl_plus0").phr()
+        m = g.control
+        assert not m.is_deterministic_complete
+        d = split_control(g)[1]
+        assert m.determinize_complete() is d
+        # a copy builds its own, with the same state names and transitions
+        assert dataclasses.replace(m).determinize_complete() == d
+        assert d.states == ("{f}", "{p}", "{r}", "{}")
+        monkeypatch.setattr(ControlAutomaton, "_next", lambda *_: pytest.fail("rebuilt"))
+        assert split_control(g)[1] is d
+        verdicts = [member_string(g, w).verdict for w in ("ab", "aab", "b")]
+        assert verdicts == ["yes", "yes", "no-within-limits"]
 
 
 def reachable_closure(start, expand, max_steps, max_edges):

@@ -11,7 +11,6 @@ Graphs, words and ``yes`` verdicts (with traces of one length) must be
 equal on both sides; the flags may only become more precise.
 """
 
-import dataclasses
 import importlib.util
 from contextlib import contextmanager, nullcontext
 from math import inf
@@ -45,7 +44,7 @@ from phrg.hypergraph import Hyperedge, Hypergraph
 from phrg.transforms import rational_intersect, remove_control
 from oracles import all_words, is_dyck, nfa_accepts
 from test_golden_constructions import AUTOMATA, CASES
-from test_word_path import _rhs, graph_path
+from test_word_path import _rhs, fresh, graph_path
 
 
 def _tracing():
@@ -72,14 +71,6 @@ def unpruned():
 def productive(g: PHRGrammar) -> set[str]:
     """The labels of finite least size."""
     return {l for l, size in g.least_edges.items() if size < inf}
-
-
-def fresh(g):
-    """A copy of ``g`` with nothing cached, so that each side of a
-    comparison computes its own live tables."""
-    if isinstance(g, ControlledPHRGrammar):
-        return dataclasses.replace(g, grammar=dataclasses.replace(g.grammar))
-    return dataclasses.replace(g)
 
 
 def on_both(fn, g, *args):

@@ -7,6 +7,7 @@ graphs.  Enumerations must agree field for field, member verdicts must
 agree, and member traces must be shortest witnesses on both paths.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
 from math import inf
@@ -57,10 +58,20 @@ def graph_path():
         yield
 
 
-def on_both_paths(fn, *args):
-    word = fn(*args)
+def fresh(g):
+    """A copy of ``g`` with nothing cached, so that each side of a
+    comparison computes its own live tables and member answers."""
+    if isinstance(g, ControlledPHRGrammar):
+        return dataclasses.replace(g, grammar=dataclasses.replace(g.grammar))
+    return dataclasses.replace(g)
+
+
+def on_both_paths(fn, g, *args):
+    """``fn`` on the word path, then on the graph path on a copy of ``g``,
+    which shares no member answers with the first."""
+    word = fn(g, *args)
     with graph_path():
-        graph = fn(*args)
+        graph = fn(fresh(g), *args)
     return word, graph
 
 
