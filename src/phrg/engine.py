@@ -11,7 +11,7 @@ a member query the word's length when lower, on every grammar, as the
 word's string graph has that many edges.  That bound is all that limits
 a member query's edges; its nodes are capped at the word's length plus
 one on a node-monotone grammar.  The search ends at once when
-the start label is past the bound, takes each table cut to its rules
+the start label is past the bound, takes each table as rows of its rules
 without an ``inf`` label (``PHRGrammar.live_tables``), skips a table in
 which some label of the form keeps no rule, and the product drops every
 choice past the bound, without a flag.  Under a control automaton a
@@ -57,10 +57,12 @@ witness, which may differ from the one the graph search would pick when
 several tie.
 
 Forms with the same labels share the choice search of their products:
-``parallel_budgeted`` memoizes it per table object, under the sorted
-labels (whose type tells the path), the node count and the budgets.  A form whose label
-multiset was expanded before, in this search or an earlier one on the
-same grammar object, reuses the choices and only assembles successors.
+``parallel_budgeted`` memoizes it per rows object, under the sorted
+labels (whose type tells the path), the node count and the budgets.  The
+rows of a grammar's tables are compiled once per grammar object
+(``PHRGrammar.live_tables``), so a form whose label multiset was
+expanded before, in this search or an earlier one on the same grammar
+object, reuses the choices and only assembles successors.
 
 Member queries on one grammar object share their search's answers.
 Per bounded budgets (the limits with the node cap, and the size bound:
@@ -204,7 +206,7 @@ class _Search:
             next_frontier = []
             for pair, labels in sorted(frontier, key=itemgetter(0)):
                 h = visited[pair]
-                for index, table, blocked in grammar.live_tables:
+                for index, rows, blocked in grammar.live_tables:
                     if not labels.isdisjoint(blocked):
                         continue  # every successor holds a label of size inf
                     q2 = ctrl.step(pair[1], index) if ctrl is not None else None
@@ -212,13 +214,13 @@ class _Search:
                         continue  # no table trace from q2 reaches a final state
                     # idle table: the form is its own sole successor, a
                     # new pair only when the control state moves
-                    if labels.isdisjoint(table.active_labels):
+                    if labels.isdisjoint(rows.active_labels):
                         if ctrl is None:
                             continue
                         succs = {pair[0]: h}
                     else:
                         succs, hn, he = parallel_budgeted(
-                            h, table, limits.max_nodes, limits.max_edges, self.max_size
+                            h, rows, limits.max_nodes, limits.max_edges, self.max_size
                         )
                         self.hit_nodes = self.hit_nodes or hn
                         self.hit_edges = self.hit_edges or he

@@ -44,7 +44,7 @@ Word = tuple[str, ...]
 _T = TypeVar("_T")
 
 _PRODUCT_GUARD = 10**6
-_CHOICES_CACHE = 1024  # choice searches kept per table
+_CHOICES_CACHE = 1024  # choice searches kept per rows object
 _new = tuple.__new__  # builds a CodedForm without its Python-level __new__
 
 
@@ -300,7 +300,8 @@ class Table:
     Rule sets are normalized up to right-hand-side isomorphism: two rules
     with the same left-hand side and isomorphic right-hand sides count as
     one.  Successor sets are taken modulo isomorphism anyway, so this
-    does not change any derived language.
+    does not change any derived language.  A table holds its rules alone;
+    the product reads them compiled as ``_Rows``.
     """
 
     rules: tuple[Rule, ...]
@@ -318,40 +319,45 @@ class Table:
         return _by_lhs(self.scope, ((r.lhs, r) for r in self.rules))
 
     @_cached
-    def least_edges(self) -> Mapping[str, float]:
-        """Per label, a lower bound on the edges of a terminal graph derived
-        from it, by which the product sizes its options: none (0 each),
-        unless a grammar's ``live_tables`` gave the table its own."""
-        return {}
+    def rows(self) -> _Rows:
+        """The table alone compiled for the product: coded over its scope
+        and the labels of its right-hand sides, with every least size 0.  A
+        grammar's search compiles its own (``PHRGrammar.live_tables``)."""
+        code = _Code(chain(self.scope, *(r.rhs.labels() for r in self.rules)))
+        return _Rows(self.rules, code, {})
 
-    @_cached
-    def graph_options(self) -> dict[str, tuple]:
-        """Per label, its rules as product options of the graph path: (edges
-        added, nodes added, least size, rule), sorted by the first two with
-        ties kept in order; then the least of each of the first three.  A
-        rule's least size is the sum of ``least_edges`` over its
-        right-hand side's edges."""
-        least, out = self.least_edges, {}
-        for l, rs in self.by_label.items():
-            opts = [
-                (
-                    len(r.rhs.edges),
-                    len(r.rhs.nodes) - r.rhs.type,
-                    sum([least.get(e.label, 0) for e in r.rhs.edges]),
-                    r,
-                )
-                for r in rs
-            ]
-            opts.sort(key=itemgetter(0, 1))
-            out[l] = (tuple(opts), opts[0][0], *(min(o[k] for o in opts) for k in (1, 2)))
-        return out
+
+class _Rows:
+    """Rules compiled for the product: per label, its rules as product
+    options, coded by ``code`` on the word path and sized by ``least``, the
+    lower bound per label on the edges of a terminal graph derived from it
+    (0 for a label it lacks); and the memo of their choice searches, which
+    lives as long as this object."""
+
+    def __init__(self, rules: Sequence[Rule], code: _Code, least: Mapping[str, float]) -> None:
+        self.rules, self.code = rules, code
+        opts: dict[str, list] = {}
+        for r in rules:
+            rhs = r.rhs
+            size = sum([least.get(e.label, 0) for e in rhs.edges])
+            opts.setdefault(r.lhs, []).append((len(rhs.edges), len(rhs.nodes) - rhs.type, size, r))
+        # per label with a rule, its options on the graph path: (edges added,
+        # nodes added, least size, rule), sorted by the first two with ties
+        # kept in order; then the least of each of the first three
+        self.graph_options: dict[str, tuple] = {}
+        for l, row in opts.items():
+            row.sort(key=itemgetter(0, 1))
+            least_nodes, least_size = (min(o[k] for o in row) for k in (1, 2))
+            self.graph_options[l] = (tuple(row), row[0][0], least_nodes, least_size)
+        ref = weakref.ref(self)  # the memo, stored on the rows, must not keep them alive
+        self.choices = lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
 
     @_cached
     def coded_options(self) -> dict[str, tuple]:
         """Per label whose rules all have word forms, keyed by its character
-        in the table's code: its rules as product options of the word path,
-        in ``graph_options`` order, each rule's word coded (its whole form
-        for ``flag_labels``)."""
+        in ``code``: its rules as product options of the word path, in
+        ``graph_options`` order, each rule's word coded (its whole form for
+        ``flag_labels``)."""
         code, out = self.code, {}
         for l, (opts, *least) in self.graph_options.items():
             if all(r.form is not None for *_, r in opts):
@@ -359,18 +365,6 @@ class Table:
                 opts = tuple((de, dn, ds, encode(r.form)) for de, dn, ds, r in opts)
                 out[code.chars[l]] = (opts, *least)
         return out
-
-    @_cached
-    def choices(self) -> Callable:
-        """``_choices`` on this table, memoized for this table object."""
-        ref = weakref.ref(self)  # the memo, stored on the table, must not keep it alive
-        return lru_cache(maxsize=_CHOICES_CACHE)(lambda *key: _choices(ref(), *key))
-
-    @_cached
-    def code(self) -> _Code:
-        """The code of the word path: over the scope and the labels of the
-        right-hand sides, unless a grammar gave the table its own."""
-        return _Code(chain(self.scope, *(r.rhs.labels() for r in self.rules)))
 
     @_cached
     def flag_labels(self) -> frozenset[str]:
@@ -382,8 +376,8 @@ class Table:
         """Labels whose rewriting can change the graph."""
         return frozenset(
             l
-            for l, rs in self.by_label.items()
-            if not (len(rs) == 1 and is_identity_rule(rs[0]))
+            for l, (opts, *_) in self.graph_options.items()
+            if not (len(opts) == 1 and is_identity_rule(opts[0][3]))
         )
 
 
@@ -549,29 +543,28 @@ class PHRGrammar:
         return {l: least.get(l, inf) for l in self.signature.labels}
 
     @_cached
-    def live_tables(self) -> tuple[tuple[str, Table, frozenset[str]], ...]:
-        """The tables as the search takes them: ``(index, table, blocked)``.
+    def live_tables(self) -> tuple[tuple[str, _Rows, frozenset[str]], ...]:
+        """The tables as the search takes them: ``(index, rows, blocked)``.
 
-        Each table is cut to its live rules, those with no label of size
-        ``inf`` (see ``least_edges``), which tightens its rows' least
-        increments.  ``blocked``, the rest of the scope, keeps no rule: a
+        ``rows`` compiles the table's live rules, those with no label of
+        size ``inf`` (see ``least_edges``), which tightens their least
+        increments.  ``blocked``, the rest of the scope, keeps no row: a
         form holding such a label has no successor that can still become
         terminal, and the search takes no product for it (an empty row's
-        unbounded least increment would set the edge flag).  The cut reuses
-        the table's keyed and checked rules, so it keys none and reads
-        labels off ``Rule.arities``.  Every cut codes labels with the
-        grammar's ``code``, not one of its narrower scope, so a coded form
-        passes from table to table unchanged, and sizes its options by the
-        grammar's ``least_edges``.
+        unbounded least increment would set the edge flag).  The rows take
+        the table's keyed and checked rules, so they key none, and labels
+        are read off ``Rule.arities``.  Every table's rows code labels with
+        the grammar's ``code``, not one of the table's narrower scope, so a
+        coded form passes from table to table unchanged, and they size
+        options by the grammar's ``least_edges``.  They and their choice
+        memos live as long as this grammar object.
         """
         out = []
         least = self.least_edges
         for i, t in self.tables:
             live = tuple(r for r in t.rules if all(least[l] < inf for l, _ in r.arities))
-            cut = Table(rules=live, scope=tuple({r.lhs for r in live}))
-            object.__setattr__(cut, "code", self.code)
-            object.__setattr__(cut, "least_edges", least)
-            out.append((i, cut, frozenset(t.scope).difference(cut.scope)))
+            rows = _Rows(live, self.code, least)
+            out.append((i, rows, frozenset(t.scope).difference(rows.graph_options)))
         return tuple(out)
 
     @_cached
@@ -824,31 +817,31 @@ def direct_derivations(
 
 def parallel_budgeted(
     h: Hypergraph | CodedForm,
-    table: Table,
+    table: Table | _Rows,
     max_nodes: float = inf,
     max_edges: float = inf,
     max_size: float = inf,
 ) -> tuple[dict, bool, bool]:
     """All parallel successors of ``h`` under ``table`` within budgets.
 
-    ``h`` is a ``Hypergraph`` or a ``CodedForm``, a word form coded by
-    ``table.code``.  The search passes a ``Table`` cut to its live rules
-    (see ``PHRGrammar.live_tables``), ``et0l_step`` a word table's
-    ``graph_table``; a label of ``h`` without a rule in ``table`` raises
-    ``GrammarError``.  Returns (successors by key, node bound hit, edge
-    bound hit); an edge-less graph is its own sole successor.  A graph's
-    successors are canonical graphs keyed by canonical key, a coded
-    form's are coded keys keyed by themselves.  Both paths take the edges
-    stably sorted by label (the word path by code, the same order), the
-    order in which a canonical graph numbers them (not its edge order,
-    which sorts ids as strings: ``e10`` before ``e2``), so a coded form
-    meets the same option lists in the same order as its canonical
-    graph, and sets the same budget flags.
+    ``table`` is a ``Table``, whose own ``rows`` the product reads, or the
+    rows that a grammar compiled (``PHRGrammar.live_tables``); ``h`` is a
+    ``Hypergraph`` or a ``CodedForm``, a word form coded by the rows'
+    ``code``.  A label of ``h`` without a row raises ``GrammarError``.
+    Returns (successors by key, node bound hit, edge bound hit); an
+    edge-less graph is its own sole successor.  A graph's successors are
+    canonical graphs keyed by canonical key, a coded form's are coded keys
+    keyed by themselves.  Both paths take the edges stably sorted by label
+    (the word path by code, the same order), the order in which a
+    canonical graph numbers them (not its edge order, which sorts ids as
+    strings: ``e10`` before ``e2``), so a coded form meets the same option
+    lists in the same order as its canonical graph, and sets the same
+    budget flags.
 
     The choices of one option per edge, and both flags, depend only on
     the sorted labels (a ``str`` of codes on the word path, a tuple on the
     graph path), the node count and the budgets: that is the key under
-    which ``table.choices`` memoizes ``_choices`` per table object (an
+    which the rows' ``choices`` memoizes ``_choices`` per rows object (an
     error is not stored, so it recurs).  Word order and edge ids enter
     only here, where each choice becomes a successor in the order found,
     so successors, their order and the flags are those of a fresh search.
@@ -857,12 +850,13 @@ def parallel_budgeted(
     ``PHRGrammar.least_edges``) exceeds ``max_size`` is dropped without a
     flag.  ``inf`` is no budget, and ``max_size`` is apart from ``max_edges``.
     """
+    rows = table.rows if isinstance(table, Table) else table
     budgets = max_nodes, max_edges, max_size
     if isinstance(h, CodedForm):
-        return _word_successors(h, table, budgets)
+        return _word_successors(h, rows, budgets)
     edges = sorted(h.edges, key=lambda e: e.label)
     labels = tuple([e.label for e in edges])
-    choices, hit_nodes, hit_edges = table.choices(labels, len(h.nodes), *budgets)
+    choices, hit_nodes, hit_edges = rows.choices(labels, len(h.nodes), *budgets)
     found = {}
     for chosen in choices:
         result = replace(h, {e.id: r.rhs for e, r in zip(edges, chosen)})
@@ -875,17 +869,17 @@ def parallel_budgeted(
     return found, hit_nodes, hit_edges
 
 
-def _word_successors(h: CodedForm, table: Table, budgets: tuple) -> tuple[dict, bool, bool]:
+def _word_successors(h: CodedForm, rows: _Rows, budgets: tuple) -> tuple[dict, bool, bool]:
     """The word path of ``parallel_budgeted``, on a form and rows coded
     alike, within ``budgets`` (nodes, edges, size): the successors' keys,
     each keyed by itself."""
     edges = h.word + h.flags
     order = sorted(range(len(edges)), key=edges.__getitem__)
     labels = "".join([edges[j] for j in order])
-    choices, hit_nodes, hit_edges = table.choices(labels, len(h.word) + 1, *budgets)
+    choices, hit_nodes, hit_edges = rows.choices(labels, len(h.word) + 1, *budgets)
     place = sorted(range(len(labels)), key=order.__getitem__)  # label-order positions
     join = itemgetter(*place[: len(h.word)], len(labels))  # the words in word order, _SEP
-    flagged, names = table.flag_labels, table.code.names
+    flagged, names = rows.flag_labels, rows.code.names
     carry = [p for p, l in enumerate(labels) if names[ord(l) - 1] in flagged] if flagged else ()
     if carry:  # these positions hold whole coded forms
         keys = []
@@ -898,17 +892,17 @@ def _word_successors(h: CodedForm, table: Table, budgets: tuple) -> tuple[dict, 
     return dict(zip(keys, keys)), hit_nodes, hit_edges
 
 
-def _no_row(table: Table, label: str) -> GrammarError:
+def _no_row(rows: _Rows, label: str) -> GrammarError:
     """The error for a label without a row of product options."""
-    if label in table.scope:
+    if label in rows.graph_options:
         return GrammarError(f"rules for label {label!r} are not all word forms")
     return GrammarError(f"no rules for label {label!r} in table")
 
 
 def _choices(
-    table: Table, labels: str | Word, nodes: int, max_nodes, max_edges, max_size
+    rows: _Rows, labels: str | Word, nodes: int, max_nodes, max_edges, max_size
 ) -> tuple[tuple[tuple, ...], bool, bool]:
-    """The choice search of ``parallel_budgeted`` over the table's
+    """The choice search of ``parallel_budgeted`` over the rows'
     ``coded_options`` (the word path, whose ``labels`` are one ``str`` of
     codes) or ``graph_options`` (a tuple of labels), for a form with these
     sorted edge labels and ``nodes`` nodes: each choice of one option per
@@ -929,15 +923,15 @@ def _choices(
     ``_PRODUCT_GUARD`` rule choices raise ``GrammarError`` at once.
     """
     word_path = isinstance(labels, str)
-    rows = table.coded_options if word_path else table.graph_options
+    options = rows.coded_options if word_path else rows.graph_options
     m = len(labels)
     chosen: list = [_SEP] * (m + 1)  # the last slot is joined after every word
     picked, at = [], []  # the rows with a choice, and their positions
     total_edges = total_size = 0
     for p, l in enumerate(labels):
-        row = rows.get(l)
+        row = options.get(l)
         if row is None:
-            raise _no_row(table, table.code.names[ord(l) - 1] if word_path else l)
+            raise _no_row(rows, rows.code.names[ord(l) - 1] if word_path else l)
         total_edges += row[1]
         nodes += row[2]
         total_size += row[3]
@@ -1028,12 +1022,12 @@ def trace_successors(
 
 def et0l_step(table: WordTable, word: Word) -> set[Word]:
     """All parallel rewrites of ``word`` by the word table: the word path
-    of ``parallel_budgeted``, on the word coded by the code of the table's
-    ``graph_table``, without nullary labels."""
-    graph_table = table.graph_table
+    of ``parallel_budgeted``, on the word coded by the code of the rows of
+    the table's ``graph_table``, without nullary labels."""
+    rows = table.graph_table.rows
     stray = set(word).difference(table.scope)
     if stray:  # a symbol the code may lack; every other has a row
-        raise _no_row(graph_table, min(stray))
-    code = graph_table.code
-    found, _, _ = parallel_budgeted(CodedForm(code.encode(word), "", code), graph_table)
+        raise _no_row(rows, min(stray))
+    code = rows.code
+    found, _, _ = parallel_budgeted(CodedForm(code.encode(word), "", code), rows)
     return {code.decoded(key).word for key in found}

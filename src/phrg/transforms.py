@@ -729,7 +729,7 @@ def _annotated_product(
     """
     active: set[str] = set()
     for _, t in g.tables:
-        active |= t.active_labels
+        active |= t.rows.active_labels
     inert = {
         a
         for a in g.terminals

@@ -299,8 +299,8 @@ class TestLayerHooks:
         overlay = (Rule("S", string_graph("ab")), Rule("S", string_graph("ba")))
         assert set(overlay) <= set(override_table(base, overlay).rules)
         assert calls["phrg.grammar.canonical_key"] == len(overlay)
-        [(_, cut, blocked)] = g.live_tables  # D never terminates
-        assert (len(cut.rules), blocked) == (2, {"D"})
+        [(_, rows, blocked)] = g.live_tables  # D never terminates
+        assert (len(rows.rules), blocked) == (2, {"D"})
         assert calls["phrg.grammar.canonical_key"] == len(overlay)
 
     def test_member_stops_at_its_word(self, monkeypatch):

@@ -98,7 +98,7 @@ class TestTables:
     def test_identity_table(self):
         t = identity_table(SIG)
         assert all(is_identity_rule(r) for r in t.rules)
-        assert t.active_labels == frozenset()
+        assert t.rows.active_labels == frozenset()
 
     def test_override_with_nothing_is_identity(self):
         base = identity_table(SIG)

@@ -34,7 +34,7 @@ from phrg import (
     member_string,
     string_graph,
 )
-from phrg.grammar import WordForm, split_control
+from phrg.grammar import WordForm, _Rows, split_control
 from oracles import all_words, least_terminal_sizes
 from test_productive import (
     _grammar,
@@ -195,7 +195,7 @@ def test_product_drops_choices_dead_within_the_edge_budget():
                     rules.append(Rule(l, _rhs(word, tuple(a for a in body if a in nullary))))
         table = Table(rules=tuple(rules), scope=sig.labels)
         least = {l: rng.randint(0, 3) for l in sig.labels}
-        object.__setattr__(table, "least_edges", least)
+        table = _Rows(table.rules, table.rows.code, least)  # as live_tables sizes
         flags = tuple(rng.choices(nullary, k=rng.randint(0, 1))) if nullary else ()
         form = WordForm(tuple(rng.choices(letters, k=rng.randint(0, 5))), flags)
         budgets = [inf, *range(len(form.word) + len(form.flags) + 7)]

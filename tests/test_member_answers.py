@@ -8,7 +8,6 @@ that each of its queries runs the whole search: verdicts and traces must
 be equal.
 """
 
-import dataclasses
 import gc
 import random
 import types
@@ -74,16 +73,6 @@ GRAMMARS = (*fixture_names(), *sorted(CASES))
 ORACLES = _oracles()
 
 
-def searched(g, word, limits: Limits) -> Limits:
-    """The budgets within which ``member_string`` searched for the word:
-    at most |word|+1 nodes on a node-monotone grammar.  A trace is
-    replayed within them, as one step of ``f2_wp`` within 40 nodes has
-    millions of rule choices."""
-    if not split_control(g)[0].node_monotone:
-        return limits
-    return dataclasses.replace(limits, max_nodes=min(limits.max_nodes, len(word) + 1))
-
-
 @pytest.mark.parametrize("name", GRAMMARS)
 def test_shared_answers_equal_fresh_searches(name):
     g = fresh(grammar(name))
@@ -100,7 +89,7 @@ def test_shared_answers_equal_fresh_searches(name):
         assert member_string(g, w, LIMIT_SETS[i]) == want[w, i], (w, LIMIT_SETS[i])
     for (w, i), verdict in want.items():
         if verdict.verdict == "yes":
-            assert witnesses(g, w, verdict.trace, searched(g, w, LIMIT_SETS[i]))
+            assert witnesses(g, w, verdict.trace, LIMIT_SETS[i])
             assert ORACLES.get(name, bool)(w), w
 
 

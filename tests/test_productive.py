@@ -259,15 +259,15 @@ def test_blocked_label_has_no_successors(monkeypatch):
     assert len(calls) == 3  # S in both tables, A in table 2
 
 
-def _former_cut(table: Table, g: PHRGrammar, rows: dict) -> dict:
+def _former_cut(table: Table, g: PHRGrammar, options: dict) -> dict:
     """The reference cut: each row filtered to the options whose rule's
     right-hand side holds productive labels alone, each sized by the sum
     of ``g.least_edges`` over that right-hand side's edges, then stably
     re-sorted by increments, with its least increments and least size; a
     row left empty is gone."""
     out, live = {}, productive(g)
-    for l, (opts, *_) in rows.items():
-        rules = table.graph_options[l][0]  # aligned with opts
+    for l, (opts, *_) in options.items():
+        rules = table.rows.graph_options[l][0]  # aligned with opts
         kept = [
             (de, dn, sum(g.least_edges[e.label] for e in r.rhs.edges), piece)
             for (de, dn, _, piece), (*_, r) in zip(opts, rules)
@@ -279,10 +279,10 @@ def _former_cut(table: Table, g: PHRGrammar, rows: dict) -> dict:
     return out
 
 
-def _word_rows(table: Table) -> dict:
-    """``table.coded_options`` decoded through the table's own code: keyed
-    by label, each coded word or whole form decoded."""
-    code = table.code
+def _word_rows(rows) -> dict:
+    """``rows.coded_options`` decoded through the rows' own code: keyed by
+    label, each coded word or whole form decoded."""
+    code = rows.code
 
     def piece(x):
         if isinstance(x, CodedForm):
@@ -291,7 +291,7 @@ def _word_rows(table: Table) -> dict:
 
     return {
         code.names[ord(c) - 1]: (tuple((*o[:3], piece(o[3])) for o in opts), *least)
-        for c, (opts, *least) in table.coded_options.items()
+        for c, (opts, *least) in rows.coded_options.items()
     }
 
 
@@ -301,15 +301,17 @@ def test_live_tables_keep_the_former_cut():
     cuts = 0
     for g in grammars:
         live = productive(g)
-        for (_, table), (_, cut, blocked) in zip(g.tables, g.live_tables):
-            assert cut.graph_options == _former_cut(table, g, table.graph_options)
-            want, got = _former_cut(table, g, _word_rows(table)), _word_rows(cut)
+        for (_, table), (_, rows, blocked) in zip(g.tables, g.live_tables):
+            assert rows.graph_options == _former_cut(table, g, table.rows.graph_options)
+            want, got = _former_cut(table, g, _word_rows(table.rows)), _word_rows(rows)
             assert {l: got[l] for l in want if l in got} == {
                 l: row for l, row in want.items() if l in got
             }
-            rows = table.by_label.items()
-            assert blocked == {l for l, rs in rows if not any(r.rhs.labels() <= live for r in rs)}
-            cuts += len(cut.rules) < len(table.rules)
+            by_label = table.by_label.items()
+            assert blocked == {
+                l for l, rs in by_label if not any(r.rhs.labels() <= live for r in rs)
+            }
+            cuts += len(rows.rules) < len(table.rules)
     assert cuts  # some tables lose rules
 
 

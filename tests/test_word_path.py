@@ -39,6 +39,7 @@ from phrg.grammar import (
     GrammarError,
     WordForm,
     WordTable,
+    _Rows,
     parallel_budgeted,
     split_control,
     word_form,
@@ -79,16 +80,18 @@ def witnesses(g, word, trace, limits: Limits) -> bool:
     """The trace derives the word's string graph from the start handle and
     is accepted by the control automaton, if there is one.
 
-    The trace is replayed over graphs within the limits, inside which the
-    search found it: ``trace_successors`` has no budget, and one step of
-    the word-problem grammars outside them has millions of rule choices.
+    The trace is replayed over graphs within the limits as ``member_string``
+    searched within them, with at most |word|+1 nodes on a node-monotone
+    grammar: ``trace_successors`` has no budget, and one step of the
+    word-problem grammars outside them has millions of rule choices.
     """
     if isinstance(g, ControlledPHRGrammar) and not g.control.accepts(trace):
         return False
     grammar, _ = split_control(g)
     start = grammar.start_graph()
     reached = {canonical_key(start): start}
-    budgets = limits.max_nodes, limits.max_edges, limits.max_edges  # least size within edges
+    max_nodes = min(limits.max_nodes, len(word) + 1) if grammar.node_monotone else limits.max_nodes
+    budgets = max_nodes, limits.max_edges, limits.max_edges  # least size within edges
     for index in trace:
         table = grammar.table(index)
         step: dict = {}
@@ -199,13 +202,14 @@ def _rhs(word, flags) -> Hypergraph:
     return Hypergraph(h.nodes, h.edges + nullary, h.ext)
 
 
-def _product(subject, table: Table, *budgets):
+def _product(subject, table, *budgets):
     """``parallel_budgeted`` on a graph, or on a word form coded by the
-    table's code, as the search codes its forms, with the successors
-    decoded and keyed by themselves."""
+    code of the rows it reads (a ``Table``'s own, or ``_Rows`` built
+    directly), as the search codes its forms, with the successors decoded
+    and keyed by themselves."""
     if not isinstance(subject, WordForm):
         return parallel_budgeted(subject, table, *budgets)
-    code = table.code
+    code = (table.rows if isinstance(table, Table) else table).code
     found, *flags = parallel_budgeted(code.coded(subject), table, *budgets)
     return ({f: f for f in map(code.decoded, found)}, *flags)
 
@@ -372,7 +376,7 @@ def _reference(subject, table, max_nodes, max_edges, max_size=inf, least=None):
 
 
 def test_product_matches_the_reference_product():
-    """Seeded sweep over Table rows, whole, cut to live rules, or the
+    """Seeded sweep over a Table's own rows, rows of its live rules, or the
     ``graph_table`` of a WordTable, with nullary labels, identity rules and budgets from
     0 to the form's size + 6 or ``inf``: on word forms and on their
     canonical graphs the product gives the reference's successors in its
@@ -408,12 +412,10 @@ def test_product_matches_the_reference_product():
                         body = rng.choices(letters, k=rng.randint(0, 3))
                         rules.append(Rule(l, _rhs(body, flags if rng.random() < 0.3 else ())))
             table = Table(rules=tuple(rules), scope=sig.labels)
-            if kind == "live":  # cut to the rules over all labels but one
+            if kind == "live":  # rows of the rules over all labels but one
                 live = frozenset(rng.sample(sig.labels, len(sig.labels) - 1))
                 kept = tuple(r for r in table.rules if r.rhs.labels() <= live)
-                cut = Table(rules=kept, scope=tuple({r.lhs for r in kept}))
-                object.__setattr__(cut, "code", table.code)  # as live_tables codes
-                table = cut
+                table = _Rows(kept, table.rows.code, {})  # as live_tables codes
             flags = rng.choices(nullary, k=rng.randint(0, 2)) if nullary else ()
             form = WordForm(word, tuple(sorted(flags)))
         budgets = [inf, *range(len(form.word) + len(form.flags) + 7)]
