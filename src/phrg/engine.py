@@ -64,19 +64,31 @@ rows of a grammar's tables are compiled once per grammar object
 expanded before, in this search or an earlier one on the same grammar
 object, reuses the choices and only assembles successors.
 
-Member queries on one grammar object share their search's answers.
-Per bounded budgets (the limits with the node cap, and the size bound:
-all that the search reads), the grammar object keeps one answer table
-in ``member_answers``: the trace of the first accepted pair of each key
+Member queries on one grammar object share their search's answers.  Per
+bounded budgets (the limits with the node cap, and the size bound: all
+that the search reads), the grammar object keeps one answer table in
+``member_answers``: the trace of the first accepted pair of each key
 the search accepted, in search order, and, when the search ended by
-itself, the verdict of every key it did not accept.  A query that the
-table decides is one lookup; any other runs the search and replaces the
-table.  The table holds no form and no search state.  A search that
-raises stores nothing.  The search is deterministic (frontier and
-successor keys are sorted, parents never rewritten), so verdicts and
-traces are those of a fresh search, whichever word asked first.  A copy
-made with ``dataclasses.replace`` starts with no tables, and they die
-with the object.
+itself, the verdict of every key it did not accept.  A table earned at
+size bound S and node cap N covers a query at size bound s <= S and
+node cap n with the same step, edge and result budgets when n == N, or
+when n < N on a node-monotone grammar and the word's graph fits in n
+nodes (n is then |word|+1).  Least size never falls along a derivation,
+nor, on a node-monotone grammar, does the node count, so every path to
+a state within the smaller budgets stays within them: the smaller
+search visits exactly the states of the larger one that fit, in the
+same order, at the same depths, with the same first parents, and its
+node, edge and result flags are a subset of the larger search's.  So a
+covering table's traces and a ``no-within-limits`` rest answer the
+query; an ``unknown`` rest answers only at the same budgets.  A query
+that a table decides is one lookup, which builds no search; any other
+runs the search and replaces the table at its own budgets.  The table
+holds no form and no search state.  A search that raises stores
+nothing.  The search is deterministic (frontier and successor keys are
+sorted, parents never rewritten), so verdicts and traces are those of a
+fresh search, whichever word asked first.  A copy made with
+``dataclasses.replace`` starts with no tables, and they die with the
+object.
 """
 
 from __future__ import annotations
@@ -156,6 +168,14 @@ class _Graphs:
         return (extract_string(h, empty) for h in found.values())
 
 
+_GRAPHS = _Graphs()
+
+
+def _codec(grammar: PHRGrammar):
+    """The codec of the grammar's search path: its ``code`` on the word path."""
+    return grammar.code if grammar.string_shaped else _GRAPHS
+
+
 @dataclass
 class _Search:
     grammar: PHRGrammar
@@ -171,7 +191,7 @@ class _Search:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        self.codec = self.grammar.code if self.grammar.string_shaped else _Graphs()
+        self.codec = _codec(self.grammar)
 
     def accepted(self) -> Iterator[tuple[tuple, object]]:
         """BFS; yields ``(pair, form)`` for each accepted state in the
@@ -253,25 +273,54 @@ class _Search:
 
     def trace(self, pair: tuple) -> tuple[str, ...]:
         """The table indices along the parents from the start to ``pair``."""
-        trace = []
-        while self.parents[pair] is not None:
-            pair, index = self.parents[pair]
+        parents, trace = self.parents, []
+        step = parents[pair]
+        while step is not None:
+            pair, index = step
             trace.append(index)
-        return tuple(reversed(trace))
+            step = parents[pair]
+        trace.reverse()
+        return tuple(trace)
 
 
 @dataclass(frozen=True)
 class _Answers:
-    """What a member search earned, for later queries at its budgets."""
+    """What a member search earned, for later queries within its budgets."""
 
     traces: dict  # each accepted key: the trace of its first accepted pair
     rest: Optional[MemberVerdict]  # every other key's, if the search ended by itself
 
-    def verdict(self, key) -> Optional[MemberVerdict]:
-        """The verdict on ``key``, or None where the search left it open."""
+    def verdict(self, key, exact: bool) -> Optional[MemberVerdict]:
+        """The verdict on ``key`` in a search within these budgets, or None
+        where the search left it open.  An ``unknown`` rest holds only at
+        the same budgets (``exact``): a smaller search may cut nothing."""
         if key in self.traces:
             return MemberVerdict("yes", self.traces[key])
-        return self.rest
+        rest = self.rest
+        if rest is None or (not exact and rest.verdict == "unknown"):
+            return None
+        return rest
+
+
+def _known(
+    answers: dict, limits: Limits, nodes: int, size: int, wider: bool, key
+) -> Optional[MemberVerdict]:
+    """The verdict on ``key`` of a member search at ``limits`` with node
+    cap ``nodes`` and size bound ``size``, from an answer table whose
+    budgets cover these, or None if none decides it.  A table's node cap
+    may exceed ``nodes`` only where ``wider`` says so."""
+    for (known, bound), table in answers.items():
+        if (
+            size <= bound
+            and known.max_edges == limits.max_edges
+            and known.max_steps == limits.max_steps
+            and known.max_results == limits.max_results
+            and (nodes == known.max_nodes or (wider and nodes < known.max_nodes))
+        ):
+            exact = size == bound and nodes == known.max_nodes
+            if (verdict := table.verdict(key, exact)) is not None:
+                return verdict
+    return None
 
 
 def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
@@ -336,10 +385,17 @@ def member_string(
     dropped without a flag.  On an edge-monotone grammar a form's least
     size is at least its edge count, so no form past |word| edges is kept.
 
-    Queries on one grammar object at the same bounded budgets share
-    answers (see the module docstring): the traces of the keys a search
-    accepted, and the verdict of every other key once a search ended by
-    itself.  Verdicts and traces equal those of a fresh search.
+    Queries on one grammar object share answers (see the module
+    docstring): the traces of the keys a search accepted, and the verdict
+    of every other key once a search ended by itself.  A search answers
+    every query whose budgets it covers: the same step, edge and result
+    budgets, a size bound (the word's length) no larger, and the same
+    node cap or, on a node-monotone grammar where the cap is |word|+1,
+    a larger one.  A trace or a ``no-within-limits`` verdict carries over,
+    as the smaller search visits the larger one's states that fit with
+    the same parents and a subset of its flags; an ``unknown`` one only
+    at the same budgets.  Verdicts and traces equal those of a fresh
+    search.
     """
     grammar, ctrl = split_control(g)
     letters = tuple(word)
@@ -349,14 +405,17 @@ def member_string(
     for a in letters:
         if a not in terminals or grammar.signature.arity(a) != 2:
             return MemberVerdict("no-within-limits")
-    cap_nodes = len(letters) + 1 if grammar.node_monotone else limits.max_nodes
-    bounded = dataclasses.replace(limits, max_nodes=min(limits.max_nodes, cap_nodes))
+    monotone = grammar.node_monotone
+    nodes = min(limits.max_nodes, len(letters) + 1) if monotone else limits.max_nodes
     size = min(len(letters), limits.max_edges)
-    search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
-    target = search.codec.key(letters)
-    known = g.member_answers.get((bounded, size))
-    if known is not None and (verdict := known.verdict(target)) is not None:
+    target = _codec(grammar).key(letters)
+    # a larger node cap covers this one if no node count falls and the word fits
+    wider = monotone and nodes > len(letters)
+    verdict = _known(g.member_answers, limits, nodes, size, wider, target)
+    if verdict is not None:
         return verdict
+    bounded = dataclasses.replace(limits, max_nodes=nodes)
+    search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
     traces, rest = {}, None
     for pair, _ in search.accepted():
         if pair[0] not in traces:
@@ -366,9 +425,9 @@ def member_string(
     else:
         cut = (
             search.hit_results
-            or (search.hit_nodes and not grammar.node_monotone)
+            or (search.hit_nodes and not monotone)
             or (search.hit_edges and not grammar.edge_monotone)
         )
         rest = MemberVerdict("unknown" if cut else "no-within-limits")
     known = g.member_answers[bounded, size] = _Answers(traces, rest)
-    return known.verdict(target)
+    return known.verdict(target, exact=True)

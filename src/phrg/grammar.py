@@ -575,8 +575,13 @@ class PHRGrammar:
     @_cached
     def member_answers(self) -> dict:
         """The answer tables that ``engine.member_string`` keeps on this
-        object, by bounded budgets; a ``dataclasses.replace`` copy starts
-        with none."""
+        object, by bounded budgets.  A table also answers a query whose
+        budgets it covers: the same step, edge and result budgets, a size
+        bound no larger, and the same node cap, or a larger one on a
+        node-monotone grammar when the word fits the query's cap; then the
+        query's search visits the table search's states that fit, with the
+        same parents (see ``engine``).  A ``dataclasses.replace`` copy
+        starts with none."""
         return {}
 
     @property
@@ -779,8 +784,13 @@ class ControlledPHRGrammar:
     @_cached
     def member_answers(self) -> dict:
         """The answer tables that ``engine.member_string`` keeps on this
-        object, by bounded budgets; a ``dataclasses.replace`` copy starts
-        with none."""
+        object, by bounded budgets.  A table also answers a query whose
+        budgets it covers: the same step, edge and result budgets, a size
+        bound no larger, and the same node cap, or a larger one on a
+        node-monotone grammar when the word fits the query's cap; then the
+        query's search visits the table search's states that fit, with the
+        same parents (see ``engine``).  A ``dataclasses.replace`` copy
+        starts with none."""
         return {}
 
 

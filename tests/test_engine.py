@@ -355,7 +355,7 @@ class TestLayerHooks:
 
     def test_choice_searches_are_reused(self, monkeypatch):
         # dyck_phr's word forms repeat their label multisets; the choice
-        # search runs once per table object, labels, node count and budgets
+        # search runs once per rows object, labels, node count and budgets
         g = fixture("dyck_phr").phr()
         limits = Limits(max_steps=4, max_edges=6)
         keys, searches = [], []

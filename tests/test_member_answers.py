@@ -2,12 +2,14 @@
 
 ``member_string`` keeps, per grammar object and bounded budgets, the
 trace of each key its search accepted and, once the search ended by
-itself, the verdict of every other key.  The reference is a copy of
-the grammar (``fresh``) whose answers are cleared before each query, so
-that each of its queries runs the whole search: verdicts and traces must
-be equal.
+itself, the verdict of every other key; a table also answers a query
+whose budgets it covers, such as a shorter word's.  The reference is a
+copy of the grammar (``fresh``) whose answers are cleared before each
+query, so that each of its queries runs the whole search: verdicts and
+traces must be equal.
 """
 
+import dataclasses
 import gc
 import random
 import types
@@ -185,3 +187,81 @@ def test_a_copy_starts_without_answers():
     assert g.member_answers
     assert fresh(g).member_answers == {}
     assert member_string(fresh(g), "ab", LIMIT_SETS[0]) == MemberVerdict("yes", ("1",))
+
+
+def _counting(monkeypatch) -> list:
+    """Count the calls of ``parallel_budgeted`` in the engine."""
+    real, calls = phrg.engine.parallel_budgeted, []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(phrg.engine, "parallel_budgeted", counted)
+    return calls
+
+
+def _fresh_verdict(g, word, limits: Limits) -> MemberVerdict:
+    return member_string(fresh(g), word, limits)
+
+
+@pytest.mark.parametrize("name, longest", [("dyck_phr", "aaaa"), ("f2_wp", "AAAA")])
+def test_the_longest_word_decides_every_shorter_word(monkeypatch, name, longest):
+    g = fresh(fixture(name).phr())
+    limits = LIMIT_SETS[0]
+    shorter = list(all_words(sorted(split_control(g)[0].terminals), len(longest) - 1))
+    want = {w: _fresh_verdict(g, w, limits) for w in shorter}
+    assert {v.verdict for v in want.values()} == {"yes", "no-within-limits"}
+    assert member_string(g, longest, limits) == _fresh_verdict(g, longest, limits)
+    calls = _counting(monkeypatch)
+    for w in shorter:
+        assert member_string(g, w, limits) == want[w], w
+    assert calls == []
+
+
+def test_an_unknown_rest_decides_no_shorter_word():
+    g = fixture("f2_wp").phr()
+    limits = LIMIT_SETS[1]
+    long = fresh(g)
+    assert member_string(long, "AAAA", limits).verdict == "unknown"
+    [answers] = long.member_answers.values()
+    assert answers.rest == MemberVerdict("unknown")  # the result budget cut the search
+    refused = 0
+    for w in all_words(sorted(split_control(g)[0].terminals), 3):
+        want = _fresh_verdict(g, w, limits)
+        h = fresh(g)
+        h.member_answers.update(long.member_answers)
+        assert member_string(h, w, limits) == want, w
+        refused += want.verdict == "no-within-limits"
+    assert refused
+
+
+def test_node_caps_are_shared_only_on_node_monotone_grammars(monkeypatch):
+    g = fresh(grammar("hom dyck_phr erasing"))
+    assert not split_control(g)[0].node_monotone
+    wide = Limits(max_steps=6, max_nodes=10, max_edges=5, max_results=20_000)
+    narrow = dataclasses.replace(wide, max_nodes=4)
+    want = {(w, L): _fresh_verdict(g, w, L) for w in ("b", "bb", "bbb") for L in (wide, narrow)}
+    # the wide search derives bb; within 4 nodes a node cut hides it
+    assert want["bb", wide].verdict == "yes" and want["bb", narrow].verdict == "unknown"
+    assert member_string(g, "bbb", wide) == want["bbb", wide]
+    calls = _counting(monkeypatch)
+    for w in ("bb", "b"):
+        assert member_string(g, w, wide) == want[w, wide], w
+    assert calls == []
+    for w in ("bbb", "bb", "b"):
+        h = fresh(g)
+        h.member_answers.update(g.member_answers)  # the wide tables alone
+        calls.clear()
+        assert member_string(h, w, narrow) == want[w, narrow], w
+        assert calls, w
+
+
+def test_a_word_past_the_node_cap_takes_no_trace_from_a_wider_table():
+    g = fresh(fixture("dyck_phr").phr())
+    assert split_control(g)[0].node_monotone
+    wide = LIMIT_SETS[0]
+    narrow = dataclasses.replace(wide, max_nodes=4)  # abab's graph has 5 nodes
+    assert member_string(g, "abab", wide) == MemberVerdict("yes", ("1", "1"))
+    want = _fresh_verdict(g, "abab", narrow)
+    assert member_string(g, "abab", narrow) == want == MemberVerdict("no-within-limits")
