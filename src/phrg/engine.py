@@ -64,31 +64,36 @@ rows of a grammar's tables are compiled once per grammar object
 expanded before, in this search or an earlier one on the same grammar
 object, reuses the choices and only assembles successors.
 
-Member queries on one grammar object share their search's answers.  Per
-bounded budgets (the limits with the node cap, and the size bound: all
-that the search reads), the grammar object keeps one answer table in
-``member_answers``: the trace of the first accepted pair of each key
-the search accepted, in search order, and, when the search ended by
-itself, the verdict of every key it did not accept.  A table earned at
-size bound S and node cap N covers a query at size bound s <= S and
-node cap n with the same step, edge and result budgets when n == N, or
-when n < N on a node-monotone grammar and the word's graph fits in n
-nodes (n is then |word|+1).  Least size never falls along a derivation,
-nor, on a node-monotone grammar, does the node count, so every path to
-a state within the smaller budgets stays within them: the smaller
-search visits exactly the states of the larger one that fit, in the
-same order, at the same depths, with the same first parents, and its
-node, edge and result flags are a subset of the larger search's.  So a
-covering table's traces and a ``no-within-limits`` rest answer the
-query; an ``unknown`` rest answers only at the same budgets.  A query
-that a table decides is one lookup, which builds no search; any other
-runs the search and replaces the table at its own budgets.  The table
-holds no form and no search state.  A search that raises stores
-nothing.  The search is deterministic (frontier and successor keys are
-sorted, parents never rewritten), so verdicts and traces are those of a
-fresh search, whichever word asked first.  A copy made with
-``dataclasses.replace`` starts with no tables, and they die with the
-object.
+Every finished search on a grammar object leaves the answers that member
+queries read.  Per bounded budgets (the limits with the node cap, and the
+size bound: all that the search reads), the grammar object keeps one
+answer table in ``member_answers``: the trace of the first accepted pair
+of each key the search accepted, in search order, and, when the search
+ended by itself, the verdict of every key it did not accept.  A member
+query stores one at its own budgets; an enumeration, which always runs
+to its end, stores one with a rest at its limits and size bound
+``max_edges``, so member queries after it at the same limits are
+lookups.  A table earned at size bound S and node cap N covers a query
+at size bound s <= S and node cap n with the same step, edge and result
+budgets when n == N, or when n < N on a node-monotone grammar and the
+word's graph fits in n nodes (n is then |word|+1).  Least size never
+falls along a derivation, nor, on a node-monotone grammar, does the node
+count, so every path to a state within the smaller budgets stays within
+them: the smaller search visits exactly the states of the larger one
+that fit, in the same order, at the same depths, with the same first
+parents, and its node, edge and result flags are a subset of the larger
+search's.  So a covering table's traces and a ``no-within-limits`` rest
+answer the query; an ``unknown`` rest answers only at the same budgets.
+Only a search that ended by itself has a rest: one that stopped at its
+member at depth d cannot decide a shorter word, which may still be
+accepted at a depth of d or more.  A query that a table decides is one
+lookup, which builds no search; any other runs the search and replaces
+the table at its own budgets.  The table holds no form and no search
+state.  A search that raises stores nothing.  The search is
+deterministic (frontier and successor keys are sorted, parents never
+rewritten), so verdicts and traces are those of a fresh search,
+whichever call asked first.  A copy made with ``dataclasses.replace``
+starts with no tables, and they die with the object.
 """
 
 from __future__ import annotations
@@ -266,6 +271,19 @@ class _Search:
     def exhaustive(self) -> bool:
         return not (self.hit_nodes or self.hit_edges or self.hit_results)
 
+    def rest(self) -> MemberVerdict:
+        """The verdict of every key that a search which ended by itself did
+        not accept: ``unknown`` if a budget cut it in a way that could hide
+        a key (the result budget, a node cut on a grammar that is not
+        node-monotone, an edge cut on one that is not edge-monotone)."""
+        g = self.grammar
+        cut = (
+            self.hit_results
+            or (self.hit_nodes and not g.node_monotone)
+            or (self.hit_edges and not g.edge_monotone)
+        )
+        return MemberVerdict("unknown" if cut else "no-within-limits")
+
     def _accepting(self, labels, state, terminals: frozenset[str]) -> bool:
         if not labels <= terminals:
             return False
@@ -282,10 +300,21 @@ class _Search:
         trace.reverse()
         return tuple(trace)
 
+    def traced(self, traces: dict) -> Iterator[tuple[tuple, object]]:
+        """``accepted``, entering in ``traces`` the trace of each key's first
+        accepted pair.  Keys share few traces (a one-table grammar has one
+        per depth); one copy of each."""
+        shared: dict = {}
+        for pair, form in self.accepted():
+            if pair[0] not in traces:
+                trace = self.trace(pair)
+                traces[pair[0]] = shared.setdefault(trace, trace)
+            yield pair, form
+
 
 @dataclass(frozen=True)
 class _Answers:
-    """What a member search earned, for later queries within its budgets."""
+    """What a search earned, for later member queries within its budgets."""
 
     traces: dict  # each accepted key: the trace of its first accepted pair
     rest: Optional[MemberVerdict]  # every other key's, if the search ended by itself
@@ -324,10 +353,15 @@ def _known(
 
 
 def _accepted(g: AnyPHR, limits: Limits) -> tuple[_Search, dict]:
-    """Run the search; its accepted states, one per key."""
+    """Run the search to its end; its accepted states, one per key.  It
+    leaves its answer table on ``g`` at ``limits`` and size bound
+    ``max_edges``, with the trace of each key's first accepted pair."""
     grammar, ctrl = split_control(g)
     search = _Search(grammar=grammar, control=ctrl, limits=limits, max_size=limits.max_edges)
-    return search, {pair[0]: form for pair, form in search.accepted()}
+    traces: dict = {}
+    found = {pair[0]: form for pair, form in search.traced(traces)}
+    g.member_answers[limits, limits.max_edges] = _Answers(traces, search.rest())
+    return search, found
 
 
 def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumeration:
@@ -336,7 +370,9 @@ def enumerate_language(g: AnyPHR, limits: Limits = Limits()) -> LanguageEnumerat
     Graphs are canonical representatives, sorted by canonical key, one
     per isomorphism class.  For a controlled grammar a graph counts only
     when some derivation's table trace is accepted by the control
-    automaton.
+    automaton.  The search leaves its answer table on ``g`` (see the
+    module docstring), so that ``member_string`` at the same limits
+    looks words up instead of searching again.
     """
     search, results = _accepted(g, limits)
     results = search.codec.graphs(results)
@@ -359,7 +395,8 @@ def enumerate_strings(
     """All nonempty words whose string graphs the grammar derives.
 
     The empty word is never included: string languages are compared
-    modulo the empty word throughout.
+    modulo the empty word throughout.  Like ``enumerate_language``, it
+    leaves the search's answer table on ``g`` for ``member_string``.
     """
     search, results = _accepted(g, limits)
     words = {w for w in search.codec.words(results, frozenset(empty_labels)) if w}
@@ -385,9 +422,13 @@ def member_string(
     dropped without a flag.  On an edge-monotone grammar a form's least
     size is at least its edge count, so no form past |word| edges is kept.
 
-    Queries on one grammar object share answers (see the module
+    Searches on one grammar object share answers (see the module
     docstring): the traces of the keys a search accepted, and the verdict
-    of every other key once a search ended by itself.  A search answers
+    of every other key once a search ended by itself.  Member queries and
+    enumerations both leave them; an enumeration always runs to its end,
+    so after it every query at the same limits is one lookup, except a
+    word it did not accept when a budget cut it (an ``unknown`` rest,
+    which holds only at identical budgets).  A search answers
     every query whose budgets it covers: the same step, edge and result
     budgets, a size bound (the word's length) no larger, and the same
     node cap or, on a node-monotone grammar where the cap is |word|+1,
@@ -399,12 +440,8 @@ def member_string(
     """
     grammar, ctrl = split_control(g)
     letters = tuple(word)
-    if not letters:
+    if not letters or not grammar.letters.issuperset(letters):
         return MemberVerdict("no-within-limits")
-    terminals = set(grammar.terminals)
-    for a in letters:
-        if a not in terminals or grammar.signature.arity(a) != 2:
-            return MemberVerdict("no-within-limits")
     monotone = grammar.node_monotone
     nodes = min(limits.max_nodes, len(letters) + 1) if monotone else limits.max_nodes
     size = min(len(letters), limits.max_edges)
@@ -417,17 +454,10 @@ def member_string(
     bounded = dataclasses.replace(limits, max_nodes=nodes)
     search = _Search(grammar=grammar, control=ctrl, limits=bounded, max_size=size)
     traces, rest = {}, None
-    for pair, _ in search.accepted():
-        if pair[0] not in traces:
-            traces[pair[0]] = search.trace(pair)
+    for pair, _ in search.traced(traces):
         if pair[0] == target:
             break
     else:
-        cut = (
-            search.hit_results
-            or (search.hit_nodes and not monotone)
-            or (search.hit_edges and not grammar.edge_monotone)
-        )
-        rest = MemberVerdict("unknown" if cut else "no-within-limits")
+        rest = search.rest()
     known = g.member_answers[bounded, size] = _Answers(traces, rest)
     return known.verdict(target, exact=True)

@@ -124,8 +124,12 @@ class _Code:
         return {canonical_key(h): canonical_graph(h) for h in graphs}
 
     def words(self, found: Iterable[str], empty: frozenset[str]) -> Iterator[Word]:
-        forms = map(self.decoded, found)
-        return (tuple(a for a in f.word if a not in empty) for f in forms if not f.flags)
+        """The word of each key without nullary labels, less ``empty``;
+        read off the key, with no ``WordForm`` built."""
+        for key in found:
+            word, _, flags = key.partition(_SEP)
+            if not flags:
+                yield tuple([a for a in self.decode(word) if a not in empty])
 
     def decoded(self, key: str) -> WordForm:
         word, _, flags = key.partition(_SEP)
@@ -445,8 +449,26 @@ def _check_rules(rules: Iterable[Rule], sig: Signature, lhs_domain: set[str]) ->
             raise _invalid_rhs(r, validate(r.rhs, sig))
 
 
+class _Answered:
+    """A grammar object that keeps the answers of its searches."""
+
+    @_cached
+    def member_answers(self) -> dict:
+        """The answer tables that the engine's searches leave on this
+        object, by bounded budgets, for ``engine.member_string`` to read:
+        a member query stores one at its own budgets, and
+        ``enumerate_strings`` and ``enumerate_language`` one at their
+        limits.  A table also answers a query whose budgets it covers: the
+        same step, edge and result budgets, a size bound no larger, and
+        the same node cap, or a larger one on a node-monotone grammar when
+        the word fits the query's cap; then the query's search visits the
+        table search's states that fit, with the same parents (see
+        ``engine``).  A ``dataclasses.replace`` copy starts with none."""
+        return {}
+
+
 @dataclass(frozen=True)
-class PHRGrammar:
+class PHRGrammar(_Answered):
     signature: Signature
     terminals: tuple[str, ...]
     start: str
@@ -573,16 +595,10 @@ class PHRGrammar:
         return _Code(self.signature.labels)
 
     @_cached
-    def member_answers(self) -> dict:
-        """The answer tables that ``engine.member_string`` keeps on this
-        object, by bounded budgets.  A table also answers a query whose
-        budgets it covers: the same step, edge and result budgets, a size
-        bound no larger, and the same node cap, or a larger one on a
-        node-monotone grammar when the word fits the query's cap; then the
-        query's search visits the table search's states that fit, with the
-        same parents (see ``engine``).  A ``dataclasses.replace`` copy
-        starts with none."""
-        return {}
+    def letters(self) -> frozenset[str]:
+        """The terminals of arity 2: the letters a derived word may hold."""
+        sig = self.signature
+        return frozenset(a for a in self.terminals if sig.arity(a) == 2)
 
     @property
     def table_indices(self) -> tuple[str, ...]:
@@ -768,7 +784,7 @@ class ControlAutomaton:
 
 
 @dataclass(frozen=True)
-class ControlledPHRGrammar:
+class ControlledPHRGrammar(_Answered):
     grammar: PHRGrammar
     control: ControlAutomaton
 
@@ -780,18 +796,6 @@ class ControlledPHRGrammar:
                 f"control alphabet {sorted(have)} differs from "
                 f"table indices {sorted(need)}"
             )
-
-    @_cached
-    def member_answers(self) -> dict:
-        """The answer tables that ``engine.member_string`` keeps on this
-        object, by bounded budgets.  A table also answers a query whose
-        budgets it covers: the same step, edge and result budgets, a size
-        bound no larger, and the same node cap, or a larger one on a
-        node-monotone grammar when the word fits the query's cap; then the
-        query's search visits the table search's states that fit, with the
-        same parents (see ``engine``).  A ``dataclasses.replace`` copy
-        starts with none."""
-        return {}
 
 
 AnyPHR = PHRGrammar | ControlledPHRGrammar

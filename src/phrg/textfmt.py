@@ -18,6 +18,9 @@ Rule right-hand sides are written as literals::
 A string literal with whitespace is a sequence of letters; without
 whitespace it is a single letter if the whole text is a label of the
 signature, otherwise one letter per character.
+
+Each distinct rule line is parsed once per document; the tables that
+repeat it share its ``Rule`` (see ``_DocParser._tables``).
 """
 
 from __future__ import annotations
@@ -476,11 +479,20 @@ class _DocParser:
 
     def _tables(self, cls, resolve, scope) -> list:
         """Each table block as a ``cls`` over ``scope``, its rule lines
-        resolved by ``resolve``."""
+        resolved by ``resolve``, once per distinct line: every table that
+        repeats a line takes the rule its first occurrence gave."""
         if not self.tables:
             raise ParseError("missing table block", self.end)
+        resolved: dict[tuple[str, str], object] = {}
+
+        def rule(no: int, lhs: str, rhs: str):
+            found = resolved.get((lhs, rhs))
+            if found is None:
+                found = resolved[lhs, rhs] = resolve(no, lhs, rhs)
+            return found
+
         return [
-            (index, _at(line, cls, tuple(resolve(*r) for r in entries), scope))
+            (index, _at(line, cls, tuple(rule(*r) for r in entries), scope))
             for index, (line, entries) in self.tables.items()
         ]
 

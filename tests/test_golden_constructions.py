@@ -13,6 +13,7 @@ state names.  The built-in fixtures are pinned the same way, in
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -167,8 +168,10 @@ def _closure_cases() -> dict:
 CASES = {**_fixture_cases(), **_closure_cases()}
 
 
+@lru_cache(maxsize=None)
 def built(name: str) -> tuple[PHRGrammar, str]:
-    """The case's grammar and its serialized document."""
+    """The case's grammar and its serialized document, built once per
+    session."""
     build, args, kwargs = CASES[name]
     grammar = build(*args, **kwargs)
     return grammar, serialize_document(GrammarDocument(kind="phr", grammar=grammar))

@@ -39,12 +39,14 @@ from phrg.hypergraph import from_json, to_json
 from phrg.textfmt import (
     _KEYWORDS,
     GrammarDocument,
+    _graph_literal,
     parse_document,
     parse_fsa,
     serialize_document,
     serialize_fsa,
 )
 from oracles import is_dyck
+from test_golden_constructions import CASES, built
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -558,6 +560,49 @@ class TestParseDiagnostics:
         with pytest.raises(ParseError) as err:
             parse_document(text)
         assert (err.value.line, err.value.message) == (line, message)
+
+
+def _rules_by_line(g: PHRGrammar) -> dict[str, set[int]]:
+    """Each rule line of the grammar's tables, with the ids of the rules
+    that spell it."""
+    labels = set(g.signature.labels)
+    out: dict[str, set[int]] = {}
+    for _, t in g.tables:
+        for r in t.rules:
+            out.setdefault(f"{r.lhs} -> {_graph_literal(r, labels)}", set()).add(id(r))
+    return out
+
+
+class TestRuleLinesParsedOnce:
+    def test_tables_that_repeat_a_line_share_its_rule(self):
+        text = doc(PHR, None, "table 2", "a -> handle(a)", 'S -> str("a")', 'S -> str("aa")')
+        one, two = (t for _, t in parse_document(text).grammar.tables)
+        assert one.by_label["a"][0] is two.by_label["a"][0]
+        assert one.by_label["S"][0] in two.by_label["S"]
+        assert len({id(r) for t in (one, two) for r in t.rules}) == 3
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_construction_documents_round_trip_with_one_rule_per_line(self, name):
+        _, text = built(name)
+        parsed = parse_document(text)
+        assert serialize_document(parsed) == text
+        lines = {line for line in text.splitlines() if " -> " in line}
+        by_line = _rules_by_line(parsed.grammar)
+        assert set(by_line) == lines
+        assert all(len(ids) == 1 for ids in by_line.values())
+
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            ("handle(Z)", "unknown label 'Z' in handle()"),
+            ("empty(1)", "rule for 'S': right-hand side has type 1, label has arity 2"),
+        ],
+    )
+    def test_a_faulty_line_in_two_tables_is_reported_at_the_first(self, rhs, message):
+        lines = [*PHR[:8], f"S -> {rhs}", "a -> handle(a)", "table 2", "a -> handle(a)", f"S -> {rhs}"]
+        with pytest.raises(ParseError) as err:
+            parse_document(doc(lines))
+        assert (err.value.line, err.value.message) == (9, message)
 
 
 class TestFsaFormat:

@@ -3,16 +3,18 @@
 ``member_string`` keeps, per grammar object and bounded budgets, the
 trace of each key its search accepted and, once the search ended by
 itself, the verdict of every other key; a table also answers a query
-whose budgets it covers, such as a shorter word's.  The reference is a
-copy of the grammar (``fresh``) whose answers are cleared before each
-query, so that each of its queries runs the whole search: verdicts and
-traces must be equal.
+whose budgets it covers, such as a shorter word's.  An enumeration
+leaves such a table at its limits too.  The reference is a copy of the
+grammar (``fresh``) whose answers are cleared before each query, so
+that each of its queries runs the whole search: verdicts and traces
+must be equal.
 """
 
 import dataclasses
 import gc
 import random
 import types
+from functools import lru_cache
 
 import pytest
 
@@ -20,12 +22,16 @@ import phrg.engine
 from phrg import (
     Limits,
     MemberVerdict,
+    enumerate_language,
+    enumerate_strings,
+    extract_string,
     fixture,
     fixture_names,
     member_string,
 )
 from phrg.grammar import CodedForm, WordForm, split_control
 from phrg.hypergraph import Hypergraph
+from phrg.textfmt import parse_document
 from oracles import DIHEDRAL_INVERSE, F2_INVERSE, all_words, free_trivial, is_dyck, nfa_accepts
 from test_golden_constructions import _CLOSURE_AUTOMATA, AUTOMATA, CASES
 from test_word_path import fresh, witnesses
@@ -75,16 +81,30 @@ GRAMMARS = (*fixture_names(), *sorted(CASES))
 ORACLES = _oracles()
 
 
+def _queries(g) -> list:
+    """Every word of 1-4 letters over up to three terminals, with the
+    index of each limit set."""
+    terminals = sorted(split_control(g)[0].terminals)[:3]
+    return [(w, i) for w in all_words(terminals, 4) for i in range(len(LIMIT_SETS))]
+
+
+@lru_cache(maxsize=None)
+def _want(name: str) -> dict:
+    """The verdict of each of ``_queries`` on the named grammar, each from
+    a search of its own."""
+    reference = fresh(grammar(name))
+    want = {}
+    for w, i in _queries(reference):
+        reference.member_answers.clear()  # so that each query runs its whole search
+        want[w, i] = member_string(reference, w, LIMIT_SETS[i])
+    return want
+
+
 @pytest.mark.parametrize("name", GRAMMARS)
 def test_shared_answers_equal_fresh_searches(name):
     g = fresh(grammar(name))
-    terminals = sorted(split_control(g)[0].terminals)[:3]
-    queries = [(w, i) for w in all_words(terminals, 4) for i in range(len(LIMIT_SETS))]
-    reference = fresh(g)
-    want = {}
-    for w, i in queries:
-        reference.member_answers.clear()  # so that each query runs its whole search
-        want[w, i] = member_string(reference, w, LIMIT_SETS[i])
+    queries = _queries(g)
+    want = _want(name)
     order = queries * 2
     random.Random(name).shuffle(order)
     for w, i in order:
@@ -121,6 +141,10 @@ def test_answers_hold_keys_traces_and_verdicts_alone(name):
         for limits in LIMIT_SETS:
             member_string(g, w, limits)
     assert g.member_answers
+    for limits in LIMIT_SETS:
+        enumerate_strings(g, limits)
+        enumerate_language(g, limits)
+        assert g.member_answers[limits, limits.max_edges].rest is not None
     for (limits, size), answers in g.member_answers.items():
         assert type(limits) is Limits and type(size) is int
         assert set(vars(answers)) == {"traces", "rest"}
@@ -265,3 +289,119 @@ def test_a_word_past_the_node_cap_takes_no_trace_from_a_wider_table():
     assert member_string(g, "abab", wide) == MemberVerdict("yes", ("1", "1"))
     want = _fresh_verdict(g, "abab", narrow)
     assert member_string(g, "abab", narrow) == want == MemberVerdict("no-within-limits")
+
+
+def _words_of(enumeration, result) -> set:
+    """The nonempty words of an enumeration's result."""
+    if enumeration is enumerate_strings:
+        return set(result.words)
+    return {w for w in map(extract_string, result.graphs) if w}
+
+
+ENUMERATIONS = [
+    *(pytest.param(name, enumerate_strings, id=name) for name in GRAMMARS),
+    pytest.param("copy_dyck_K", enumerate_language, id="copy_dyck_K-language-graph-path"),
+    pytest.param("ctl_plus0", enumerate_language, id="ctl_plus0-language-controlled"),
+]
+
+
+@pytest.mark.parametrize("i", range(len(LIMIT_SETS)))
+@pytest.mark.parametrize("name, enumeration", ENUMERATIONS)
+def test_an_enumeration_leaves_the_answers_of_its_search(monkeypatch, name, enumeration, i):
+    limits = LIMIT_SETS[i]
+    g = fresh(grammar(name))
+    words = _words_of(enumeration, enumeration(g, limits))
+    tables = dict(g.member_answers)
+    assert list(tables) == [(limits, limits.max_edges)]
+    rest = tables[limits, limits.max_edges].rest
+    assert rest is not None  # an enumeration runs to its end
+    calls = _counting(monkeypatch)
+    decided = 0
+    for w, j in _queries(g):
+        if j != i:
+            continue
+        g.member_answers.clear()
+        g.member_answers.update(tables)  # the enumeration's table alone
+        calls.clear()
+        assert member_string(g, w, limits) == _want(name)[w, i], w
+        # the table decides every word it accepted, and every other word
+        # unless its rest is unknown, which holds only at its own budgets
+        if w in words or rest.verdict == "no-within-limits":
+            assert calls == [], w
+            decided += 1
+    assert decided or rest.verdict == "unknown"
+
+
+@pytest.mark.parametrize(
+    "name, enumeration, asked",
+    [
+        ("dyck_phr", enumerate_strings, "abab"),
+        ("ctl_plus0", enumerate_strings, "aaab"),
+        pytest.param(
+            "copy_dyck_K", enumerate_language, ("a", "b", "abar", "bbar"),
+            id="copy_dyck_K-graph-path",
+        ),
+    ],
+)
+def test_an_enumeration_that_raises_stores_nothing(monkeypatch, name, enumeration, asked):
+    g = fixture(name).phr()
+    limits = LIMIT_SETS[0]
+    want = member_string(fresh(g), asked, limits)
+    whole = enumeration(fresh(g), limits)
+    real = phrg.engine.parallel_budgeted
+    calls = _counting(monkeypatch)
+    enumeration(fresh(g), limits)
+    total = len(calls)
+    assert total
+    for k in range(1, total + 1):
+        g = fresh(g)
+        calls.clear()
+
+        def raising(*args):
+            calls.append(None)
+            if len(calls) == k:
+                raise Interrupt
+            return real(*args)
+
+        monkeypatch.setattr(phrg.engine, "parallel_budgeted", raising)
+        with pytest.raises(Interrupt):
+            enumeration(g, limits)
+        assert g.member_answers == {}
+        monkeypatch.setattr(phrg.engine, "parallel_budgeted", real)
+        assert member_string(g, asked, limits) == want, k
+        assert enumeration(g, limits) == whole, k
+
+
+# Both tables derive a, under control states that are both final: the word's
+# key is accepted twice, in one step.
+TWO_FINALS = """\
+kind phr
+order 2
+signature
+S/2
+a/2
+terminals a
+start S
+table 1
+S -> str("a")
+a -> handle(a)
+table 2
+S -> str("a")
+a -> handle(a)
+control
+state p f g
+init p
+final f g
+trans p 1 f
+trans p 2 g
+"""
+
+
+@pytest.mark.parametrize("enumeration", [enumerate_strings, enumerate_language])
+def test_a_table_keeps_the_trace_of_a_keys_first_accepted_pair(enumeration):
+    g = parse_document(TWO_FINALS).phr()
+    limits = LIMIT_SETS[0]
+    want = _fresh_verdict(g, "a", limits)
+    assert want == MemberVerdict("yes", ("1",))
+    enumeration(g, limits)
+    assert member_string(g, "a", limits) == want
